@@ -909,7 +909,7 @@ def bench_memory() -> dict:
     run it amortizes across the θ-doubling rounds) but recorded
     alongside so nothing hides.
     """
-    from repro.imm.select import select_seeds_compressed, select_seeds_sorted
+    from repro.imm.select import select_seeds
     from repro.sampling import CompressedRRRCollection
 
     out: dict = {
@@ -953,10 +953,10 @@ def bench_memory() -> dict:
         flat_times, comp_times, seeds_match = [], [], True
         for _ in range(SELECTION_REPS):
             t0 = time.perf_counter()
-            a = select_seeds_sorted(flat_coll, graph.n, SAMPLING_K)
+            a = select_seeds(flat_coll, graph.n, SAMPLING_K)
             flat_times.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
-            b = select_seeds_compressed(comp_coll, graph.n, SAMPLING_K)
+            b = select_seeds(comp_coll, graph.n, SAMPLING_K)
             comp_times.append(time.perf_counter() - t0)
             seeds_match &= bool(np.array_equal(a.seeds, b.seeds))
         rec["flat"]["select_s"] = round(min(flat_times), 4)

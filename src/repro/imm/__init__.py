@@ -19,7 +19,7 @@ and reuse the kernels defined here.
 
 from .imm import imm
 from .result import DegradedResult, IMMResult
-from .select import SelectionResult, select_seeds, select_seeds_hypergraph, select_seeds_sorted
+from .select import SelectionResult, select_seeds
 from .sweep import imm_sweep
 from .theta import (
     EPS_UPPER_BOUND,
@@ -44,7 +44,5 @@ __all__ = [
     "lambda_prime",
     "lambda_star",
     "select_seeds",
-    "select_seeds_sorted",
-    "select_seeds_hypergraph",
     "SelectionResult",
 ]

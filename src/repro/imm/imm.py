@@ -17,8 +17,6 @@ the top-up invocation from this skeleton is charged to *Sample*.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..diffusion import DiffusionModel
@@ -36,7 +34,7 @@ from ..sampling import (
 from ..sampling.supervisor import build_sampling_engine
 from .result import DegradedResult, IMMResult
 from .select import select_seeds
-from .theta import _inflated_l, estimate_theta, lambda_star
+from .theta import estimate_theta, shrink_epsilon
 
 __all__ = ["imm"]
 
@@ -244,20 +242,17 @@ def _degraded_result(
     """Convert a supervised deadline expiry into an honest partial result.
 
     Seeds are selected (serially) from the landed in-order prefix, and
-    ``epsilon_effective`` is recomputed exactly as the MPI shrink policy
-    does: λ* scales as 1/ε² at fixed ``(n, k, l)``, so the ε that the
-    surviving ``theta_effective · LB`` sample budget certifies inverts
-    in closed form.  If the deadline expired before θ estimation
-    produced a certified lower bound, the trivial ``OPT >= 1`` bound is
-    used (and no target θ is reported beyond the landed count).
+    ``epsilon_effective`` is what the surviving ``theta_effective · LB``
+    sample budget certifies (:func:`~repro.imm.theta.shrink_epsilon`).
+    If the deadline expired before θ estimation produced a certified
+    lower bound, the trivial ``OPT >= 1`` bound is used (and no target θ
+    is reported beyond the landed count).
     """
     n = graph.n
     theta_eff = len(collection)
     lb = est.lb if est is not None else 1.0
     theta_target = est.theta if est is not None else theta_eff
-    eps_eff = math.sqrt(
-        lambda_star(n, k, 1.0, _inflated_l(n, l)) / max(theta_eff * lb, 1.0)
-    )
+    eps_eff = shrink_epsilon(n, k, l, theta_eff, lb)
     with timer.phase("SelectSeeds"):
         if theta_eff > 0:
             sel = select_seeds(collection, n, k)

@@ -4,24 +4,29 @@ The selection is the classic greedy max-cover: ``k`` iterations, each
 picking the vertex contained in the most *alive* samples, then killing
 (covering) every sample that contains it and decrementing the membership
 counters of all their vertices.  Ties break toward the smallest vertex
-id in every implementation here, so the two layouts and all parallel
-variants produce identical seed sets (a cross-checked invariant).
+id, so every layout and every parallel variant produces identical seed
+sets (a cross-checked invariant).
 
-Two implementations:
+The loop is written once, in :func:`greedy_cover`, over a *view* of one
+storage layout.  A view supplies the initial per-vertex counts
+(``counts()``), the ids of the samples that hold a vertex (``hits(v)``)
+and the vertices of a set of killed samples (``members(samples)``):
 
-* :func:`select_seeds_sorted` — over the one-directional sorted layout.
-  It follows the paper's scheme: a per-vertex counter array, a first
-  counting pass over all samples, and per-iteration purges.  The
-  ``num_ranks`` argument reproduces the synchronization-free work
-  partitioning of Algorithm 4 (thread ``t`` owns the vertex interval
-  ``[n·t/p, n·(t+1)/p)``) for the shared-memory cost model: the returned
-  per-rank meters say how many counter updates each rank performed, and
-  how many binary searches it used to locate its interval inside each
-  sorted sample.
+* :class:`FlatView` — the sorted one-directional layout (IMM\\ :sup:`OPT`)
+  or a sample prefix of it.  The frozen serving index cuts its prefixes
+  from one cached vertex→entries index instead of re-sorting per query.
+* :class:`CompressedView` — the frequency-ranked delta+varint layout
+  (HBMax-style), read off a single parse of the coded stream; counters
+  stay in original vertex-id space, so ties break exactly as above.
+* :class:`HypergraphView` — the bidirectional reference layout, using
+  the vertex→samples inverted index the way Tang et al.'s code does.
 
-* :func:`select_seeds_hypergraph` — over the bidirectional reference
-  layout, using the vertex→samples inverted index the way Tang et al.'s
-  code does.
+:func:`select_seeds` runs the kernel on a collection's view and meters
+the work for the cost models.  ``num_ranks`` reproduces Algorithm 4's
+synchronization-free partitioning (thread ``t`` owns the vertex interval
+``[n·t/p, n·(t+1)/p)``): the per-rank meters say how many counter
+updates each rank performed, and how many binary searches it used to
+locate its interval inside each sorted sample.
 """
 
 from __future__ import annotations
@@ -37,13 +42,7 @@ from ..sampling.collection import (
 )
 from ..sampling.compressed import CompressedRRRCollection
 
-__all__ = [
-    "SelectionResult",
-    "select_seeds",
-    "select_seeds_sorted",
-    "select_seeds_hypergraph",
-    "select_seeds_compressed",
-]
+__all__ = ["SelectionResult", "select_seeds"]
 
 
 @dataclass
@@ -92,325 +91,302 @@ class SelectionResult:
         return self.covered_samples / num_samples if num_samples else 0.0
 
 
+def vertex_index(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat-entry positions grouped by vertex, plus the group offsets.
+
+    The sort is stable, so positions ascend within each vertex and any
+    sample prefix is cut from a group with one ``searchsorted``.
+    """
+    order = np.argsort(flat, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=n), out=indptr[1:])
+    return order, indptr
+
+
+class _Rows:
+    """Per-sample entry ranges ``[indptr[j], indptr[j + 1])`` and the
+    gather of the ranges of many samples at once (the kill pass)."""
+
+    def __init__(self, indptr: np.ndarray) -> None:
+        self._indptr = indptr
+        # Gather scratch, grown to the largest kill seen so far instead
+        # of re-allocating the index temporaries on every kill.
+        self._scratch = np.empty(0, dtype=np.int64)
+
+    def _positions(self, samples: np.ndarray) -> np.ndarray:
+        """Entry positions of ``samples`` (all non-empty), concatenated."""
+        starts = self._indptr[samples]
+        stops = self._indptr[samples + 1]
+        ends = np.cumsum(stops - starts)
+        total = int(ends[-1])
+        if len(self._scratch) < total:
+            self._scratch = np.empty(
+                max(total, 2 * len(self._scratch)), dtype=np.int64
+            )
+        # Concatenated ranges built in place: ones, with each range's
+        # first slot holding the jump from the previous range's last
+        # value, then one cumulative sum — repeat(starts) plus an
+        # intra-range iota without allocating either temporary.
+        idx = self._scratch[:total]
+        idx.fill(1)
+        idx[0] = starts[0]
+        idx[ends[:-1]] = starts[1:] - stops[:-1] + 1
+        np.cumsum(idx, out=idx)
+        return idx
+
+    def sizes(self) -> np.ndarray:
+        return np.diff(self._indptr)
+
+
+class FlatView(_Rows):
+    """The sorted flat layout, or its first ``num_samples`` samples.
+
+    ``by_vertex`` may be a cached :func:`vertex_index` over a longer
+    flat array (the frozen index's, shared by every query); each vertex's
+    positions are cut to the prefix.  ``num_samples`` is clamped to the
+    mapped rows, because a concurrent extension commits the manifest
+    count before the remap lands.  ``count_engine`` (a
+    :class:`~repro.sampling.parallel_engine.ParallelSamplingEngine`)
+    computes the initial counts with its partitioned kernel instead of a
+    serial ``np.bincount`` — bit-identical counters.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        flat: np.ndarray,
+        indptr: np.ndarray,
+        sample_of: np.ndarray,
+        *,
+        num_samples: int | None = None,
+        by_vertex: tuple[np.ndarray, np.ndarray] | None = None,
+        count_engine=None,
+    ) -> None:
+        m = len(indptr) - 1
+        if num_samples is not None:
+            m = min(int(num_samples), m)
+        super().__init__(indptr[: m + 1])
+        self.n = n
+        self.num_samples = m
+        self.entries = int(indptr[m])
+        # Plain-ndarray view: indexing a memmap subclass is slower.
+        self._flat = np.asarray(flat)[: self.entries]
+        self._sample_of = sample_of
+        if by_vertex is None:
+            by_vertex = vertex_index(self._flat, n)
+        self._order, self._vptr = by_vertex
+        self._count_engine = count_engine
+
+    def counts(self) -> np.ndarray:
+        if self._count_engine is not None:
+            return self._count_engine.count_partitioned(self._flat, self.n)
+        return np.bincount(self._flat, minlength=self.n)
+
+    def hits(self, v: int) -> np.ndarray:
+        pos = self._order[self._vptr[v] : self._vptr[v + 1]]
+        return self._sample_of[pos[: int(np.searchsorted(pos, self.entries))]]
+
+    def members(self, samples: np.ndarray) -> np.ndarray:
+        return self._flat[self._positions(samples)]
+
+
+class CompressedView(_Rows):
+    """Greedy view straight off the coded stream (HBMax-style).
+
+    The collection's flat int32 rows are never materialized: the stream
+    is parsed once (one vectorized varint pass), the hit lookup is a
+    rank-space index over the parsed entries, and the kill pass gathers
+    the killed samples' entries from that single parse and inverts rank
+    → vertex.  Counts are kept in original vertex-id space and equal the
+    flat layout's bincount, so seeds, coverage and meters are identical
+    to :class:`FlatView`'s.  ``count_engine`` substitutes the engine's
+    fused per-worker histogram merge for the count when its books
+    balance.
+    """
+
+    def __init__(
+        self, collection: CompressedRRRCollection, n: int, count_engine=None
+    ) -> None:
+        collection._ensure_ranked()
+        m = len(collection)
+        if m:
+            ranks, sizes = collection.parse_stream()
+        else:
+            ranks = np.empty(0, dtype=np.int64)
+            sizes = np.empty(0, dtype=np.int64)
+        # Per-sample entry ranges into the parse (stream order is sample
+        # order), so the kill pass is a pure gather.
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        super().__init__(indptr)
+        self.n = n
+        self.num_samples = m
+        self._collection = collection
+        self._ranks = ranks
+        self._count_engine = count_engine
+        self._rank_of = collection._rank_of
+        # Rank-space hit index built with one key sort (key = rank·m +
+        # sample): grouped by rank with ascending sample ids inside each
+        # group — the same hit order as the flat layout's vertex index.
+        self._rptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ranks, minlength=n), out=self._rptr[1:])
+        if m:
+            keys = ranks * m + np.repeat(np.arange(m, dtype=np.int64), sizes)
+            keys.sort()
+            self._hit_samples = keys % m
+        else:
+            self._hit_samples = np.empty(0, dtype=np.int64)
+
+    def counts(self) -> np.ndarray:
+        if self._count_engine is not None:
+            return self._count_engine.count_collection(self._collection, self.n)
+        return np.bincount(self._collection._invert(self._ranks), minlength=self.n)
+
+    def hits(self, v: int) -> np.ndarray:
+        r = int(self._rank_of[v])
+        return self._hit_samples[self._rptr[r] : self._rptr[r + 1]]
+
+    def members(self, samples: np.ndarray) -> np.ndarray:
+        return self._collection._invert(self._ranks[self._positions(samples)])
+
+
+class HypergraphView:
+    """The bidirectional layout: hits come from the stored inverted index
+    (no scan, no binary search), at the doubled storage accounted in
+    :meth:`~repro.sampling.collection.HypergraphRRRCollection.nbytes_model`."""
+
+    def __init__(self, collection: HypergraphRRRCollection, n: int) -> None:
+        self.n = n
+        self.num_samples = len(collection)
+        self._collection = collection
+
+    def counts(self) -> np.ndarray:
+        return self._collection.counters()
+
+    def hits(self, v: int) -> np.ndarray:
+        return np.asarray(self._collection.samples_containing(v), dtype=np.int64)
+
+    def members(self, samples: np.ndarray) -> np.ndarray:
+        return np.concatenate([self._collection[s] for s in samples])
+
+    def sizes(self) -> np.ndarray:
+        return np.fromiter(
+            (len(s) for s in self._collection), dtype=np.int64, count=self.num_samples
+        )
+
+
+class CoverState:
+    """Alive mask and covered count of one greedy max-cover over a view."""
+
+    def __init__(self, view) -> None:
+        self.view = view
+        self.alive = np.ones(view.num_samples, dtype=bool)
+        self.covered = 0
+
+    def cover(self, v: int) -> np.ndarray:
+        """Kill the alive samples that hold ``v``; return their ids."""
+        hits = self.view.hits(v)
+        killed = hits[self.alive[hits]]
+        self.alive[killed] = False
+        self.covered += len(killed)
+        return killed
+
+
+def greedy_cover(
+    view, k: int, *, forced=(), excluded=()
+) -> tuple[np.ndarray, CoverState]:
+    """Greedy max-cover of ``k`` seeds over ``view``.
+
+    ``forced`` vertices are seated first, in the given order (a repeated
+    id counts once); ``excluded`` vertices are never picked.  Every other
+    pick is the vertex in the most alive samples, ties to the smallest
+    id.  Returns the seeds and the final :class:`CoverState`.
+    """
+    n = view.n
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    forced = list(dict.fromkeys(forced))
+    if len(forced) > k:
+        raise ValueError(f"{len(forced)} forced vertices exceed k={k}")
+    excluded = list(dict.fromkeys(excluded))
+    for v in excluded:
+        if v in forced:
+            raise ValueError(f"vertex {v} is both forced and excluded")
+    state = CoverState(view)
+    counters = view.counts().astype(np.int64)
+    counters[excluded] = -1
+    seeds: list[int] = []
+    while len(seeds) < k:
+        if len(seeds) < len(forced):
+            v = forced[len(seeds)]
+        else:
+            v = int(np.argmax(counters))
+            if counters[v] < 0:
+                raise ValueError(f"cannot seat {k} seeds: only {len(seeds)} candidates")
+        seeds.append(v)
+        killed = state.cover(v)
+        if len(killed):
+            counters -= np.bincount(view.members(killed), minlength=n)
+        counters[v] = -1  # never re-pick a seated vertex
+    return np.asarray(seeds, dtype=np.int64), state
+
+
 def _interval_bounds(n: int, num_ranks: int) -> np.ndarray:
     """The paper's block partition: rank ``t`` owns ``[n·t/p, n·(t+1)/p)``."""
     t = np.arange(num_ranks + 1, dtype=np.int64)
     return (n * t) // num_ranks
 
 
-def select_seeds_sorted(
-    collection: SortedRRRCollection,
-    n: int,
-    k: int,
-    num_ranks: int = 1,
-    *,
-    count_engine=None,
-) -> SelectionResult:
-    """Greedy selection over the sorted one-directional layout.
+def _metered(view, seeds: np.ndarray, state: CoverState, num_ranks: int) -> SelectionResult:
+    """Charge Algorithm 4's work in one pass over the final alive mask.
 
-    The executed kernel is vectorized NumPy, but the *work metering*
-    follows Algorithm 4's partitioned execution: counter updates are
-    attributed to the rank owning the vertex, and each rank is charged
-    ``O(log |R_j|)`` searches per visited sample to find its interval.
-
-    ``count_engine`` (a
-    :class:`~repro.sampling.parallel_engine.ParallelSamplingEngine`)
-    replaces the serial ``np.bincount`` of the first counting pass with
-    its partitioned ``count_partitioned`` kernel — bit-identical
-    counters, computed by the worker pool for large collections.
+    Exact because each sample is killed at most once: the kill passes
+    touched precisely the entries of the samples now dead.  The counting
+    pass reads every entry; each kill then updates one counter per entry
+    of the killed sample, and every rank pays two binary searches per
+    visited sample.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if num_ranks < 1:
-        raise ValueError("need at least one rank")
-    flat, indptr, sample_of = collection.flattened()
-    num_samples = len(collection)
-    bounds = _interval_bounds(n, num_ranks)
-
-    # --- counting pass (first step of Algorithm 4) -----------------------
-    if count_engine is not None:
-        counters = count_engine.count_partitioned(flat, n).astype(np.int64)
-    else:
-        counters = np.bincount(flat, minlength=n).astype(np.int64)
-    # Rank attribution of every entry is only needed when the cost model
-    # actually partitions the vertex space; the common single-rank path
-    # skips the O(E log p) searchsorted and charges everything to rank 0.
-    if num_ranks > 1:
-        rank_of_entry = np.searchsorted(bounds, flat, side="right") - 1
-        per_rank_entries = np.bincount(rank_of_entry, minlength=num_ranks)
-    else:
-        rank_of_entry = None
-        per_rank_entries = np.asarray([len(flat)], dtype=np.int64)
-    # Each rank visits every sample and runs two binary searches on it.
-    if num_samples:
-        sizes = np.diff(indptr)
-        search_per_sample = np.ceil(np.log2(np.maximum(sizes, 2))).astype(np.int64)
-        total_search = int(search_per_sample.sum())
-    else:
-        total_search = 0
-    per_rank_searches = np.full(num_ranks, total_search, dtype=np.int64)
-
-    entries_scanned = int(collection.total_entries)
-    counter_updates = int(collection.total_entries)
-
-    # Vertex -> entry positions index (grouped, O(E) once) so the per-
-    # iteration "which samples contain v" lookup is O(|hits|), not O(E).
-    vert_order = np.argsort(flat, kind="stable")
-    vert_counts = np.bincount(flat, minlength=n)
-    vert_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(vert_counts, out=vert_indptr[1:])
-
-    sample_alive = np.ones(num_samples, dtype=bool)
-    seeds = np.empty(k, dtype=np.int64)
-    covered = 0
-    # Kill-pass scratch, hoisted out of the loop: grows to the largest
-    # kill seen so far instead of re-allocating repeat/arange/sum
-    # temporaries on every iteration.
-    entry_scratch = np.empty(0, dtype=np.int64)
-    for i in range(k):
-        v = int(np.argmax(counters))
-        seeds[i] = v
-        positions = vert_order[vert_indptr[v] : vert_indptr[v + 1]]
-        hit_samples = sample_of[positions]
-        killed = hit_samples[sample_alive[hit_samples]]
-        covered += len(killed)
-        if len(killed):
-            sample_alive[killed] = False
-            starts = indptr[killed]
-            stops = indptr[killed + 1]
-            counts = stops - starts
-            ends = np.cumsum(counts)
-            total = int(ends[-1])
-            if len(entry_scratch) < total:
-                entry_scratch = np.empty(
-                    max(total, 2 * len(entry_scratch)), dtype=np.int64
-                )
-            # Concatenated ranges [start_j, stop_j) built in place: ones,
-            # with each range's first slot holding the jump from the
-            # previous range's last value, then one cumulative sum.
-            # Equivalent to repeat(starts, counts) + intra-range iota
-            # without allocating either temporary.
-            entry_idx = entry_scratch[:total]
-            entry_idx.fill(1)
-            entry_idx[0] = starts[0]
-            entry_idx[ends[:-1]] = starts[1:] - stops[:-1] + 1
-            np.cumsum(entry_idx, out=entry_idx)
-            dead_vertices = flat[entry_idx]
-            counters -= np.bincount(dead_vertices, minlength=n)
-            # Metering: each decrement belongs to the rank owning the vertex;
-            # each rank also pays a binary search per killed sample.
-            if rank_of_entry is not None:
-                per_rank_entries += np.bincount(
-                    rank_of_entry[entry_idx], minlength=num_ranks
-                )
-            else:
-                per_rank_entries[0] += total
-            kill_search = int(search_per_sample[killed].sum())
-            per_rank_searches += kill_search
-            entries_scanned += total
-            counter_updates += total
-        counters[v] = -1  # never re-pick a chosen seed
-    return SelectionResult(
-        seeds=seeds,
-        covered_samples=covered,
-        entries_scanned=entries_scanned,
-        counter_updates=counter_updates,
-        per_rank_entries=per_rank_entries,
-        per_rank_searches=per_rank_searches,
-        argmax_scans=k * n,
-    )
-
-
-def select_seeds_hypergraph(
-    collection: HypergraphRRRCollection,
-    n: int,
-    k: int,
-) -> SelectionResult:
-    """Greedy selection over the bidirectional hypergraph layout.
-
-    Covered samples are found through the vertex→samples inverted index
-    (no scan), the way the reference implementation works; the cost is
-    the doubled storage accounted in :meth:`nbytes_model`.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    counters = collection.counters().astype(np.int64)
-    covered_mask = np.zeros(len(collection), dtype=bool)
-    seeds = np.empty(k, dtype=np.int64)
-    covered = 0
-    entries_scanned = int(collection.total_entries)
-    counter_updates = int(collection.total_entries)
-    for i in range(k):
-        v = int(np.argmax(counters))
-        seeds[i] = v
-        containing = np.asarray(collection.samples_containing(v), dtype=np.int64)
-        entries_scanned += len(containing)
-        if len(containing):
-            new = containing[~covered_mask[containing]]
-        else:
-            new = containing
-        covered += len(new)
-        if len(new):
-            covered_mask[new] = True
-            members = np.concatenate([collection[s] for s in new]).astype(np.int64)
-            counters -= np.bincount(members, minlength=n)
-            entries_scanned += len(members)
-            counter_updates += len(members)
-        counters[v] = -1
-    return SelectionResult(
-        seeds=seeds,
-        covered_samples=covered,
-        entries_scanned=entries_scanned,
-        counter_updates=counter_updates,
-        per_rank_entries=np.asarray([counter_updates], dtype=np.int64),
-        per_rank_searches=np.zeros(1, dtype=np.int64),
-        argmax_scans=k * n,
-    )
-
-
-def select_seeds_compressed(
-    collection: CompressedRRRCollection,
-    n: int,
-    k: int,
-    num_ranks: int = 1,
-    *,
-    count_engine=None,
-) -> SelectionResult:
-    """Greedy selection straight off the coded stream (HBMax-style).
-
-    The collection's flat int32 incidence rows are never materialized:
-    the counting pass is one vectorized varint parse of the coded bytes
-    (:meth:`~repro.sampling.compressed.CompressedRRRCollection
-    .parse_stream`), the vertex→samples lookup is a rank-space index
-    over the parsed entries, and the kill pass marks coverage on the
-    fly by gathering the killed samples' entries from that *single*
-    parse — the coded bytes are decoded exactly once per selection, not
-    once per seed.  The parsed rank entries live only for the duration
-    of the call; the collection itself stays coded throughout.
-
-    Bit-parity with :func:`select_seeds_sorted` is by construction:
-    counters are kept in *original* vertex-id space (so ``argmax`` ties
-    break toward the smallest vertex id, not the hottest rank), every
-    counter value equals the flat layout's bincount, and the killed
-    sample sets are identical — hence identical seeds, covered counts,
-    and work meters.
-
-    ``count_engine`` substitutes the engine's fused per-worker
-    frequency-histogram merge for the coded-stream count when its books
-    balance (the descriptor-protocol rows already hold exactly this
-    histogram); the stream is still parsed once for the hit index.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if num_ranks < 1:
-        raise ValueError("need at least one rank")
-    collection._ensure_ranked()
-    num_samples = len(collection)
-    bounds = _interval_bounds(n, num_ranks)
-
-    # --- counting pass, off the coded stream -----------------------------
-    if num_samples:
-        ranks, sizes = collection.parse_stream()
-    else:
-        ranks = np.empty(0, dtype=np.int64)
-        sizes = np.empty(0, dtype=np.int64)
-    if count_engine is not None:
-        counters = count_engine.count_collection(collection, n).astype(np.int64)
-    else:
-        counters = np.bincount(
-            collection._invert(ranks), minlength=n
-        ).astype(np.int64)
-    sample_of = np.repeat(np.arange(num_samples, dtype=np.int64), sizes)
-    if num_ranks > 1:
-        rank_of_entry = (
-            np.searchsorted(bounds, collection._invert(ranks), side="right") - 1
+    n = view.n
+    dead = ~state.alive
+    sizes = view.sizes()
+    updates = int(sizes.sum()) + int(sizes[dead].sum())
+    if isinstance(view, HypergraphView):
+        # Each lookup reads the vertex's whole posting list; the inverted
+        # index needs no binary search and is not rank-partitioned.
+        lookups = sum(len(view.hits(v)) for v in seeds)
+        return SelectionResult(
+            seeds=seeds,
+            covered_samples=state.covered,
+            entries_scanned=updates + lookups,
+            counter_updates=updates,
+            per_rank_entries=np.asarray([updates], dtype=np.int64),
+            per_rank_searches=np.zeros(1, dtype=np.int64),
+            argmax_scans=len(seeds) * n,
         )
-        per_rank_entries = np.bincount(rank_of_entry, minlength=num_ranks)
+    searches = np.ceil(np.log2(np.maximum(sizes, 2))).astype(np.int64)
+    per_rank_searches = np.full(
+        num_ranks, int(searches.sum()) + int(searches[dead].sum()), dtype=np.int64
+    )
+    if num_ranks > 1 and len(sizes):
+        # Each update belongs to the rank owning its vertex: every entry
+        # once for the counting pass, again if its sample died.
+        visits = np.concatenate([np.arange(len(sizes)), np.flatnonzero(dead)])
+        load = np.bincount(view.members(visits), minlength=n)
+        cum = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(load, out=cum[1:])
+        bounds = _interval_bounds(n, num_ranks)
+        per_rank_entries = cum[bounds[1:]] - cum[bounds[:-1]]
     else:
-        per_rank_entries = np.asarray([len(ranks)], dtype=np.int64)
-    if num_samples:
-        search_per_sample = np.ceil(np.log2(np.maximum(sizes, 2))).astype(np.int64)
-        total_search = int(search_per_sample.sum())
-    else:
-        total_search = 0
-    per_rank_searches = np.full(num_ranks, total_search, dtype=np.int64)
-
-    entries_scanned = int(collection.total_entries)
-    counter_updates = int(collection.total_entries)
-
-    # Rank-space hit index over the parsed entries, built with one key
-    # sort (key = rank * num_samples + sample): grouped by rank with
-    # ascending sample ids inside each group — the same hit ordering the
-    # sorted layout's vertex index produces, without the slower stable
-    # argsort + gather it would take to keep the two arrays separate.
-    rank_counts = np.bincount(ranks, minlength=n)
-    rank_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(rank_counts, out=rank_indptr[1:])
-    if num_samples:
-        keys = ranks * num_samples + sample_of
-        keys.sort()
-        hit_samples = keys % num_samples
-    else:
-        hit_samples = np.empty(0, dtype=np.int64)
-    rank_of = collection._rank_of
-
-    # Per-sample entry ranges into the parsed stream (stream order is
-    # sample order), so the kill pass is a pure gather.
-    entry_indptr = np.zeros(num_samples + 1, dtype=np.int64)
-    np.cumsum(sizes, out=entry_indptr[1:])
-
-    sample_alive = np.ones(num_samples, dtype=bool)
-    seeds = np.empty(k, dtype=np.int64)
-    covered = 0
-    entry_scratch = np.empty(0, dtype=np.int64)
-    for i in range(k):
-        v = int(np.argmax(counters))
-        seeds[i] = v
-        r = int(rank_of[v])
-        hits = hit_samples[rank_indptr[r] : rank_indptr[r + 1]]
-        killed = hits[sample_alive[hits]]
-        covered += len(killed)
-        if len(killed):
-            sample_alive[killed] = False
-            # Coverage marking off the single parse: gather the killed
-            # samples' entry ranges (same in-place ranges trick as the
-            # sorted kernel), then invert rank → vertex per entry.
-            starts = entry_indptr[killed]
-            stops = entry_indptr[killed + 1]
-            counts = stops - starts
-            ends = np.cumsum(counts)
-            total = int(ends[-1])
-            if len(entry_scratch) < total:
-                entry_scratch = np.empty(
-                    max(total, 2 * len(entry_scratch)), dtype=np.int64
-                )
-            entry_idx = entry_scratch[:total]
-            entry_idx.fill(1)
-            entry_idx[0] = starts[0]
-            entry_idx[ends[:-1]] = starts[1:] - stops[:-1] + 1
-            np.cumsum(entry_idx, out=entry_idx)
-            dead_vertices = collection._invert(ranks[entry_idx])
-            counters -= np.bincount(dead_vertices, minlength=n)
-            if num_ranks > 1:
-                per_rank_entries += np.bincount(
-                    np.searchsorted(bounds, dead_vertices, side="right") - 1,
-                    minlength=num_ranks,
-                )
-            else:
-                per_rank_entries[0] += total
-            kill_search = int(search_per_sample[killed].sum())
-            per_rank_searches += kill_search
-            entries_scanned += total
-            counter_updates += total
-        counters[v] = -1
+        per_rank_entries = np.zeros(num_ranks, dtype=np.int64)
+        per_rank_entries[0] = updates
     return SelectionResult(
         seeds=seeds,
-        covered_samples=covered,
-        entries_scanned=entries_scanned,
-        counter_updates=counter_updates,
+        covered_samples=state.covered,
+        entries_scanned=updates,
+        counter_updates=updates,
         per_rank_entries=per_rank_entries,
         per_rank_searches=per_rank_searches,
-        argmax_scans=k * n,
+        argmax_scans=len(seeds) * n,
     )
 
 
@@ -422,22 +398,24 @@ def select_seeds(
     *,
     count_engine=None,
 ) -> SelectionResult:
-    """Dispatch to the layout-appropriate selector.
+    """Greedy selection of ``k`` seeds over any collection layout.
 
-    All selectors implement the identical greedy policy (including tie
-    breaking), so the chosen seeds depend only on the collection
-    contents — a property the test suite asserts.  ``count_engine``
-    applies to the sorted and compressed layouts (the hypergraph layout
-    reads its counters off the inverted index, no counting pass exists).
+    Every layout runs the same kernel (including tie breaking), so the
+    chosen seeds depend only on the collection contents — a property the
+    test suite asserts.  ``count_engine`` applies to the sorted and
+    compressed layouts (the hypergraph layout reads its counters off the
+    inverted index, no counting pass exists), and so does ``num_ranks``:
+    the inverted index is charged to a single rank.
     """
+    if num_ranks < 1:
+        raise ValueError("need at least one rank")
     if isinstance(collection, SortedRRRCollection):
-        return select_seeds_sorted(
-            collection, n, k, num_ranks=num_ranks, count_engine=count_engine
-        )
-    if isinstance(collection, CompressedRRRCollection):
-        return select_seeds_compressed(
-            collection, n, k, num_ranks=num_ranks, count_engine=count_engine
-        )
-    if isinstance(collection, HypergraphRRRCollection):
-        return select_seeds_hypergraph(collection, n, k)
-    raise TypeError(f"unsupported collection type {type(collection).__name__}")
+        view = FlatView(n, *collection.flattened(), count_engine=count_engine)
+    elif isinstance(collection, CompressedRRRCollection):
+        view = CompressedView(collection, n, count_engine)
+    elif isinstance(collection, HypergraphRRRCollection):
+        view = HypergraphView(collection, n)
+    else:
+        raise TypeError(f"unsupported collection type {type(collection).__name__}")
+    seeds, state = greedy_cover(view, k)
+    return _metered(view, seeds, state, num_ranks)

@@ -25,6 +25,7 @@ All sampling done during estimation is *kept*: Algorithm 1's subsequent
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..diffusion import DiffusionModel
@@ -32,6 +33,7 @@ from ..graph import CSRGraph
 from ..perf.counters import WorkCounters
 from ..sampling import (
     BatchedRRRSampler,
+    ParallelSamplingEngine,
     RRRCollection,
     RRRSampler,
     SortedRRRCollection,
@@ -45,6 +47,9 @@ __all__ = [
     "logcnk",
     "lambda_prime",
     "lambda_star",
+    "shrink_epsilon",
+    "check_instance",
+    "doubling_search",
     "estimate_theta",
     "ThetaEstimate",
 ]
@@ -95,6 +100,75 @@ def lambda_star(n: int, k: int, eps: float, l: float) -> float:
     alpha = math.sqrt(l * math.log(n) + math.log(2))
     beta = math.sqrt(one_minus_inv_e * (logcnk(n, k) + l * math.log(n) + math.log(2)))
     return 2.0 * n * (one_minus_inv_e * alpha + beta) ** 2 / (eps * eps)
+
+
+def shrink_epsilon(n: int, k: int, l: float, theta_effective: int, lb: float) -> float:
+    """The ε certified by a ``theta_effective · lb`` sample budget.
+
+    λ*(n, k, ε, l) scales as 1/ε² at fixed ``(n, k, l)``, so the ε a
+    surviving budget still certifies inverts in closed form.  Used
+    wherever a run answers from fewer samples than θ: the supervised
+    deadline path, the MPI shrink policy and the serving layer's
+    degraded answers.
+    """
+    return math.sqrt(
+        lambda_star(n, k, 1.0, _inflated_l(n, l)) / max(theta_effective * lb, 1.0)
+    )
+
+
+def check_instance(n: int, k: int, eps: float) -> None:
+    """Reject degenerate instances (``n < 2``, ``k`` outside ``[1, n]``)
+    and ``eps`` outside ``(0, 1 - 1/e)``."""
+    if n < 2:
+        raise ValueError(f"IMM needs at least 2 vertices, got n={n}")
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    validate_eps(eps)
+
+
+def doubling_search(
+    n: int,
+    k: int,
+    eps: float,
+    l: float,
+    cover: Callable[[int], float],
+    *,
+    theta_cap: int | None = None,
+) -> tuple[int, float, list[tuple[int, float]]]:
+    """Algorithm 2's doubling search over a cover step.
+
+    ``cover(theta_x)`` makes the first ``theta_x`` samples available,
+    selects ``k`` seeds over them and returns the fraction they cover.
+    :func:`estimate_theta`'s step samples the collection up to
+    ``theta_x``; the serving engine's step extends or cuts a frozen
+    index prefix.  Returns ``(theta, lb, coverage_history)``; the round
+    count is ``len(coverage_history)``.
+    """
+    l_eff = _inflated_l(n, l)
+    eps_p = math.sqrt(2.0) * eps
+    lam_p = lambda_prime(n, k, eps, l_eff)
+    lam_s = lambda_star(n, k, eps, l_eff)
+
+    lb = 1.0
+    history: list[tuple[int, float]] = []
+    max_x = max(1, int(math.ceil(math.log2(n))) - 1)
+    for x in range(1, max_x + 1):
+        y = n / (2.0**x)
+        theta_x = int(math.ceil(lam_p / y))
+        if theta_cap is not None:
+            theta_x = min(theta_x, theta_cap)
+        frac = cover(theta_x)
+        history.append((theta_x, frac))
+        if n * frac >= (1.0 + eps_p) * y:
+            lb = n * frac / (1.0 + eps_p)
+            break
+        if theta_cap is not None and theta_x >= theta_cap:
+            break
+
+    theta = int(math.ceil(lam_s / lb))
+    if theta_cap is not None:
+        theta = min(theta, theta_cap)
+    return theta, lb, history
 
 
 @dataclass
@@ -209,11 +283,7 @@ def estimate_theta(
         or ``eps`` is out of range.
     """
     n = graph.n
-    if n < 2:
-        raise ValueError(f"IMM needs at least 2 vertices, got n={n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    validate_eps(eps)
+    check_instance(n, k, eps)
     model = DiffusionModel.parse(model)
     if collection is None:
         collection = SortedRRRCollection(n)
@@ -233,56 +303,9 @@ def estimate_theta(
             sampler = owned_engine
         else:
             sampler = BatchedRRRSampler(graph, model)
-    try:
-        return _estimate_theta_loop(
-            graph, k, eps, model, seed, l,
-            collection=collection,
-            sampler=sampler,
-            counters=counters,
-            theta_cap=theta_cap,
-            trace=trace,
-            num_ranks=num_ranks,
-        )
-    finally:
-        if owned_engine is not None:
-            owned_engine.close()
-
-
-def _estimate_theta_loop(
-    graph: CSRGraph,
-    k: int,
-    eps: float,
-    model: DiffusionModel,
-    seed: int,
-    l: float,
-    *,
-    collection: RRRCollection,
-    sampler,
-    counters: WorkCounters | None,
-    theta_cap: int | None,
-    trace: list | None,
-    num_ranks: int,
-) -> ThetaEstimate:
-    """The doubling search itself, with sampler/engine already resolved."""
-    from ..sampling import ParallelSamplingEngine
-
-    n = graph.n
     count_engine = sampler if isinstance(sampler, ParallelSamplingEngine) else None
-    l_eff = _inflated_l(n, l)
-    eps_p = math.sqrt(2.0) * eps
-    lam_p = lambda_prime(n, k, eps, l_eff)
-    lam_s = lambda_star(n, k, eps, l_eff)
 
-    lb = 1.0
-    history: list[tuple[int, float]] = []
-    rounds = 0
-    max_x = max(1, int(math.ceil(math.log2(n))) - 1)
-    for x in range(1, max_x + 1):
-        rounds += 1
-        y = n / (2.0**x)
-        theta_x = int(math.ceil(lam_p / y))
-        if theta_cap is not None:
-            theta_x = min(theta_x, theta_cap)
+    def cover(theta_x: int) -> float:
         batch = sample_batch(graph, model, collection, theta_x, seed, sampler=sampler)
         if counters is not None:
             counters.edges_examined += batch.edges_examined
@@ -297,21 +320,19 @@ def _estimate_theta_loop(
             counters.counter_updates += sel.counter_updates
         if trace is not None:
             trace.append(("select", sel))
-        frac = sel.covered_samples / max(len(collection), 1)
-        history.append((theta_x, frac))
-        if n * frac >= (1.0 + eps_p) * y:
-            lb = n * frac / (1.0 + eps_p)
-            break
-        if theta_cap is not None and theta_x >= theta_cap:
-            break
+        return sel.covered_samples / max(len(collection), 1)
 
-    theta = int(math.ceil(lam_s / lb))
-    if theta_cap is not None:
-        theta = min(theta, theta_cap)
+    try:
+        theta, lb, history = doubling_search(
+            n, k, eps, l, cover, theta_cap=theta_cap
+        )
+    finally:
+        if owned_engine is not None:
+            owned_engine.close()
     return ThetaEstimate(
         theta=theta,
         lb=lb,
         collection=collection,
-        rounds=rounds,
+        rounds=len(history),
         coverage_history=history,
     )

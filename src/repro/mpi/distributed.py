@@ -53,7 +53,13 @@ import numpy as np
 from ..diffusion import DiffusionModel
 from ..graph import CSRGraph
 from ..imm.result import IMMResult
-from ..imm.theta import _inflated_l, lambda_prime, lambda_star, validate_eps
+from ..imm.theta import (
+    _inflated_l,
+    lambda_prime,
+    lambda_star,
+    shrink_epsilon,
+    validate_eps,
+)
 from ..perf.counters import WorkCounters
 from ..perf.memory import MemoryModel
 from ..perf.timers import PhaseTimer
@@ -556,14 +562,7 @@ def imm_dist(
     rec0 = records[first_alive]
     theta_eff = live_count(state.deals, state.alive, rec0.theta)
     degraded = theta_eff < rec0.theta
-    if degraded:
-        # λ* scales as 1/ε² at fixed (n, k, l), so the ε the surviving
-        # θ_eff·LB sample budget still certifies inverts in closed form.
-        eps_eff = math.sqrt(
-            lambda_star(n, k, 1.0, _inflated_l(n, l)) / max(theta_eff * rec0.lb, 1.0)
-        )
-    else:
-        eps_eff = eps
+    eps_eff = shrink_epsilon(n, k, l, theta_eff, rec0.lb) if degraded else eps
 
     counters = WorkCounters(
         edges_examined=sum(rec.edges_total for rec in records),

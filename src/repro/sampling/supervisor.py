@@ -179,7 +179,7 @@ class SupervisedSamplingEngine(ParallelSamplingEngine):
     """A :class:`ParallelSamplingEngine` that survives its own workers.
 
     Drop-in wherever the plain engine goes (``sample_batch``,
-    ``estimate_theta``, ``select_seeds_sorted`` all accept it via the
+    ``estimate_theta``, ``select_seeds`` all accept it via the
     same isinstance dispatch); the output is bit-identical to the serial
     sampler under any mix of worker crashes, stragglers, and resumes —
     only wall-clock and ``stats`` change.

@@ -9,10 +9,9 @@ what-if seed sets — should pay it once.  This subpackage provides:
   integrity seal and a graph fingerprint binding it to its instance
   (:mod:`repro.serving.frozen`).
 * :class:`InfluenceQueryEngine` — ``top_k`` / ``marginal_gain`` /
-  ``what_if`` / ``tighten`` served from the mapped bytes via CELF lazy
-  re-selection, bit-identical to a fresh ``imm()`` run by replaying the
-  θ-estimation control flow over index prefixes
-  (:mod:`repro.serving.query`).
+  ``what_if`` / ``tighten`` served from the mapped bytes, bit-identical
+  to a fresh ``imm()`` run by running the same θ doubling search and
+  greedy kernel over index prefixes (:mod:`repro.serving.query`).
 * :class:`IndexCache` — a concurrency-safe LRU of open
   per-``(graph, model, eps)`` indices with refcounted leases
   (:mod:`repro.serving.cache`).
@@ -41,14 +40,8 @@ from .errors import (
     QueryDeadlineExceeded,
     ServingFrontendError,
 )
-from .frontend import (
-    CircuitBreaker,
-    DegradedServingResult,
-    FrontendStats,
-    ServingFrontend,
-    ewma_update,
-    shrink_epsilon,
-)
+from ..imm.theta import shrink_epsilon
+from .frontend import CircuitBreaker, FrontendStats, ServingFrontend, ewma_update
 from .frozen import (
     COMPRESSED_ENCODING_VERSION,
     FrozenCollectionView,
@@ -58,7 +51,13 @@ from .frozen import (
     UnknownLayoutError,
     graph_fingerprint,
 )
-from .query import InfluenceQueryEngine, MarginalGains, ServingResult, freeze_index
+from .query import (
+    DegradedServingResult,
+    InfluenceQueryEngine,
+    MarginalGains,
+    ServingResult,
+    freeze_index,
+)
 
 __all__ = [
     "FrozenRRRIndex",

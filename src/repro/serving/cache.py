@@ -22,7 +22,7 @@ a stale alias.
 * :meth:`lease` hands out *refcounted* engines: an entry pinned by a
   live lease is never closed by eviction, invalidation, or re-keying —
   its close is deferred until the last lease releases, so a query can
-  never have its memmaps unmapped mid-CELF.
+  never have its memmaps unmapped mid-selection.
 * A ``tighten`` through the cached engine re-keys the entry **in place**
   (the open memmaps already serve the amended manifest); only a manifest
   that changed *behind* the open engine — an out-of-process republish —

@@ -33,7 +33,7 @@ PR 8 single-writer bulkhead stays single cluster-wide.
 
 **Honest unavailability.**  When every replica is down, a selection
 query is answered from the router's own stale local prefix as a typed
-:class:`~repro.serving.frontend.DegradedServingResult` with
+:class:`~repro.serving.query.DegradedServingResult` with
 ``theta_effective`` / ``epsilon_effective`` from the same shrink
 arithmetic as everywhere else, and anything that cannot be served that
 way is refused with a typed
@@ -54,7 +54,7 @@ import hashlib
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,13 +62,7 @@ import numpy as np
 from ..mpi.faults import FaultPlan
 from .cache import IndexCache
 from .errors import AdmissionRejected, ClusterUnavailable, ServingFrontendError
-from .frontend import (
-    CircuitBreaker,
-    DegradedServingResult,
-    ServingFrontend,
-    ewma_update,
-    shrink_epsilon,
-)
+from .frontend import CircuitBreaker, ServingFrontend, ewma_update
 from .frozen import _MANIFEST
 from .query import MarginalGains, ServingResult
 
@@ -576,44 +570,14 @@ class ClusterRouter:
         """Answer a selection query from the router's own mapped prefix,
         typed degraded with the shrink-arithmetic accounting."""
         with self._local.lease(path) as eng:
-
-            def run():
-                t0 = time.perf_counter()
-                mf = eng.index.manifest
-                kk = int(mf["k"]) if k is None else int(k)
-                ee = float(mf["eps"]) if eps is None else float(eps)
-                n = eng.index.n
-                m = eng.index.num_samples
-                lb = float(mf["lb"]) if mf.get("lb") is not None else 1.0
-                l = float(mf["l"])
-                seeds, covered = eng._celf_select(m, kk)
-                common = dict(
-                    seeds=seeds,
-                    k=kk,
-                    epsilon=ee,
-                    model=eng.index.model,
-                    theta=m,
-                    num_samples_used=m,
-                    coverage=covered / max(m, 1),
-                    lb=lb,
-                    estimation_rounds=0,
-                    coverage_history=[],
-                    samples_added=0,
-                    samples_reused=m,
-                    edges_examined=0,
-                    seconds=time.perf_counter() - t0,
-                )
-                if self._mutate_stale_as_fresh:
-                    # Deliberate bug (mutation suite): the stale prefix
-                    # served as a full-fidelity, untyped answer.
-                    return ServingResult(**common)
-                return DegradedServingResult(
-                    **common,
-                    theta_effective=m,
-                    epsilon_effective=shrink_epsilon(n, kk, l, m, lb),
-                    degraded_reason="cluster-unavailable",
-                )
-
-            result = await asyncio.to_thread(run)
+            result = await asyncio.to_thread(
+                eng.degraded, k, eps, "cluster-unavailable"
+            )
+        if self._mutate_stale_as_fresh:
+            # Deliberate bug (mutation suite): the stale prefix served as
+            # a full-fidelity, untyped answer.
+            result = ServingResult(
+                **{f.name: getattr(result, f.name) for f in fields(ServingResult)}
+            )
         self.stats.degraded_local += 1
         return result

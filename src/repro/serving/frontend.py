@@ -17,7 +17,7 @@ nobody.
 
 **Coalescing + single-writer discipline.**  Identical in-prefix queries
 (same index identity, same arguments) batch onto one execution — one
-CELF pass, every waiter gets the same answer.  In-prefix reads run
+kernel run, every waiter gets the same answer.  In-prefix reads run
 concurrently against the shared mapped arrays: index *extension*
 (tighten, out-of-prefix θ) appends strictly past the sealed prefix and
 never rewrites it, so a reader's prefix views stay valid while a writer
@@ -48,26 +48,22 @@ graph and asserts the response contract above.
 from __future__ import annotations
 
 import asyncio
-import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..imm.theta import _inflated_l, lambda_star
 from ..mpi.faults import FaultPlan
 from .cache import IndexCache
 from .errors import AdmissionRejected, QueryDeadlineExceeded
 from .frozen import FrozenIndexError, StaleIndexError
-from .query import MarginalGains, ServingResult
+from .query import DegradedServingResult, MarginalGains, ServingResult
 
 __all__ = [
     "ServingFrontend",
-    "DegradedServingResult",
     "CircuitBreaker",
     "FrontendStats",
-    "shrink_epsilon",
     "ewma_update",
 ]
 
@@ -86,39 +82,6 @@ def ewma_update(
     the serving stack decays identically.
     """
     return sample if prev is None else alpha * prev + (1.0 - alpha) * sample
-
-
-def shrink_epsilon(n: int, k: int, l: float, theta_effective: int, lb: float) -> float:
-    """The ε certified by a ``theta_effective · lb`` sample budget.
-
-    Exactly the arithmetic of the MPI shrink policy and the supervised
-    deadline path (``repro.imm.imm._degraded_result``): λ*(n, k, ε, l)
-    scales as 1/ε² at fixed ``(n, k, l)``, so the ε a surviving budget
-    certifies inverts in closed form.
-    """
-    return math.sqrt(
-        lambda_star(n, k, 1.0, _inflated_l(n, l))
-        / max(theta_effective * lb, 1.0)
-    )
-
-
-@dataclass
-class DegradedServingResult(ServingResult):
-    """A typed, honest partial answer from the frozen prefix.
-
-    ``theta_effective`` is the sample count actually selected over;
-    ``epsilon_effective`` the guarantee that budget certifies via
-    :func:`shrink_epsilon`; ``theta`` keeps the θ the query *wanted*
-    (when known), so ``theta - theta_effective`` is the shortfall.
-    """
-
-    theta_effective: int = 0
-    epsilon_effective: float = float("inf")
-    degraded_reason: str = ""
-
-    @property
-    def degraded(self) -> bool:
-        return True
 
 
 @dataclass
@@ -291,8 +254,8 @@ class ServingFrontend:
     ) -> ServingResult:
         """Constrained selection — a pure index read, never extends."""
         path = Path(path).resolve()
-        f = tuple(int(v) for v in forced)
-        x = tuple(int(v) for v in excluded)
+        f = tuple(forced)
+        x = tuple(excluded)
         return await self._submit(
             path, graph, deadline,
             ckey=("what_if", path, k, f, x),
@@ -311,8 +274,8 @@ class ServingFrontend:
     ) -> MarginalGains:
         """Spread + per-vertex marginals — a pure index read."""
         path = Path(path).resolve()
-        s = tuple(int(v) for v in seed_set)
-        c = None if candidates is None else tuple(int(v) for v in candidates)
+        s = tuple(seed_set)
+        c = None if candidates is None else tuple(candidates)
         return await self._submit(
             path, graph, deadline,
             ckey=("marginal", path, s, c),
@@ -656,42 +619,9 @@ class ServingFrontend:
         self, eng, k, eps, reason: str, needed: int | None
     ) -> DegradedServingResult:
         """Answer from the frozen prefix with honest accounting."""
-
-        def run() -> DegradedServingResult:
-            t0 = time.perf_counter()
-            mf = eng.index.manifest
-            kk = int(mf["k"]) if k is None else int(k)
-            ee = float(mf["eps"]) if eps is None else float(eps)
-            n = eng.index.n
-            m = eng.index.num_samples
-            lb = float(mf["lb"]) if mf.get("lb") is not None else 1.0
-            l = float(mf["l"])
-            seeds, covered = eng._celf_select(m, kk)
-            if self._mutate_dishonest_degrade:
-                # Mutation hook: report the requested ε as achieved.
-                eps_eff = ee
-            else:
-                eps_eff = shrink_epsilon(n, kk, l, m, lb)
-            return DegradedServingResult(
-                seeds=seeds,
-                k=kk,
-                epsilon=ee,
-                model=eng.index.model,
-                theta=int(needed) if needed else m,
-                num_samples_used=m,
-                coverage=covered / max(m, 1),
-                lb=lb,
-                estimation_rounds=0,
-                coverage_history=[],
-                samples_added=0,
-                samples_reused=m,
-                edges_examined=0,
-                seconds=time.perf_counter() - t0,
-                theta_effective=m,
-                epsilon_effective=eps_eff,
-                degraded_reason=reason,
-            )
-
-        result = await asyncio.to_thread(run)
+        result = await asyncio.to_thread(eng.degraded, k, eps, reason, needed)
+        if self._mutate_dishonest_degrade:
+            # Mutation hook: report the requested ε as achieved.
+            result.epsilon_effective = result.epsilon
         self.stats.degraded += 1
         return result

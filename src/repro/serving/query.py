@@ -22,21 +22,19 @@ the index tail in place (old samples stay valid; θ grows monotonically);
 queries that fit inside the index touch **zero** graph edges, which the
 oracle's edge-meter assertion enforces.
 
-**CELF lazy selection.**  Per-query greedy re-selection uses
-Leskovec-style lazy evaluation over ``select_seeds_sorted``'s coverage
-structures (the vertex→positions index, the alive-sample mask): a
-max-heap of stale upper bounds, re-evaluating only the popped vertex.
-Coverage gains are monotone non-increasing as seeds are added
-(submodularity), so a re-evaluated top-of-heap is the true argmax; the
-heap orders ties by vertex id, reproducing the argmax selector's
-smallest-id tie-break exactly — a property the test suite asserts
-against :func:`~repro.imm.select.select_seeds_sorted` directly.
+**One kernel, one search.**  ``top_k`` runs
+:func:`~repro.imm.theta.doubling_search`, the search ``imm()``'s
+estimation runs, with a cover step that extends or cuts the index
+prefix instead of sampling.  Every selection — replay rounds, the final
+pick, ``what_if`` and degraded answers — runs
+:func:`~repro.imm.select.greedy_cover`, the kernel behind
+``select_seeds``, over a :class:`~repro.imm.select.FlatView` that cuts
+the prefix from one cached vertex→entries index; ``marginal_gain``
+reuses the kernel's cover step.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,18 +42,18 @@ from pathlib import Path
 import numpy as np
 
 from ..diffusion import DiffusionModel
-from ..imm.select import select_seeds
-from ..imm.theta import (
-    _inflated_l,
-    estimate_theta,
-    lambda_prime,
-    lambda_star,
-    validate_eps,
-)
+from ..imm.select import CoverState, FlatView, greedy_cover, select_seeds, vertex_index
+from ..imm.theta import check_instance, doubling_search, estimate_theta, shrink_epsilon
 from ..sampling import BatchedRRRSampler, SortedRRRCollection, sample_batch
 from .frozen import FrozenIndexError, FrozenRRRIndex
 
-__all__ = ["InfluenceQueryEngine", "ServingResult", "MarginalGains", "freeze_index"]
+__all__ = [
+    "InfluenceQueryEngine",
+    "ServingResult",
+    "DegradedServingResult",
+    "MarginalGains",
+    "freeze_index",
+]
 
 
 @dataclass
@@ -93,6 +91,26 @@ class ServingResult:
     def degraded(self) -> bool:
         """``True`` only on the front end's typed degraded subclass."""
         return False
+
+
+@dataclass
+class DegradedServingResult(ServingResult):
+    """A typed, honest partial answer from the frozen prefix.
+
+    ``theta_effective`` is the sample count actually selected over;
+    ``epsilon_effective`` the guarantee that budget certifies via
+    :func:`~repro.imm.theta.shrink_epsilon`; ``theta`` keeps the θ the
+    query *wanted* (when known), so ``theta - theta_effective`` is the
+    shortfall.
+    """
+
+    theta_effective: int = 0
+    epsilon_effective: float = float("inf")
+    degraded_reason: str = ""
+
+    @property
+    def degraded(self) -> bool:
+        return True
 
 
 @dataclass
@@ -181,15 +199,17 @@ def freeze_index(
 
 
 def _validate_vertex_ids(ids, n: int, what: str) -> tuple[int, ...]:
-    """Range-check query vertex ids before any coverage structure is
-    touched.
+    """Check query vertex ids before any coverage structure is touched.
 
-    Without this, an out-of-range id surfaces as a numpy ``IndexError``
-    deep inside CELF — and a *negative* id silently wraps around and
-    answers about the wrong vertex, which is worse than crashing.
+    Without this, a float or bool id would be truncated to some vertex,
+    an out-of-range id would surface as a numpy ``IndexError`` deep in
+    the kernel, and a *negative* id would silently wrap around — each an
+    answer about the wrong vertex, which is worse than crashing.
     """
     checked = []
-    for v in np.asarray(list(ids), dtype=np.int64).tolist():
+    for v in ids:
+        if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{what} vertex {v} is not an integer id")
         if not 0 <= v < n:
             raise ValueError(
                 f"{what} vertex {v} out of range for a graph with "
@@ -221,7 +241,7 @@ class InfluenceQueryEngine:
         self.index = index
         self.graph = graph
         self._sampler = None
-        # (vert_order, vert_indptr) as ONE attribute: the front end runs
+        # The vertex index as ONE attribute: the front end runs
         # concurrent queries against a shared engine in worker threads,
         # and a single tuple assignment is atomic where a pair of
         # attribute writes can be observed half-built.
@@ -234,21 +254,22 @@ class InfluenceQueryEngine:
 
     # -- coverage structures ----------------------------------------------
 
-    def _vertex_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Vertex → flat-entry positions, grouped (stable, so positions
-        ascend within each vertex — prefix cuts are one searchsorted)."""
+    def _prefix(self, num_samples: int) -> FlatView:
+        """Greedy view of the first ``num_samples`` samples, cut from the
+        cached vertex index over the whole mapped index."""
+        flat, indptr, sample_of = self.index.arrays()
         cache = self._vert_cache
         if cache is None:
-            flat, _, _ = self.index.arrays()
-            order = np.argsort(flat, kind="stable")
-            counts = np.bincount(flat, minlength=self.index.n)
-            vert_indptr = np.zeros(self.index.n + 1, dtype=np.int64)
-            np.cumsum(counts, out=vert_indptr[1:])
-            cache = self._vert_cache = (order, vert_indptr)
-        return cache
+            cache = self._vert_cache = vertex_index(np.asarray(flat), self.index.n)
+        return FlatView(
+            self.index.n, flat, indptr, sample_of,
+            num_samples=num_samples, by_vertex=cache,
+        )
 
-    def _invalidate(self) -> None:
-        self._vert_cache = None
+    def _select(self, num_samples: int, k: int, **constraints) -> tuple[np.ndarray, int]:
+        """(seeds, covered samples) of greedy over a sample prefix."""
+        seeds, state = greedy_cover(self._prefix(num_samples), k, **constraints)
+        return seeds, state.covered
 
     # -- sampling-on-demand ------------------------------------------------
 
@@ -285,174 +306,10 @@ class InfluenceQueryEngine:
         idx.extend(
             flat.astype(np.int32), np.diff(indptr), per_sample, start=start
         )
-        self._invalidate()
+        self._vert_cache = None
         edges = int(per_sample.sum())
         self.edges_examined += edges
         return target - start, edges
-
-    # -- CELF lazy greedy --------------------------------------------------
-
-    def _celf_select(
-        self,
-        num_samples: int,
-        k: int,
-        *,
-        forced: tuple[int, ...] = (),
-        excluded: tuple[int, ...] = (),
-    ) -> tuple[np.ndarray, int]:
-        """Greedy max-cover over the first ``num_samples`` samples.
-
-        Bit-identical to :func:`~repro.imm.select.select_seeds_sorted`
-        on the same prefix (same seeds, same covered count, same
-        smallest-id tie-break), but lazy: only popped vertices are
-        re-evaluated, so a warm query touches a tiny fraction of the
-        counter array.  ``forced`` vertices are seated first (in the
-        given order); ``excluded`` vertices never enter the heap.
-        """
-        n = self.index.n
-        if not 1 <= k <= n:
-            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        flat, indptr, sample_of = self.index.arrays()
-        # Clamp to the mapped prefix: a concurrent extension commits the
-        # manifest count before the remap lands, so a racing caller's
-        # ``num_samples`` snapshot can momentarily exceed ``indptr``.
-        m = min(int(num_samples), len(indptr) - 1)
-        entries_m = int(indptr[m])
-        vert_order, vert_indptr = self._vertex_index()
-        alive = np.ones(m, dtype=bool)
-        taken = np.zeros(n, dtype=bool)
-        seeds: list[int] = []
-        covered = 0
-
-        def hits_of(v: int) -> np.ndarray:
-            pos = vert_order[vert_indptr[v] : vert_indptr[v + 1]]
-            cut = int(np.searchsorted(pos, entries_m))
-            return sample_of[pos[:cut]]
-
-        forced = _validate_vertex_ids(forced, n, "forced")
-        excluded = _validate_vertex_ids(excluded, n, "excluded")
-        for v in forced:
-            if taken[v]:
-                continue
-            taken[v] = True
-            seeds.append(v)
-            hits = hits_of(v)
-            killed = hits[alive[hits]]
-            covered += len(killed)
-            alive[killed] = False
-        if len(seeds) > k:
-            raise ValueError(f"{len(seeds)} forced vertices exceed k={k}")
-
-        for v in excluded:
-            if taken[v]:
-                raise ValueError(f"vertex {v} is both forced and excluded")
-            taken[v] = True  # never enters the heap
-
-        if len(seeds) < k:
-            # Initial gains: membership counts over the prefix, minus
-            # anything the forced set already covered.
-            if covered:
-                mask = alive[sample_of[:entries_m]]
-                counters = np.bincount(flat[:entries_m][mask], minlength=n)
-            else:
-                counters = np.bincount(flat[:entries_m], minlength=n)
-            stamp0 = len(seeds)
-            heap = [
-                (-int(counters[v]), v, stamp0)
-                for v in range(n)
-                if not taken[v]
-            ]
-            heapq.heapify(heap)
-            while len(seeds) < k:
-                if not heap:
-                    raise ValueError(
-                        f"cannot seat {k} seeds: only {len(seeds)} candidates"
-                    )
-                neg_gain, v, stamp = heapq.heappop(heap)
-                if taken[v]:
-                    continue
-                hits = hits_of(v)
-                if stamp != len(seeds):
-                    # Stale bound: re-evaluate and re-queue.  Gains only
-                    # shrink, so a fresh top-of-heap is the true argmax.
-                    gain = int(np.count_nonzero(alive[hits]))
-                    heapq.heappush(heap, (-gain, v, len(seeds)))
-                    continue
-                taken[v] = True
-                seeds.append(v)
-                killed = hits[alive[hits]]
-                covered += len(killed)
-                alive[killed] = False
-        return np.asarray(seeds, dtype=np.int64), covered
-
-    # -- the estimation replay ---------------------------------------------
-
-    def _replay(self, k: int, eps: float, *, allow_extend: bool) -> dict:
-        """Replay ``imm``'s θ-estimation + final selection over prefixes.
-
-        Mirrors :func:`repro.imm.theta._estimate_theta_loop` exactly —
-        same constants, same acceptance test, same cap semantics — with
-        the sampling calls replaced by index-prefix materialization.
-        Keeping the two in lockstep is what the serving oracle's
-        bit-identity axis checks on every registry graph.
-        """
-        idx = self.index
-        n = idx.n
-        if n < 2:
-            raise ValueError(f"IMM needs at least 2 vertices, got n={n}")
-        if not 1 <= k <= n:
-            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        validate_eps(eps)
-        l = float(idx.manifest["l"])
-        cap = idx.manifest.get("theta_cap")
-        l_eff = _inflated_l(n, l)
-        eps_p = math.sqrt(2.0) * eps
-        lam_p = lambda_prime(n, k, eps, l_eff)
-        lam_s = lambda_star(n, k, eps, l_eff)
-
-        lb = 1.0
-        history: list[tuple[int, float]] = []
-        rounds = 0
-        added = edges = 0
-        theta_x = 0
-        max_x = max(1, int(math.ceil(math.log2(n))) - 1)
-        for x in range(1, max_x + 1):
-            rounds += 1
-            y = n / (2.0**x)
-            theta_x = int(math.ceil(lam_p / y))
-            if cap is not None:
-                theta_x = min(theta_x, cap)
-            a, e = self._ensure_samples(theta_x, allow_extend)
-            added += a
-            edges += e
-            _, covered = self._celf_select(theta_x, k)
-            frac = covered / max(theta_x, 1)
-            history.append((theta_x, frac))
-            if n * frac >= (1.0 + eps_p) * y:
-                lb = n * frac / (1.0 + eps_p)
-                break
-            if cap is not None and theta_x >= cap:
-                break
-
-        theta = int(math.ceil(lam_s / lb))
-        if cap is not None:
-            theta = min(theta, cap)
-        num_used = max(theta_x, theta)
-        a, e = self._ensure_samples(num_used, allow_extend)
-        added += a
-        edges += e
-        seeds, covered = self._celf_select(num_used, k)
-        return {
-            "seeds": seeds,
-            "theta": theta,
-            "lb": lb,
-            "rounds": rounds,
-            "history": history,
-            "num_used": num_used,
-            "covered": covered,
-            "added": added,
-            "edges": edges,
-        }
 
     # -- queries -----------------------------------------------------------
 
@@ -474,27 +331,48 @@ class InfluenceQueryEngine:
         :class:`FrozenIndexError` with ``needed``/``have`` attributes.
         """
         t0 = time.perf_counter()
-        mf = self.index.manifest
+        idx = self.index
+        mf = idx.manifest
         k = int(mf["k"]) if k is None else int(k)
         eps = float(mf["eps"]) if eps is None else float(eps)
-        before = self.index.num_samples
+        before = idx.num_samples
         if allow_extend is None:
             allow_extend = self.graph is not None
-        r = self._replay(k, eps, allow_extend=allow_extend)
+        check_instance(idx.n, k, eps)
+        added = edges = 0
+
+        def ensure(target: int) -> None:
+            nonlocal added, edges
+            a, e = self._ensure_samples(target, allow_extend)
+            added += a
+            edges += e
+
+        def cover(theta_x: int) -> float:
+            ensure(theta_x)
+            return self._select(theta_x, k)[1] / max(theta_x, 1)
+
+        theta, lb, history = doubling_search(
+            idx.n, k, eps, float(mf["l"]), cover, theta_cap=mf.get("theta_cap")
+        )
+        # imm() tops the collection up to θ; its final selection sees
+        # every sample the estimation rounds drew, θ or more.
+        num_used = max(history[-1][0], theta)
+        ensure(num_used)
+        seeds, covered = self._select(num_used, k)
         return ServingResult(
-            seeds=r["seeds"],
+            seeds=seeds,
             k=k,
             epsilon=eps,
-            model=self.index.model,
-            theta=r["theta"],
-            num_samples_used=r["num_used"],
-            coverage=r["covered"] / max(r["num_used"], 1),
-            lb=r["lb"],
-            estimation_rounds=r["rounds"],
-            coverage_history=r["history"],
-            samples_added=r["added"],
-            samples_reused=min(before, r["num_used"]),
-            edges_examined=r["edges"],
+            model=idx.model,
+            theta=theta,
+            num_samples_used=num_used,
+            coverage=covered / max(num_used, 1),
+            lb=lb,
+            estimation_rounds=len(history),
+            coverage_history=history,
+            samples_added=added,
+            samples_reused=min(before, num_used),
+            edges_examined=edges,
             seconds=time.perf_counter() - t0,
         )
 
@@ -528,16 +406,19 @@ class InfluenceQueryEngine:
         """Constrained selection over the frozen samples.
 
         ``forced`` vertices are seated first; ``excluded`` vertices are
-        never picked.  Serves from the index as-is (no resampling, no
-        approximation-guarantee claim — this is the scenario-exploration
-        query).
+        never picked (a repeated id counts once).  Serves from the index
+        as-is (no resampling, no approximation-guarantee claim — this is
+        the scenario-exploration query).
         """
         t0 = time.perf_counter()
         mf = self.index.manifest
+        n = self.index.n
         k = int(mf["k"]) if k is None else int(k)
         m = self.index.num_samples
-        seeds, covered = self._celf_select(
-            m, k, forced=tuple(forced), excluded=tuple(excluded)
+        seeds, covered = self._select(
+            m, k,
+            forced=_validate_vertex_ids(forced, n, "forced"),
+            excluded=_validate_vertex_ids(excluded, n, "excluded"),
         )
         return ServingResult(
             seeds=seeds,
@@ -568,36 +449,30 @@ class InfluenceQueryEngine:
         array to those vertices (same order) without changing values.
         """
         idx = self.index
-        n, m = idx.n, idx.num_samples
+        n = idx.n
         seed_set = _validate_vertex_ids(seed_set, n, "seed")
         if candidates is not None:
             candidates = np.asarray(
                 _validate_vertex_ids(candidates, n, "candidate"), dtype=np.int64
             )
-        flat, indptr, sample_of = idx.arrays()
-        vert_order, vert_indptr = self._vertex_index()
         # Snapshot the prefix: the front end runs pure reads concurrently
-        # with a single extension writer, so the mapped arrays (and the
-        # vertex index) may already cover samples past ``m`` — every read
-        # below is cut to the first ``m`` samples, exactly like
-        # ``_celf_select``'s prefix replay.
-        m = min(m, len(indptr) - 1)
-        entries = int(indptr[m])
-        alive = np.ones(m, dtype=bool)
-        covered = 0
+        # with a single extension writer, so the mapped arrays may already
+        # cover samples past the sealed count — the view cuts every read
+        # to the first ``num_samples``.
+        view = self._prefix(idx.num_samples)
+        m = view.num_samples
+        state = CoverState(view)
         for v in seed_set:
-            pos = vert_order[vert_indptr[v] : vert_indptr[v + 1]]
-            pos = pos[: int(np.searchsorted(pos, entries))]
-            hits = sample_of[pos]
-            killed = hits[alive[hits]]
-            covered += len(killed)
-            alive[killed] = False
-        mask = alive[sample_of[:entries]]
-        gains_count = np.bincount(flat[:entries][mask], minlength=n)
+            state.cover(v)
+        covered = state.covered
+        alive = np.flatnonzero(state.alive)
+        counts = (
+            np.bincount(view.members(alive), minlength=n)
+            if len(alive) else np.zeros(n, dtype=np.int64)
+        )
         scale = n / m if m else 0.0
-        gains = gains_count.astype(np.float64) * scale
-        for v in seed_set:
-            gains[v] = 0.0
+        gains = counts.astype(np.float64) * scale
+        gains[list(seed_set)] = 0.0
         if candidates is not None:
             gains = gains[candidates]
         return MarginalGains(
@@ -605,4 +480,47 @@ class InfluenceQueryEngine:
             covered_samples=covered,
             num_samples=m,
             gains=gains,
+        )
+
+    def degraded(
+        self,
+        k: int | None,
+        eps: float | None,
+        reason: str,
+        needed: int | None = None,
+    ) -> DegradedServingResult:
+        """Answer a selection from the frozen prefix as it stands, typed
+        degraded with honest accounting.
+
+        ``theta_effective`` is the sealed sample count and
+        ``epsilon_effective`` what it certifies
+        (:func:`~repro.imm.theta.shrink_epsilon`); ``theta`` is the
+        ``needed`` sample count when the caller knows it.
+        """
+        t0 = time.perf_counter()
+        idx = self.index
+        mf = idx.manifest
+        k = int(mf["k"]) if k is None else int(k)
+        eps = float(mf["eps"]) if eps is None else float(eps)
+        m = idx.num_samples
+        lb = float(mf["lb"]) if mf.get("lb") is not None else 1.0
+        seeds, covered = self._select(m, k)
+        return DegradedServingResult(
+            seeds=seeds,
+            k=k,
+            epsilon=eps,
+            model=idx.model,
+            theta=int(needed) if needed else m,
+            num_samples_used=m,
+            coverage=covered / max(m, 1),
+            lb=lb,
+            estimation_rounds=0,
+            coverage_history=[],
+            samples_added=0,
+            samples_reused=m,
+            edges_examined=0,
+            seconds=time.perf_counter() - t0,
+            theta_effective=m,
+            epsilon_effective=shrink_epsilon(idx.n, k, float(mf["l"]), m, lb),
+            degraded_reason=reason,
         )

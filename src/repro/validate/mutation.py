@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..datasets import load
-from ..imm.select import select_seeds_sorted
+from ..imm.select import FlatView, greedy_cover, select_seeds
 from ..mpi import imm_dist, rebuild_partition
 from ..sampling import (
     BatchedRRRSampler,
@@ -206,20 +206,13 @@ def _mutant_inverted_index(seed: int) -> MutantResult:
     )
 
 
-def _select_skip_decrement(coll: SortedRRRCollection, n: int, k: int) -> np.ndarray:
-    """The injected selection bug: greedy that never decrements.
+class _NoDecrementView(FlatView):
+    """The injected selection bug: killed samples report no members, so
+    the real kernel never decrements — the classic "forgot to subtract
+    covered memberships" slip that still returns a plausible seed set."""
 
-    Structurally the same loop as the real selector, minus the purge
-    accounting — the classic "forgot to subtract covered memberships"
-    slip that still returns a plausible-looking seed set.
-    """
-    counters = coll.counters().astype(np.int64)
-    seeds = np.empty(k, dtype=np.int64)
-    for i in range(k):
-        v = int(np.argmax(counters))
-        seeds[i] = v
-        counters[v] = -1  # skips the per-sample decrement entirely
-    return seeds
+    def members(self, samples: np.ndarray) -> np.ndarray:
+        return np.empty(0, dtype=np.int64)
 
 
 def _mutant_skipped_decrement(seed: int) -> MutantResult:
@@ -229,12 +222,12 @@ def _mutant_skipped_decrement(seed: int) -> MutantResult:
     coll = SortedRRRCollection(3)
     for s in ([0, 1], [0, 1], [1], [2]):
         coll.append(np.asarray(s, dtype=np.int64))
-    good = select_seeds_sorted(coll, 3, 2).seeds
-    bad = _select_skip_decrement(coll, 3, 2)
+    good = select_seeds(coll, 3, 2).seeds
+    bad, _ = greedy_cover(_NoDecrementView(3, *coll.flattened()), 2)
     diverged = not np.array_equal(good, bad)
     return MutantResult(
         "skipped-decrement",
-        "greedy selector that never decrements covered memberships",
+        "greedy kernel over a view whose killed samples have no members",
         diverged,
         (
             f"seed-set comparison caught it: {good.tolist()} vs {bad.tolist()}"

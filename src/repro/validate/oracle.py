@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..datasets import load, names
-from ..imm import imm, select_seeds, select_seeds_sorted
+from ..imm import imm, select_seeds
 from ..mpi import imm_dist
 from ..parallel import PUMA, imm_mt
 from ..sampling import (
@@ -171,9 +171,9 @@ def check_selection_meters(
 ) -> ValidationReport:
     """Selection must be rank-count invariant and meter-conserving."""
     rep = ValidationReport()
-    ref = select_seeds_sorted(collection, n, k, num_ranks=1)
+    ref = select_seeds(collection, n, k, num_ranks=1)
     for ranks in rank_counts:
-        sel = select_seeds_sorted(collection, n, k, num_ranks=ranks)
+        sel = select_seeds(collection, n, k, num_ranks=ranks)
         sub = f"{subject} num_ranks={ranks}"
         rep.check(
             bool(np.array_equal(sel.seeds, ref.seeds)),

@@ -8,7 +8,7 @@ semantics parity with the sorted layout, and selection bit-parity.
 import numpy as np
 import pytest
 
-from repro.imm.select import select_seeds_compressed, select_seeds_sorted
+from repro.imm.select import select_seeds
 from repro.sampling import (
     CompressedRRRCollection,
     CorruptCodedStreamError,
@@ -246,8 +246,8 @@ class TestSelectionParity:
         comp_coll = CompressedRRRCollection(ba_graph.n)
         sample_batch(ba_graph, "IC", sorted_coll, 500, 17)
         sample_batch(ba_graph, "IC", comp_coll, 500, 17)
-        a = select_seeds_sorted(sorted_coll, ba_graph.n, 8, num_ranks)
-        b = select_seeds_compressed(comp_coll, ba_graph.n, 8, num_ranks)
+        a = select_seeds(sorted_coll, ba_graph.n, 8, num_ranks)
+        b = select_seeds(comp_coll, ba_graph.n, 8, num_ranks)
         assert a.seeds.tolist() == b.seeds.tolist()
         assert a.covered_samples == b.covered_samples
         assert a.counter_updates == b.counter_updates

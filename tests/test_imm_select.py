@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.imm import select_seeds, select_seeds_hypergraph, select_seeds_sorted
+from repro.imm import select_seeds
 from repro.sampling import HypergraphRRRCollection, SortedRRRCollection
 
 
@@ -39,14 +39,14 @@ SETS = [
 class TestGreedyCorrectness:
     def test_first_pick_is_max_count(self):
         coll = build(SETS, 5, "sorted")
-        sel = select_seeds_sorted(coll, 5, 1)
+        sel = select_seeds(coll, 5, 1)
         # vertex 2 appears in 3 sets — the unique max
         assert sel.seeds.tolist() == [2]
         assert sel.covered_samples == 3
 
     def test_coverage_counts_match_manual(self):
         coll = build(SETS, 5, "sorted")
-        sel = select_seeds_sorted(coll, 5, 2)
+        sel = select_seeds(coll, 5, 2)
         # after 2: remaining sets {3}, {4}, {0,4}; best second = 4 (covers 2)
         assert sel.seeds.tolist() == [2, 4]
         assert sel.covered_samples == 5
@@ -63,18 +63,18 @@ class TestGreedyCorrectness:
             ]
             k = 3
             coll = build(sets, n, "sorted")
-            sel = select_seeds_sorted(coll, n, k)
+            sel = select_seeds(coll, n, k)
             optimum = brute_force_cover(sets, n, k)
             assert sel.covered_samples >= (1 - 1 / np.e) * optimum - 1e-9
 
     def test_ties_break_to_smallest_id(self):
         coll = build([{3}, {1}], 5, "sorted")
-        sel = select_seeds_sorted(coll, 5, 1)
+        sel = select_seeds(coll, 5, 1)
         assert sel.seeds.tolist() == [1]
 
     def test_k_larger_than_useful_vertices(self):
         coll = build([{0}, {1}], 3, "sorted")
-        sel = select_seeds_sorted(coll, 3, 3)
+        sel = select_seeds(coll, 3, 3)
         assert len(sel.seeds) == 3
         assert len(set(sel.seeds.tolist())) == 3  # no duplicate seeds
         assert sel.covered_samples == 2
@@ -102,26 +102,26 @@ class TestLayoutEquivalence:
 class TestMetering:
     def test_per_rank_entries_sum_to_total_work(self):
         coll = build(SETS, 5, "sorted")
-        one = select_seeds_sorted(coll, 5, 2, num_ranks=1)
-        four = select_seeds_sorted(build(SETS, 5, "sorted"), 5, 2, num_ranks=4)
+        one = select_seeds(coll, 5, 2, num_ranks=1)
+        four = select_seeds(build(SETS, 5, "sorted"), 5, 2, num_ranks=4)
         assert four.per_rank_entries.sum() == one.per_rank_entries.sum()
         assert four.num_ranks == 4
 
     def test_counting_pass_work_equals_entries(self):
         coll = build(SETS, 5, "sorted")
-        sel = select_seeds_sorted(coll, 5, 1)
+        sel = select_seeds(coll, 5, 1)
         # counting pass scans every incidence once at minimum
         assert sel.entries_scanned >= coll.total_entries
         assert sel.counter_updates >= coll.total_entries
 
     def test_argmax_scans(self):
         coll = build(SETS, 5, "sorted")
-        sel = select_seeds_sorted(coll, 5, 3)
+        sel = select_seeds(coll, 5, 3)
         assert sel.argmax_scans == 3 * 5
 
     def test_coverage_fraction(self):
         coll = build(SETS, 5, "sorted")
-        sel = select_seeds_sorted(coll, 5, 2)
+        sel = select_seeds(coll, 5, 2)
         assert sel.coverage_fraction(len(coll)) == pytest.approx(5 / 6)
         assert sel.coverage_fraction(0) == 0.0
 
@@ -153,11 +153,11 @@ class TestTieBreakContract:
         return out
 
     def test_sorted_breaks_tie_to_smallest(self):
-        sel = select_seeds_sorted(build(self.TIED_SETS, self.N, "sorted"), self.N, 2)
+        sel = select_seeds(build(self.TIED_SETS, self.N, "sorted"), self.N, 2)
         assert sel.seeds.tolist() == [2, 4]
 
     def test_hypergraph_breaks_tie_to_smallest(self):
-        sel = select_seeds_hypergraph(
+        sel = select_seeds(
             build(self.TIED_SETS, self.N, "hypergraph"), self.N, 2
         )
         assert sel.seeds.tolist() == [2, 4]
@@ -185,8 +185,8 @@ class TestTieBreakContract:
                 set(rng.choice(n, size=rng.integers(1, 3), replace=False).tolist())
                 for _ in range(10)
             ]
-            a = select_seeds_sorted(build(sets, n, "sorted"), n, 3).seeds.tolist()
-            b = select_seeds_hypergraph(
+            a = select_seeds(build(sets, n, "sorted"), n, 3).seeds.tolist()
+            b = select_seeds(
                 build(sets, n, "hypergraph"), n, 3
             ).seeds.tolist()
             parts = [sets[0::2], sets[1::2]]
@@ -198,16 +198,16 @@ class TestValidation:
     def test_bad_k(self):
         coll = build(SETS, 5, "sorted")
         with pytest.raises(ValueError):
-            select_seeds_sorted(coll, 5, 0)
+            select_seeds(coll, 5, 0)
         with pytest.raises(ValueError):
-            select_seeds_sorted(coll, 5, 6)
+            select_seeds(coll, 5, 6)
 
     def test_bad_ranks(self):
         coll = build(SETS, 5, "sorted")
         with pytest.raises(ValueError):
-            select_seeds_sorted(coll, 5, 1, num_ranks=0)
+            select_seeds(coll, 5, 1, num_ranks=0)
 
     def test_hypergraph_bad_k(self):
         coll = build(SETS, 5, "hypergraph")
         with pytest.raises(ValueError):
-            select_seeds_hypergraph(coll, 5, 0)
+            select_seeds(coll, 5, 0)

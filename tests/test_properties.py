@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import from_edges
-from repro.imm.select import select_seeds_sorted
+from repro.imm.select import select_seeds
 from repro.bio import benjamini_hochberg
 from repro.parallel import block_bounds, lpt_makespan, owner_of
 from repro.rng import Lcg64, SplitMix64, sample_stream
@@ -182,7 +182,7 @@ class TestSelectionProperties:
         coll = SortedRRRCollection(n)
         for s in sets:
             coll.append(np.unique(np.asarray(s, np.int32) % n))
-        sel = select_seeds_sorted(coll, n, k)
+        sel = select_seeds(coll, n, k)
         # size, uniqueness, range
         assert len(sel.seeds) == k
         assert len(set(sel.seeds.tolist())) == k

@@ -108,6 +108,8 @@ class TestBitIdentity:
             run(body(forced=(ba_graph.n,)))
         with pytest.raises(ValueError, match="out of range"):
             run(body(excluded=(-1,)))
+        with pytest.raises(ValueError, match="not an integer"):
+            run(body(forced=(1.7,)))
 
     def test_marginal_gain_rejects_out_of_range_ids(self, ba_graph, frozen):
         out, _ = frozen
@@ -120,6 +122,8 @@ class TestBitIdentity:
             run(body([ba_graph.n + 7]))
         with pytest.raises(ValueError, match="out of range"):
             run(body([-3]))
+        with pytest.raises(ValueError, match="not an integer"):
+            run(body([0.9]))
 
 
 class TestAdmission:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.graph import CSRGraph
-from repro.imm.select import select_seeds_sorted
+from repro.imm.select import select_seeds
 from repro.sampling import SortedRRRCollection, sample_batch
 from repro.serving import (
     FrozenCollectionView,
@@ -166,8 +166,8 @@ class TestPrefixViews:
                 assert len(view) == m
                 prefix = SortedRRRCollection(ba_graph.n)
                 sample_batch(ba_graph, "IC", prefix, m, SEED)
-                got = select_seeds_sorted(view, ba_graph.n, 3)
-                want = select_seeds_sorted(prefix, ba_graph.n, 3)
+                got = select_seeds(view, ba_graph.n, 3)
+                want = select_seeds(prefix, ba_graph.n, 3)
                 assert np.array_equal(got.seeds, want.seeds)
                 assert got.covered_samples == want.covered_samples
         finally:

@@ -1,7 +1,8 @@
 """Query-engine tests (repro.serving.query / repro.serving.cache).
 
-The load-bearing property is CELF ↔ ``select_seeds_sorted`` parity: the
-lazy greedy must reproduce the eager argmax selector bit for bit (same
+The load-bearing property is prefix-view parity: the greedy kernel over
+a frozen prefix cut from the engine's cached vertex index must
+reproduce ``select_seeds`` over the same samples bit for bit (same
 seeds, same covered count, same smallest-id tie-break) on any prefix —
 that parity is what makes the θ-estimation replay, and therefore every
 served answer, bit-identical to a fresh ``imm()``.
@@ -12,7 +13,7 @@ import pytest
 
 from repro.graph import CSRGraph
 from repro.imm import imm
-from repro.imm.select import select_seeds_sorted
+from repro.imm.select import greedy_cover, select_seeds
 from repro.serving import (
     FrozenIndexError,
     FrozenRRRIndex,
@@ -40,25 +41,28 @@ def frozen(ba_graph, tmp_path_factory):
 
 
 class TestCelfParity:
+    """The kernel over the engine's prefix view against ``select_seeds``
+    over a fresh collection view of the same samples."""
+
     def test_matches_eager_selector_on_prefixes(self, ba_graph, frozen):
         out, _ = frozen
         with FrozenRRRIndex.open(out, graph=ba_graph) as index:
             eng = InfluenceQueryEngine(index, graph=ba_graph)
             for m in (1, 3, 17, CAP // 2, index.num_samples):
                 for k in (1, 2, K):
-                    seeds, covered = eng._celf_select(m, k)
-                    want = select_seeds_sorted(
+                    seeds, state = greedy_cover(eng._prefix(m), k)
+                    want = select_seeds(
                         index.collection_view(m), ba_graph.n, k
                     )
                     assert np.array_equal(seeds, want.seeds), (m, k)
-                    assert covered == want.covered_samples, (m, k)
+                    assert state.covered == want.covered_samples, (m, k)
 
     def test_forced_vertices_seat_first(self, ba_graph, frozen):
         out, _ = frozen
         with FrozenRRRIndex.open(out, graph=ba_graph) as index:
             eng = InfluenceQueryEngine(index, graph=ba_graph)
-            m = index.num_samples
-            seeds, _ = eng._celf_select(m, K, forced=(42, 7))
+            view = eng._prefix(index.num_samples)
+            seeds, _ = greedy_cover(view, K, forced=(42, 7))
             assert seeds[:2].tolist() == [42, 7]
             assert len(np.unique(seeds)) == K
 
@@ -67,22 +71,22 @@ class TestCelfParity:
         with FrozenRRRIndex.open(out, graph=ba_graph) as index:
             eng = InfluenceQueryEngine(index, graph=ba_graph)
             m = index.num_samples
-            free, _ = eng._celf_select(m, K)
+            free, _ = greedy_cover(eng._prefix(m), K)
             banned = tuple(int(v) for v in free[:2])
-            seeds, _ = eng._celf_select(m, K, excluded=banned)
+            seeds, _ = greedy_cover(eng._prefix(m), K, excluded=banned)
             assert not set(banned) & set(seeds.tolist())
 
     def test_constraint_errors(self, ba_graph, frozen):
         out, _ = frozen
         with FrozenRRRIndex.open(out, graph=ba_graph) as index:
             eng = InfluenceQueryEngine(index, graph=ba_graph)
-            m = index.num_samples
+            view = eng._prefix(index.num_samples)
             with pytest.raises(ValueError, match="exceed k"):
-                eng._celf_select(m, 2, forced=(1, 2, 3))
+                greedy_cover(view, 2, forced=(1, 2, 3))
             with pytest.raises(ValueError, match="out of range"):
-                eng._celf_select(m, 2, forced=(ba_graph.n,))
+                eng.what_if(2, forced=(ba_graph.n,))
             with pytest.raises(ValueError, match="both forced and excluded"):
-                eng._celf_select(m, 2, forced=(1,), excluded=(1,))
+                greedy_cover(view, 2, forced=(1,), excluded=(1,))
 
 
 class TestTopK:
@@ -197,6 +201,32 @@ class TestWhatIfAndMarginal:
             assert 1 not in res.seeds.tolist()
             assert res.samples_added == 0 and res.edges_examined == 0
 
+    def test_repeated_excluded_id_counts_once(self, ba_graph, frozen):
+        out, _ = frozen
+        with FrozenRRRIndex.open(out) as index:
+            eng = InfluenceQueryEngine(index)
+            twice = eng.what_if(K, excluded=(2, 2))
+            once = eng.what_if(K, excluded=(2,))
+            assert np.array_equal(twice.seeds, once.seeds)
+            assert 2 not in twice.seeds.tolist()
+            with pytest.raises(ValueError, match="both forced and excluded"):
+                eng.what_if(K, forced=(2,), excluded=(2, 2))
+
+    def test_float_forced_id_is_rejected(self, frozen):
+        with FrozenRRRIndex.open(frozen[0]) as index:
+            with pytest.raises(ValueError, match="forced vertex 1.7 is not an integer"):
+                InfluenceQueryEngine(index).what_if(K, forced=(1.7,))
+
+    def test_bool_forced_id_is_rejected(self, frozen):
+        with FrozenRRRIndex.open(frozen[0]) as index:
+            with pytest.raises(ValueError, match="forced vertex True is not an integer"):
+                InfluenceQueryEngine(index).what_if(K, forced=(True,))
+
+    def test_float_seed_id_is_rejected(self, frozen):
+        with FrozenRRRIndex.open(frozen[0]) as index:
+            with pytest.raises(ValueError, match="seed vertex 0.9 is not an integer"):
+                InfluenceQueryEngine(index).marginal_gain([0.9])
+
     def test_marginal_gain_matches_manual_count(self, ba_graph, frozen):
         out, _ = frozen
         with FrozenRRRIndex.open(out) as index:
@@ -248,7 +278,7 @@ class TestWhatIfAndMarginal:
             index.manifest["num_samples"] = full_m + 10
             over = eng.marginal_gain(seed_set)
             assert over.num_samples == full_m
-            eng.what_if(K)  # _celf_select clamps the same way
+            eng.what_if(K)  # the kernel's prefix view clamps the same way
 
     def test_marginal_gain_candidates_slice(self, ba_graph, frozen):
         out, _ = frozen
