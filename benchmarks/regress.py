@@ -34,6 +34,11 @@ Runs a fixed micro-suite and writes commit-stamped numbers to
   coding.
 * **End-to-end ``imm()``** — total seconds, θ, and the selected seed set
   on two registry graphs (cit-HepTh IC, com-YouTube LT).
+* **Start-up** — what a process pays before its first query: seconds
+  (min of ``STARTUP_REPS`` fresh interpreters) and peak RSS (VmHWM) of
+  ``import repro.serving`` and ``import repro.cli``.  The seconds and
+  bytes are record-only; the gate is deterministic: neither import may
+  load ``scipy`` or ``repro.bio`` (the case study's dependencies).
 * **Serving** — freeze-once/query-forever amortization: the one-time
   ``freeze_index`` cost, the zero-copy ``FrozenRRRIndex.open`` time, and
   warm ``top_k`` / ``what_if`` / ``marginal_gain`` latencies against a
@@ -41,7 +46,11 @@ Runs a fixed micro-suite and writes commit-stamped numbers to
   along: the served seed set must equal the fresh run's, and the warm
   query must be answered entirely from the index (zero samples added,
   zero edges examined) — a serving path that quietly resamples fails
-  here before it fails any timing.
+  here before it fails any timing.  The write path is recorded, not
+  gated, on scratch copies of the index: ``extend_s`` appends one
+  doubling round (as many samples as the index holds, drawn
+  beforehand) and re-seals it; ``tighten_s`` is a whole
+  ``tighten(SERVING_TIGHT_EPS)``.
 * **Front end** — the async serving front end's traffic numbers on the
   same workload: the zero-fault latency tax over a direct warm engine
   query (gated at ≤ 5 %), the p50/p99 served latency over a concurrent
@@ -139,6 +148,14 @@ IMM_WORKLOADS = (
 #: The serving workload: (dataset, model, k, eps, seed) — matches the
 #: first end-to-end workload so the amortization ratio is meaningful.
 SERVING_WORKLOAD = ("cit-HepTh", "IC", 10, 0.5, 1)
+#: The tighter eps the write-path record tightens the frozen index to.
+SERVING_TIGHT_EPS = 0.3
+
+#: Entry points whose fresh-interpreter import the start-up section
+#: times, and the modules neither may load.
+STARTUP_IMPORTS = ("repro.serving", "repro.cli")
+STARTUP_FORBIDDEN = ("scipy", "repro.bio")
+STARTUP_REPS = 5
 
 #: Worker-scaling workloads: the two largest registry graphs.
 WORKER_SCALING_DATASETS = (
@@ -224,6 +241,27 @@ print(json.dumps({
     "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
 }))
 """ % SAMPLING_SEED
+
+
+#: One fresh interpreter importing ``argv[1]``: import seconds, peak RSS
+#: (``ru_maxrss`` is the kernel's VmHWM on Linux) and the forbidden
+#: modules it loaded.
+_STARTUP_PROBE = """\
+import json, resource, sys, time
+sys.path.insert(0, sys.argv[2])
+t0 = time.perf_counter()
+__import__(sys.argv[1])
+seconds = time.perf_counter() - t0
+forbidden = tuple(sys.argv[3:])
+print(json.dumps({
+    "seconds": seconds,
+    "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "loaded": sorted(
+        m for m in sys.modules
+        if any(m == f or m.startswith(f + ".") for f in forbidden)
+    ),
+}))
+"""
 
 
 def _host_cpus() -> int:
@@ -454,6 +492,76 @@ def supervised_overhead_gate(so: dict) -> list[str]:
     return []
 
 
+def bench_startup() -> dict:
+    """Fresh-interpreter import cost of the serving and CLI entry points.
+
+    Interleaved over ``STARTUP_REPS`` rounds; the seconds and peak RSS
+    are the minimum over the rounds, and ``loaded`` is every forbidden
+    module any round saw.
+    """
+    probes: dict[str, list[dict]] = {m: [] for m in STARTUP_IMPORTS}
+    for _ in range(STARTUP_REPS):
+        for module in STARTUP_IMPORTS:
+            res = subprocess.run(
+                [
+                    sys.executable, "-c", _STARTUP_PROBE,
+                    module, str(ROOT / "src"), *STARTUP_FORBIDDEN,
+                ],
+                capture_output=True, text=True, check=True,
+            )
+            probes[module].append(json.loads(res.stdout))
+    out: dict = {"reps": STARTUP_REPS}
+    for module, runs in probes.items():
+        out[module] = {
+            "import_s": round(min(r["seconds"] for r in runs), 4),
+            "peak_rss_kb": min(r["maxrss_kb"] for r in runs),
+            "loaded": sorted({m for r in runs for m in r["loaded"]}),
+        }
+    return out
+
+
+def startup_gate(st: dict) -> list[str]:
+    """Neither entry point may load the case study's dependencies."""
+    failures = []
+    for module in STARTUP_IMPORTS:
+        loaded = st[module]["loaded"]
+        if loaded:
+            failures.append(
+                f"STARTUP {module}: importing it loads {len(loaded)} "
+                f"module(s) it never runs (first: {loaded[0]}) — keep the "
+                "package lazy"
+            )
+    return failures
+
+
+def _time_write_path(
+    graph, src_dir: Path, scratch: Path, tail: tuple
+) -> tuple[float, float, int]:
+    """One (extend, tighten) pair, each on its own fresh copy of the
+    index at ``src_dir``; returns both seconds and the samples tighten
+    added."""
+    import shutil
+
+    from repro.serving import FrozenRRRIndex, InfluenceQueryEngine
+
+    flat, sizes, edges = tail
+    shutil.rmtree(scratch, ignore_errors=True)
+    shutil.copytree(src_dir, scratch)
+    with FrozenRRRIndex.open(scratch) as index:
+        t0 = time.perf_counter()
+        index.extend(flat, sizes, edges, start=index.num_samples)
+        extend_s = time.perf_counter() - t0
+    shutil.rmtree(scratch)
+    shutil.copytree(src_dir, scratch)
+    with FrozenRRRIndex.open(scratch, graph=graph) as index:
+        engine = InfluenceQueryEngine(index, graph=graph, verify=False)
+        t0 = time.perf_counter()
+        res = engine.tighten(SERVING_TIGHT_EPS)
+        tighten_s = time.perf_counter() - t0
+    shutil.rmtree(scratch)
+    return extend_s, tighten_s, res.samples_added
+
+
 def bench_serving() -> dict:
     """Freeze-once/query-forever amortization on one registry workload.
 
@@ -507,6 +615,22 @@ def bench_serving() -> dict:
             marginal_times.append(time.perf_counter() - t0)
         index.close()
 
+        # The write path, on scratch copies: one doubling round's tail,
+        # drawn up front so extend_s times only the durable append.
+        tail = SortedRRRCollection(graph.n)
+        per_edges = BatchedRRRSampler(graph, model).sample_into(
+            tail, np.arange(num_samples, 2 * num_samples, dtype=np.int64), seed
+        )
+        t_flat, t_indptr, _ = tail.flattened()
+        payload = (t_flat.astype(np.int32), np.diff(t_indptr), per_edges)
+        extend_times, tighten_times, tighten_added = [], [], 0
+        for _ in range(REPS):
+            e_s, t_s, tighten_added = _time_write_path(
+                graph, Path(out_dir), Path(td) / "scratch", payload
+            )
+            extend_times.append(e_s)
+            tighten_times.append(t_s)
+
     t_fresh, t_query = min(fresh_times), min(query_times)
     return {
         "dataset": name,
@@ -522,6 +646,11 @@ def bench_serving() -> dict:
         "query_s": round(t_query, 4),
         "what_if_s": round(min(whatif_times), 4),
         "marginal_s": round(min(marginal_times), 4),
+        "extend_samples": num_samples,
+        "extend_s": round(min(extend_times), 4),
+        "tighten_eps": SERVING_TIGHT_EPS,
+        "tighten_samples_added": tighten_added,
+        "tighten_s": round(min(tighten_times), 4),
         "query_speedup_vs_fresh": round(t_fresh / t_query, 1),
         "seeds_match_fresh": bool(np.array_equal(result.seeds, ref.seeds)),
         "served_from_index": bool(
@@ -1181,6 +1310,7 @@ def main(argv: list[str] | None = None) -> int:
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "reps": REPS,
         "tolerance": TOLERANCE,
+        "startup": bench_startup(),
         "sampling": bench_sampling(),
         "worker_scaling": bench_worker_scaling(),
         "supervised_overhead": bench_supervised_overhead(),
@@ -1190,6 +1320,13 @@ def main(argv: list[str] | None = None) -> int:
         "frontend": bench_frontend(),
         "cluster": bench_cluster(),
     }
+    st = fresh["startup"]
+    for module in STARTUP_IMPORTS:
+        r = st[module]
+        print(
+            f"  startup import {module}: {r['import_s']}s, peak RSS "
+            f"{r['peak_rss_kb'] // 1024} MB (min of {st['reps']})"
+        )
     s = fresh["sampling"]
     print(
         f"  {s['dataset']} {s['model']} theta={s['theta']}: "
@@ -1244,7 +1381,10 @@ def main(argv: list[str] | None = None) -> int:
         f"({sv['num_samples']} frozen samples): fresh {sv['fresh_imm_s']}s, "
         f"freeze {sv['freeze_s']}s, open {sv['open_s']}s, "
         f"query {sv['query_s']}s ({sv['query_speedup_vs_fresh']}x), "
-        f"what-if {sv['what_if_s']}s, marginal {sv['marginal_s']}s"
+        f"what-if {sv['what_if_s']}s, marginal {sv['marginal_s']}s; "
+        f"extend +{sv['extend_samples']} {sv['extend_s']}s, tighten to "
+        f"eps={sv['tighten_eps']} (+{sv['tighten_samples_added']}) "
+        f"{sv['tighten_s']}s"
     )
     fr = fresh["frontend"]
     print(
@@ -1283,7 +1423,8 @@ def main(argv: list[str] | None = None) -> int:
             preserved["preserved_from_commit"] = baseline.get("commit")
             fresh["worker_scaling"] = preserved
 
-    failures = worker_scaling_gate(ws)
+    failures = startup_gate(st)
+    failures.extend(worker_scaling_gate(ws))
     failures.extend(supervised_overhead_gate(so))
     failures.extend(memory_gate(mem))
     failures.extend(serving_gate(sv))

@@ -29,25 +29,13 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-from . import (
-    baselines,
-    bio,
-    datasets,
-    diffusion,
-    experiments,
-    graph,
-    mpi,
-    parallel,
-    perf,
-    rng,
-    sampling,
-)
+import importlib
+
+# ``imm`` stays eager: importing any ``repro.imm.*`` submodule binds the
+# attribute ``repro.imm`` to the subpackage, so a lazily bound function
+# would be shadowed by the module after e.g. ``import repro.serving``.
 from . import imm as imm_pkg  # the subpackage, kept importable by name
-from .diffusion import DiffusionModel, estimate_spread
-from .graph import CSRGraph
 from .imm import IMMResult, imm
-from .mpi import imm_dist
-from .parallel import imm_mt
 
 __version__ = "1.0.0"
 
@@ -73,3 +61,34 @@ __all__ = [
     "imm_pkg",
     "__version__",
 ]
+
+# Everything else binds on first attribute access (PEP 562), so a
+# process pays only for the subpackages it touches — the CLI and the
+# serving stack never load ``repro.bio`` and its ``scipy.stats``.
+_SUBPACKAGES = frozenset({
+    "baselines", "bio", "datasets", "diffusion", "experiments", "graph",
+    "mpi", "parallel", "perf", "rng", "sampling",
+})
+_OBJECTS = {
+    "DiffusionModel": "diffusion",
+    "estimate_spread": "diffusion",
+    "CSRGraph": "graph",
+    "imm_dist": "mpi",
+    "imm_mt": "parallel",
+}
+
+
+def __getattr__(name: str):
+    if name in _SUBPACKAGES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    elif name in _OBJECTS:
+        module = importlib.import_module(f"{__name__}.{_OBJECTS[name]}")
+        value = getattr(module, name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SUBPACKAGES | set(_OBJECTS))

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .pathways import PathwayDB
 
@@ -33,6 +32,10 @@ def fisher_exact_greater(
         raise ValueError("counts must be non-negative and universe positive")
     if overlap > min(selected, pathway):
         raise ValueError("overlap cannot exceed either set size")
+    # Imported here: scipy.stats is the heaviest import in the package
+    # and only the case study needs it.
+    from scipy import stats
+
     return float(stats.hypergeom.sf(overlap - 1, universe, pathway, selected))
 
 

@@ -88,21 +88,23 @@ def barabasi_albert(
     if n <= m_attach:
         raise ValueError(f"need n > m_attach, got n={n}, m_attach={m_attach}")
     rng = _rng(seed, 0xBA)
-    # Urn of endpoints; seed with a star over the first m_attach+1 vertices.
-    urn: list[np.ndarray] = [np.repeat(np.arange(m_attach + 1), 1)]
+    # Urn of endpoints, filled in place (each arrival adds at most
+    # 2·m_attach); seed it with a star over the first m_attach+1 vertices.
+    urn = np.empty(m_attach + 1 + 2 * m_attach * (n - m_attach), dtype=np.int64)
+    urn[: m_attach + 1] = np.arange(m_attach + 1)
+    urn[m_attach + 1 : 2 * m_attach + 1] = m_attach
+    urn[2 * m_attach + 1 : 3 * m_attach + 1] = np.arange(m_attach)
+    fill = 3 * m_attach + 1
     src_parts: list[np.ndarray] = [np.full(m_attach, m_attach, dtype=np.int64)]
     dst_parts: list[np.ndarray] = [np.arange(m_attach, dtype=np.int64)]
-    urn.append(np.full(m_attach, m_attach, dtype=np.int64))
-    urn.append(np.arange(m_attach, dtype=np.int64))
-    flat_urn = np.concatenate(urn)
     for v in range(m_attach + 1, n):
-        targets = rng.choice(flat_urn, size=m_attach)
-        targets = np.unique(targets)
-        src_parts.append(np.full(len(targets), v, dtype=np.int64))
-        dst_parts.append(targets.astype(np.int64))
-        flat_urn = np.concatenate(
-            [flat_urn, targets, np.full(len(targets), v, dtype=np.int64)]
-        )
+        targets = np.unique(rng.choice(urn[:fill], size=m_attach))
+        t = len(targets)
+        src_parts.append(np.full(t, v, dtype=np.int64))
+        dst_parts.append(targets)
+        urn[fill : fill + t] = targets
+        urn[fill + t : fill + 2 * t] = v
+        fill += 2 * t
     src = np.concatenate(src_parts)
     dst = np.concatenate(dst_parts)
     if directed:

@@ -53,6 +53,7 @@ import numpy as np
 from ..diffusion import DiffusionModel
 from ..graph import CSRGraph
 from ..imm.result import IMMResult
+from ..imm.select import vertex_index
 from ..imm.theta import (
     _inflated_l,
     lambda_prime,
@@ -155,10 +156,7 @@ def _dist_select(
     global_counts = yield Allreduce(local_counts)
     global_counts = np.asarray(global_counts, dtype=np.int64).copy()
 
-    vert_order = np.argsort(flat, kind="stable")
-    vert_counts = np.bincount(flat, minlength=n)
-    vert_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(vert_counts, out=vert_indptr[1:])
+    vert_order, vert_indptr = vertex_index(flat, n)
     sample_alive = np.ones(num_local, dtype=bool)
 
     seeds = np.empty(k, dtype=np.int64)

@@ -35,17 +35,26 @@ pinned permutation (the sealed bytes are never rewritten).
 :meth:`FrozenRRRIndex.open` maps the buffers zero-copy via
 ``np.memmap`` — no read-then-copy — and verifies the seal: the fold of
 ``stream_seeds_array(seed, [0, num_samples))`` must equal the manifest's,
-the byte sizes must match the manifest exactly, and the derived
-``indptr`` must land on ``entries``.  Only the derived ``indptr`` /
-``sample_of`` arrays (needed by the selection kernels) are materialized;
-the incidence data itself — the array that grows with θ — stays on disk
-until the page cache faults it in.
+each data file must hold at least the bytes the manifest certifies,
+and the derived ``indptr`` must land on ``entries``.  Only the derived
+``indptr`` / ``sample_of`` arrays (needed by the selection kernels) are
+materialized; the incidence data itself — the array that grows with θ —
+stays on disk until the page cache faults it in.
 
 Because sample ``j`` is a pure function of ``(graph, model, seed, j)``,
 a frozen index can be *extended* in place when a tighter ``eps`` (or a
 larger ``k``) demands more samples: θ grows monotonically and the frozen
 prefix stays valid byte for byte.  :meth:`FrozenRRRIndex.extend` appends
 to the data files and re-seals the manifest atomically.
+
+Torn tails follow :class:`~repro.sampling.checkpoint.BlockCheckpointSink`'s
+rule: only the manifest certifies bytes.  A crash (or a failed manifest
+write) after an extension's appends leaves data files longer than the
+manifest says; :meth:`FrozenRRRIndex.open` maps just the certified bytes
+and the next :meth:`~FrozenRRRIndex.extend` truncates the tail before it
+appends.  ``open`` never truncates — a reader would cut bytes a
+concurrent writer has appended but not yet sealed.  A file shorter than
+its certified size is torn below the seal and refuses to open.
 """
 
 from __future__ import annotations
@@ -380,10 +389,7 @@ class FrozenRRRIndex:
         """
         path = Path(path)
         mpath = path / _MANIFEST
-        try:
-            manifest = json.loads(mpath.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise FrozenIndexError(f"unreadable index manifest {mpath}: {exc}") from exc
+        manifest = _read_manifest(path)
         if manifest.get("format") != "repro-frozen-rrr-index":
             raise FrozenIndexError(f"{mpath} is not a frozen RRR index")
         if manifest.get("version") != INDEX_FORMAT_VERSION:
@@ -426,28 +432,17 @@ class FrozenRRRIndex:
             )
 
     def _verify_seal(self) -> None:
-        num, entries = self.num_samples, self.entries
-        if self.layout == "compressed":
-            sections = (
-                (_CODED, int(self.manifest["coded_bytes"])),
-                (_OFFSETS, num * 8),
-                (_PERM, self.n * 8),
-                (_SIZES, num * 8),
-                (_EDGES, num * 8),
-            )
-        else:
-            sections = (
-                (_FLAT, entries * 4), (_SIZES, num * 8), (_EDGES, num * 8),
-            )
-        for name, want in sections:
+        # A longer file is a torn tail past the seal (see the module
+        # docstring); only a shorter one lost certified bytes.
+        for name, want in _certified_bytes(self.manifest).items():
             p = self.path / name
             have = p.stat().st_size if p.exists() else -1
-            if have != want:
+            if have < want:
                 raise FrozenIndexError(
                     f"{name} holds {have} bytes, manifest certifies {want} — "
                     "index is torn or was edited behind its manifest"
                 )
-        expected = _fold_range(self.seed, num)
+        expected = _fold_range(self.seed, self.num_samples)
         if int(self.manifest["stream_fold"]) != expected:
             raise FrozenIndexError(
                 "stream fingerprint disagrees with the manifest's sample "
@@ -581,8 +576,14 @@ class FrozenRRRIndex:
         ever appends past the sealed prefix, never rewrites it (the
         deterministic streams guarantee the old samples stay valid for
         any tighter ``eps``).  Data lands and is fsync'd before the
-        manifest moves, write-ahead style, so a crash mid-extend leaves
-        a prefix the old manifest still certifies exactly.
+        manifest moves, write-ahead style.  Each data file is first
+        truncated to its certified size, dropping the torn tail a
+        crashed or failed extension left; the next manifest is built as
+        a copy and installed only once it is durable, so a failure at
+        any step leaves this object and the directory at the old sealed
+        state.  A handle whose manifest is older than the one on disk
+        refuses to extend instead of truncating sealed samples; one
+        writer per index remains the caller's rule.
         """
         if self._indptr is None:
             raise FrozenIndexError("index is closed")
@@ -600,6 +601,7 @@ class FrozenRRRIndex:
             raise FrozenIndexError(
                 "extension payload is inconsistent (sizes vs flat/edges)"
             )
+        manifest = dict(self.manifest)
         if self.layout == "compressed":
             # Re-encode only the appended samples under the pinned
             # permutation; the sealed coded bytes are never rewritten.
@@ -616,24 +618,36 @@ class FrozenRRRIndex:
                 (_SIZES, sizes),
                 (_EDGES, edges64),
             )
-            self.manifest["coded_bytes"] = base + int(packer.coded_bytes)
+            manifest["coded_bytes"] = base + int(packer.coded_bytes)
         else:
             files = ((_FLAT, flat32), (_SIZES, sizes), (_EDGES, edges64))
+        certified = _certified_bytes(self.manifest)
+        if _certified_bytes(_read_manifest(self.path)) != certified:
+            # Truncating through a stale handle would cut samples another
+            # writer sealed (and pages its handle has mapped).
+            raise FrozenIndexError(
+                f"index {self.path} was extended behind this handle — "
+                "reopen it before extending"
+            )
         for name, arr in files:
-            with open(self.path / name, "ab") as fh:
+            with open(self.path / name, "r+b") as fh:
+                fh.truncate(certified[name])
+                fh.seek(certified[name])
                 fh.write(arr.tobytes())
                 fh.flush()
                 os.fsync(fh.fileno())
         num = self.num_samples + len(sizes)
-        self.manifest["num_samples"] = num
-        self.manifest["entries"] = self.entries + len(flat32)
-        self.manifest["stream_fold"] = _fold_range(self.seed, num)
-        _write_manifest(self.path, self.manifest)
+        manifest["num_samples"] = num
+        manifest["entries"] = self.entries + len(flat32)
+        manifest["stream_fold"] = _fold_range(self.seed, num)
+        _write_manifest(self.path, manifest)
+        self.manifest = manifest
         self._map()
 
     def amend(self, **facts) -> None:
         """Atomically update algorithm facts (``eps``, ``theta``, ``lb``,
-        ``k``, ``coverage_history``…) after a tighten re-derivation."""
+        ``k``, ``coverage_history``…) after a tighten re-derivation.
+        The in-memory manifest changes only once the new one is durable."""
         unknown = set(facts) - {
             "k", "eps", "l", "theta", "lb", "theta_cap",
             "coverage_history", "estimation_rounds",
@@ -644,8 +658,9 @@ class FrozenRRRIndex:
             facts["coverage_history"] = [
                 [int(tx), float(fr)] for tx, fr in facts["coverage_history"]
             ]
-        self.manifest.update(facts)
-        _write_manifest(self.path, self.manifest)
+        manifest = {**self.manifest, **facts}
+        _write_manifest(self.path, manifest)
+        self.manifest = manifest
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -662,6 +677,28 @@ class FrozenRRRIndex:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _certified_bytes(manifest: dict) -> dict[str, int]:
+    """Byte size of each data file ``manifest`` certifies."""
+    num = int(manifest["num_samples"])
+    if manifest.get("layout", "flat") == "compressed":
+        return {
+            _CODED: int(manifest["coded_bytes"]),
+            _OFFSETS: num * 8,
+            _PERM: int(manifest["n"]) * 8,
+            _SIZES: num * 8,
+            _EDGES: num * 8,
+        }
+    return {_FLAT: int(manifest["entries"]) * 4, _SIZES: num * 8, _EDGES: num * 8}
+
+
+def _read_manifest(path: Path) -> dict:
+    mpath = path / _MANIFEST
+    try:
+        return json.loads(mpath.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise FrozenIndexError(f"unreadable index manifest {mpath}: {exc}") from exc
 
 
 def _write_manifest(path: Path, manifest: dict) -> None:

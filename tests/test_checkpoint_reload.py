@@ -159,18 +159,26 @@ class TestTornTail:
         with FrozenRRRIndex.open(tmp_path / "index", graph=ba_graph) as back:
             assert back.num_samples == len(coll)
 
-    def test_torn_index_file_fails_seal(self, ba_graph, tmp_path):
-        _spilled_run(ba_graph, tmp_path / "run")
+    def test_torn_index_tail_past_seal_is_ignored(self, ba_graph, tmp_path):
+        coll, _ = _spilled_run(ba_graph, tmp_path / "run")
         index = FrozenRRRIndex.freeze(
             tmp_path / "run", tmp_path / "index",
             graph=ba_graph, model="IC", seed=SEED, k=5, eps=0.5,
         )
         index.close()
-        # Unlike the checkpoint (append-only, cursor-certified floors),
-        # the frozen index demands *exact* sizes: a tail grown behind
-        # the manifest is corruption, not an ignorable torn tail.
-        with open(tmp_path / "index" / "flat.i32.bin", "ab") as fh:
+        # The checkpoint's rule: only the manifest certifies bytes.  A
+        # tail past it (an extension that never sealed) opens at the
+        # certified state, and open() leaves it for the next extend.
+        path = tmp_path / "index" / "flat.i32.bin"
+        certified = path.stat().st_size
+        with open(path, "ab") as fh:
             fh.write(b"\x7f" * 4)
+        with FrozenRRRIndex.open(tmp_path / "index", graph=ba_graph) as back:
+            assert np.array_equal(np.asarray(back.arrays()[0]), coll.flattened()[0])
+        assert path.stat().st_size == certified + 4
+        # A file cut below its certified size lost sealed bytes.
+        with open(path, "r+b") as fh:
+            fh.truncate(certified - 4)
         with pytest.raises(FrozenIndexError, match="torn or was edited"):
             FrozenRRRIndex.open(tmp_path / "index")
 

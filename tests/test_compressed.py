@@ -8,7 +8,7 @@ semantics parity with the sorted layout, and selection bit-parity.
 import numpy as np
 import pytest
 
-from repro.imm.select import select_seeds
+from repro.imm.select import CompressedView, FlatView, select_seeds
 from repro.sampling import (
     CompressedRRRCollection,
     CorruptCodedStreamError,
@@ -250,4 +250,27 @@ class TestSelectionParity:
         b = select_seeds(comp_coll, ba_graph.n, 8, num_ranks)
         assert a.seeds.tolist() == b.seeds.tolist()
         assert a.covered_samples == b.covered_samples
+        assert a.counter_updates == b.counter_updates
+
+    def test_hit_index_with_int64_keys(self):
+        # n · samples ≥ 2^31, so the hit index sorts int64 keys; every
+        # vertex occurs, so ranks reach n - 1 and would overflow int32.
+        n = m = 70_000
+        rng = np.random.default_rng(5)
+        sizes = rng.integers(1, 4, size=m)
+        first = (np.arange(m) * 7919) % (n - 3)
+        starts = np.cumsum(sizes) - sizes
+        flat = np.repeat(first, sizes) + np.arange(sizes.sum()) - np.repeat(starts, sizes)
+        sorted_coll = SortedRRRCollection(n)
+        comp_coll = CompressedRRRCollection(n)
+        sorted_coll.append_batch(flat.astype(np.int32), sizes)
+        comp_coll.append_batch(flat, sizes)
+        flat_view = FlatView(n, *sorted_coll.flattened())
+        comp_view = CompressedView(comp_coll, n)
+        assert np.array_equal(comp_view.counts(), flat_view.counts())
+        for v in range(0, n, 97):
+            assert np.array_equal(comp_view.hits(v), flat_view.hits(v)), v
+        a = select_seeds(sorted_coll, n, 8)
+        b = select_seeds(comp_coll, n, 8)
+        assert a.seeds.tolist() == b.seeds.tolist()
         assert a.counter_updates == b.counter_updates

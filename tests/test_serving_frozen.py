@@ -1,13 +1,16 @@
 """Frozen index format tests (repro.serving.frozen).
 
 Freeze/open round trips, the integrity seal, the graph fingerprint
-binding, zero-copy prefix views, in-place extension, and manifest
-amendment.
+binding, zero-copy prefix views, in-place extension, manifest
+amendment, and crash consistency of both write paths.
 """
 
 import numpy as np
 import pytest
 
+import repro.serving.frozen as frozen_mod
+from repro import imm
+from repro.datasets import load
 from repro.graph import CSRGraph
 from repro.imm.select import select_seeds
 from repro.sampling import SortedRRRCollection, sample_batch
@@ -15,7 +18,9 @@ from repro.serving import (
     FrozenCollectionView,
     FrozenIndexError,
     FrozenRRRIndex,
+    InfluenceQueryEngine,
     StaleIndexError,
+    freeze_index,
     graph_fingerprint,
 )
 
@@ -215,6 +220,28 @@ class TestExtend:
         with FrozenRRRIndex.open(tmp_path / "idx", graph=ba_graph) as back:
             assert back.num_samples == THETA + 20
 
+    def test_stale_handle_refuses_to_extend(self, ba_graph, tmp_path):
+        coll, batch = _sampled(ba_graph)
+        _freeze(ba_graph, coll, batch, tmp_path / "idx").close()
+        full = SortedRRRCollection(ba_graph.n)
+        full_batch = sample_batch(ba_graph, "IC", full, THETA + 20, SEED)
+        f_flat, f_indptr, _ = full.flattened()
+        tail = (
+            f_flat[f_indptr[THETA]:].astype(np.int32),
+            np.diff(f_indptr)[THETA:],
+            full_batch.per_sample_edges[THETA:],
+        )
+        with FrozenRRRIndex.open(tmp_path / "idx") as writer, \
+                FrozenRRRIndex.open(tmp_path / "idx") as stale:
+            writer.extend(*tail, start=THETA)
+            # The stale handle still certifies THETA samples; truncating
+            # to that would cut the samples the writer just sealed.
+            with pytest.raises(FrozenIndexError, match="behind this handle"):
+                stale.extend(*tail, start=THETA)
+        with FrozenRRRIndex.open(tmp_path / "idx") as back:
+            assert back.num_samples == THETA + 20
+            assert np.array_equal(np.asarray(back.arrays()[0]), f_flat)
+
     def test_extend_must_start_at_sealed_count(self, ba_graph, tmp_path):
         coll, batch = _sampled(ba_graph)
         index = _freeze(ba_graph, coll, batch, tmp_path / "idx")
@@ -251,3 +278,92 @@ class TestAmend:
             assert back.manifest["eps"] == 0.3
             assert back.manifest["coverage_history"] == [[THETA, 0.5]]
             assert back.seed == SEED  # identity untouched
+
+    def test_failed_write_leaves_manifest(self, ba_graph, tmp_path, monkeypatch):
+        coll, batch = _sampled(ba_graph)
+        index = _freeze(ba_graph, coll, batch, tmp_path / "idx")
+        try:
+            before = dict(index.manifest)
+            monkeypatch.setattr(frozen_mod, "_write_manifest", _fail_write)
+            with pytest.raises(OSError, match="injected"):
+                index.amend(eps=0.3)
+            assert index.manifest == before
+        finally:
+            index.close()
+
+
+def _fail_write(path, manifest):
+    raise OSError("injected manifest-write failure")
+
+
+def _certified(manifest) -> dict:
+    """Byte sizes of the appended data files that ``manifest`` seals."""
+    num = manifest["num_samples"]
+    if manifest["layout"] == "compressed":
+        data = {"coded.u8.bin": manifest["coded_bytes"], "offsets.i64.bin": num * 8}
+    else:
+        data = {"flat.i32.bin": manifest["entries"] * 4}
+    return {**data, "sizes.i64.bin": num * 8, "edges.i64.bin": num * 8}
+
+
+def _sizes(path, names) -> dict:
+    return {name: (path / name).stat().st_size for name in names}
+
+
+def _answers(engine):
+    """What a client sees: a default top_k and a what_if over the index."""
+    out = []
+    for res in (engine.top_k(), engine.what_if(10)):
+        out.append((
+            res.seeds.tolist(), res.theta, res.num_samples_used, res.coverage,
+        ))
+    return out
+
+
+class TestCrashConsistency:
+    """A failed manifest write in the middle of ``tighten`` — data
+    appended and fsync'd, manifest not renamed — must leave the index
+    openable and the live engine answering at the old sealed state."""
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["flat", "compressed"])
+    def test_failed_tighten_keeps_old_state(self, compress, tmp_path, monkeypatch):
+        graph = load("cit-HepTh", "IC")
+        out = tmp_path / "idx"
+        index, _ = freeze_index(
+            graph, 10, 0.5, "IC", 0, out_dir=out, compress=compress
+        )
+        try:
+            engine = InfluenceQueryEngine(index, graph=graph)
+            sealed = dict(index.manifest)
+            certified = _certified(sealed)
+            before = _answers(engine)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(frozen_mod, "_write_manifest", _fail_write)
+                with pytest.raises(OSError, match="injected"):
+                    engine.tighten(0.3)
+            torn = _sizes(out, certified)
+            # Every appended file carries an unsealed tail.
+            assert all(torn[name] > want for name, want in certified.items())
+            assert index.manifest == sealed
+            assert _answers(engine) == before
+
+            # open() maps the certified bytes and leaves the tail alone.
+            with FrozenRRRIndex.open(out, graph=graph) as back:
+                assert back.num_samples == sealed["num_samples"]
+                assert _answers(InfluenceQueryEngine(back)) == before
+            assert _sizes(out, certified) == torn
+
+            res = engine.tighten(0.3)
+        finally:
+            index.close()
+        fresh = imm(graph, 10, 0.3, "IC", seed=0)
+        assert np.array_equal(res.seeds, fresh.seeds)
+        with FrozenRRRIndex.open(out, graph=graph) as back:
+            served = InfluenceQueryEngine(back).top_k(10, 0.3)
+            assert np.array_equal(served.seeds, fresh.seeds)
+            assert served.theta == fresh.theta
+            assert served.coverage_history == fresh.extra["coverage_history"]
+            # The retried extension cut the torn tail before appending.
+            certified = _certified(back.manifest)
+            assert _sizes(out, certified) == certified
