@@ -308,27 +308,29 @@ def baseline_provenance_error(baseline: dict) -> str | None:
     return None
 
 
-def _time_sampling(graph, model, sampler, engine: str) -> tuple[float, int]:
+def _time_sampling(graph, fill) -> tuple[float, int]:
     """One timed generation of the full θ set into a fresh collection."""
     coll = SortedRRRCollection(graph.n)
     t0 = time.perf_counter()
-    batch = sample_batch(
-        graph, model, coll, SAMPLING_THETA, SAMPLING_SEED,
-        sampler=sampler, engine=engine,
-    )
+    batch = fill(graph, SAMPLING_MODEL, coll, SAMPLING_THETA, SAMPLING_SEED)
     return time.perf_counter() - t0, batch.edges_examined
 
 
 def bench_sampling() -> dict:
+    """The per-sample reference loop against the batched engine."""
+    from repro.validate.engine import serial_sample_batch
+
     graph = load(SAMPLING_DATASET, SAMPLING_MODEL)
     serial = RRRSampler(graph, SAMPLING_MODEL)
     batched = BatchedRRRSampler(graph, SAMPLING_MODEL)
     serial_times, batched_times = [], []
     edges = None
     for _ in range(REPS):  # interleaved so ambient drift hits both engines
-        t, e1 = _time_sampling(graph, SAMPLING_MODEL, serial, "serial")
+        t, e1 = _time_sampling(
+            graph, lambda *args: serial_sample_batch(*args, sampler=serial)
+        )
         serial_times.append(t)
-        t, e2 = _time_sampling(graph, SAMPLING_MODEL, batched, "batched")
+        t, e2 = _time_sampling(graph, lambda *args: sample_batch(*args, sampler=batched))
         batched_times.append(t)
         assert e1 == e2, "engines disagree on edges_examined"
         edges = e1

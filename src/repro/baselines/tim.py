@@ -109,7 +109,7 @@ def tim_plus(
     ``coverage`` attributes (a :class:`TIMResult`).
     """
     from ..imm.select import select_seeds
-    from ..sampling import RRRSampler, SortedRRRCollection
+    from ..sampling import SortedRRRCollection
     from ..sampling.sampler import sample_batch
 
     model = DiffusionModel.parse(model)
@@ -117,9 +117,7 @@ def tim_plus(
     if theta_cap is not None:
         theta = min(theta, theta_cap)
     collection = SortedRRRCollection(graph.n)
-    sample_batch(
-        graph, model, collection, theta, seed, sampler=RRRSampler(graph, model)
-    )
+    sample_batch(graph, model, collection, theta, seed)
     sel = select_seeds(collection, graph.n, k)
     return TIMResult(
         seeds=sel.seeds,

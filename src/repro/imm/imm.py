@@ -34,7 +34,7 @@ from ..sampling import (
 from ..sampling.supervisor import build_sampling_engine
 from .result import DegradedResult, IMMResult
 from .select import select_seeds
-from .theta import estimate_theta, shrink_epsilon
+from .theta import check_theta_cap, estimate_theta, shrink_epsilon
 
 __all__ = ["imm"]
 
@@ -78,7 +78,7 @@ def imm(
         ``"hypergraph"`` (reference).  All three produce bit-identical
         seeds, θ, and coverage history.
     theta_cap:
-        Optional ceiling on θ for bounded benchmark runs; a capped run
+        Optional ceiling on θ (at least 1) for bounded benchmark runs; a capped run
         reports ``extra["theta_capped"] = True`` and waives the formal
         guarantee.
     workers, start_method:
@@ -110,6 +110,7 @@ def imm(
     :class:`IMMResult` (a :class:`DegradedResult` when a supervised run
     deadline expired).
     """
+    check_theta_cap(theta_cap)
     model = DiffusionModel.parse(model)
     if workers < 1:
         raise ValueError("need at least one worker")

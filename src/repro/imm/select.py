@@ -21,8 +21,9 @@ and the vertices of a set of killed samples (``members(samples)``):
 * :class:`HypergraphView` — the bidirectional reference layout, using
   the vertex→samples inverted index the way Tang et al.'s code does.
 
-:func:`select_seeds` runs the kernel on a collection's view and meters
-the work for the cost models.  ``num_ranks`` reproduces Algorithm 4's
+:func:`select_seeds` runs the kernel (a step generator, see
+:func:`drive`) on a collection's view and meters the work for the cost
+models.  ``num_ranks`` reproduces Algorithm 4's
 synchronization-free partitioning (thread ``t`` owns the vertex interval
 ``[n·t/p, n·(t+1)/p)``): the per-rank meters say how many counter
 updates each rank performed, and how many binary searches it used to
@@ -31,6 +32,7 @@ locate its interval inside each sorted sample.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Generator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -297,15 +299,16 @@ class CoverState:
         return killed
 
 
-def greedy_cover(
-    view, k: int, *, forced=(), excluded=()
-) -> tuple[np.ndarray, CoverState]:
-    """Greedy max-cover of ``k`` seeds over ``view``.
+def greedy_cover(view, k: int, *, forced=(), excluded=()) -> Generator:
+    """Greedy max-cover of ``k`` seeds over ``view``, as a step generator.
 
-    ``forced`` vertices are seated first, in the given order (a repeated
-    id counts once); ``excluded`` vertices are never picked.  Every other
-    pick is the vertex in the most alive samples, ties to the smallest
-    id.  Returns the seeds and the final :class:`CoverState`.
+    It yields the per-vertex counts, then each seat's decrement (``None``
+    if nothing was killed), and goes on with the vector sent back: the
+    same one from :func:`drive`, the All-Reduced sum on an ``imm_dist``
+    rank.  ``forced`` vertices are seated first, in the given order (a
+    repeated id counts once); ``excluded`` vertices are never picked.
+    Every other pick is the vertex in the most alive samples, ties to the
+    smallest id.  Returns the seeds and the final :class:`CoverState`.
     """
     n = view.n
     if not 1 <= k <= n:
@@ -318,7 +321,7 @@ def greedy_cover(
         if v in forced:
             raise ValueError(f"vertex {v} is both forced and excluded")
     state = CoverState(view)
-    counters = view.counts().astype(np.int64)
+    counters = (yield view.counts()).astype(np.int64)
     counters[excluded] = -1
     seeds: list[int] = []
     while len(seeds) < k:
@@ -330,10 +333,24 @@ def greedy_cover(
                 raise ValueError(f"cannot seat {k} seeds: only {len(seeds)} candidates")
         seeds.append(v)
         killed = state.cover(v)
-        if len(killed):
-            counters -= np.bincount(view.members(killed), minlength=n)
+        decrement = yield (
+            np.bincount(view.members(killed), minlength=n) if len(killed) else None
+        )
+        if decrement is not None:
+            counters -= decrement
         counters[v] = -1  # never re-pick a seated vertex
     return np.asarray(seeds, dtype=np.int64), state
+
+
+def drive(steps: Generator, step: Callable = lambda value: value):
+    """Run a step generator in one process, answering each yielded value
+    with ``step(value)`` (by default the value itself); return its result."""
+    try:
+        value = next(steps)
+        while True:
+            value = steps.send(step(value))
+    except StopIteration as done:
+        return done.value
 
 
 def _interval_bounds(n: int, num_ranks: int) -> np.ndarray:
@@ -422,5 +439,5 @@ def select_seeds(
         view = HypergraphView(collection, n)
     else:
         raise TypeError(f"unsupported collection type {type(collection).__name__}")
-    seeds, state = greedy_cover(view, k)
+    seeds, state = drive(greedy_cover(view, k))
     return _metered(view, seeds, state, num_ranks)

@@ -34,7 +34,7 @@ from ..sampling import (
 )
 from .result import IMMResult
 from .select import select_seeds
-from .theta import estimate_theta
+from .theta import check_theta_cap, estimate_theta
 
 __all__ = ["imm_sweep"]
 
@@ -87,7 +87,7 @@ def imm_sweep(
     Raises
     ------
     ValueError
-        On an empty sweep or any invalid k.
+        On an empty sweep, any invalid k or a ``theta_cap`` below 1.
     """
     if not ks:
         raise ValueError("need at least one k")
@@ -96,6 +96,7 @@ def imm_sweep(
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={graph.n}")
     if workers < 1:
         raise ValueError("need at least one worker")
+    check_theta_cap(theta_cap)
     model = DiffusionModel.parse(model)
     collection = SortedRRRCollection(graph.n)
     engine = None

@@ -25,7 +25,7 @@ All sampling done during estimation is *kept*: Algorithm 1's subsequent
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Generator
 from dataclasses import dataclass, field
 
 from ..diffusion import DiffusionModel
@@ -35,11 +35,10 @@ from ..sampling import (
     BatchedRRRSampler,
     ParallelSamplingEngine,
     RRRCollection,
-    RRRSampler,
     SortedRRRCollection,
     sample_batch,
 )
-from .select import select_seeds
+from .select import drive, select_seeds
 
 __all__ = [
     "EPS_UPPER_BOUND",
@@ -49,6 +48,8 @@ __all__ = [
     "lambda_star",
     "shrink_epsilon",
     "check_instance",
+    "check_theta_cap",
+    "max_rounds",
     "doubling_search",
     "estimate_theta",
     "ThetaEstimate",
@@ -61,12 +62,7 @@ EPS_UPPER_BOUND = 1.0 - 1.0 / math.e
 
 
 def validate_eps(eps: float) -> None:
-    """Reject ``eps`` outside ``(0, 1 - 1/e)``.
-
-    Shared by every driver that instantiates the Tang et al. sample
-    bounds (:func:`estimate_theta` and the distributed replica of its
-    control flow in :func:`repro.mpi.imm_dist`).
-    """
+    """Reject ``eps`` outside ``(0, 1 - 1/e)``."""
     if not 0.0 < eps < EPS_UPPER_BOUND:
         raise ValueError(
             f"eps must lie in (0, 1 - 1/e) = (0, {EPS_UPPER_BOUND:.4f}) for the "
@@ -126,23 +122,27 @@ def check_instance(n: int, k: int, eps: float) -> None:
     validate_eps(eps)
 
 
-def doubling_search(
-    n: int,
-    k: int,
-    eps: float,
-    l: float,
-    cover: Callable[[int], float],
-    *,
-    theta_cap: int | None = None,
-) -> tuple[int, float, list[tuple[int, float]]]:
-    """Algorithm 2's doubling search over a cover step.
+def check_theta_cap(theta_cap: int | None) -> None:
+    """Reject a θ cap below one sample, which would select over nothing."""
+    if theta_cap is not None and theta_cap < 1:
+        raise ValueError(f"theta_cap must be at least 1, got {theta_cap}")
 
-    ``cover(theta_x)`` makes the first ``theta_x`` samples available,
-    selects ``k`` seeds over them and returns the fraction they cover.
-    :func:`estimate_theta`'s step samples the collection up to
-    ``theta_x``; the serving engine's step extends or cuts a frozen
-    index prefix.  Returns ``(theta, lb, coverage_history)``; the round
-    count is ``len(coverage_history)``.
+
+def max_rounds(n: int) -> int:
+    """The doubling search's last round: ``x`` runs over ``1 .. ⌈log₂ n⌉ − 1``."""
+    return max(1, int(math.ceil(math.log2(n))) - 1)
+
+
+def doubling_search(
+    n: int, k: int, eps: float, l: float, *, theta_cap: int | None = None
+) -> Generator[int, float, tuple[int, float, list[tuple[int, float]]]]:
+    """Algorithm 2's doubling search, as a step generator.
+
+    Each round yields ``theta_x`` and takes back the fraction of the first
+    ``theta_x`` samples that ``k`` greedy seeds cover: sampled by
+    :func:`estimate_theta`, cut from a frozen index by the serving engine,
+    All-Reduced by an ``imm_dist`` rank (or replayed from a checkpoint).
+    Returns ``(theta, lb, coverage_history)``.
     """
     l_eff = _inflated_l(n, l)
     eps_p = math.sqrt(2.0) * eps
@@ -151,13 +151,12 @@ def doubling_search(
 
     lb = 1.0
     history: list[tuple[int, float]] = []
-    max_x = max(1, int(math.ceil(math.log2(n))) - 1)
-    for x in range(1, max_x + 1):
+    for x in range(1, max_rounds(n) + 1):
         y = n / (2.0**x)
         theta_x = int(math.ceil(lam_p / y))
         if theta_cap is not None:
             theta_x = min(theta_x, theta_cap)
-        frac = cover(theta_x)
+        frac = yield theta_x
         history.append((theta_x, frac))
         if n * frac >= (1.0 + eps_p) * y:
             lb = n * frac / (1.0 + eps_p)
@@ -206,7 +205,7 @@ def estimate_theta(
     l: float = 1.0,
     *,
     collection: RRRCollection | None = None,
-    sampler: RRRSampler | BatchedRRRSampler | None = None,
+    sampler: BatchedRRRSampler | ParallelSamplingEngine | None = None,
     counters: WorkCounters | None = None,
     theta_cap: int | None = None,
     trace: list | None = None,
@@ -233,11 +232,11 @@ def estimate_theta(
         :class:`SortedRRRCollection`); the parallel drivers pass their
         own so estimation samples are stored in the partitioned layout.
     sampler:
-        Optional shared sampler scratch (a
-        :class:`~repro.sampling.batched.BatchedRRRSampler` or the serial
-        :class:`RRRSampler`); its type selects the engine used by
-        :func:`~repro.sampling.sampler.sample_batch`.  Defaults to a
-        fresh batched sampler — both engines produce bit-identical
+        Optional shared sampler handed to
+        :func:`~repro.sampling.sampler.sample_batch` (a
+        :class:`~repro.sampling.batched.BatchedRRRSampler` or a
+        :class:`~repro.sampling.parallel_engine.ParallelSamplingEngine`).
+        Defaults to a fresh batched sampler — both produce bit-identical
         collections.
     counters:
         Optional work ledger to update.
@@ -279,11 +278,12 @@ def estimate_theta(
     Raises
     ------
     ValueError
-        If the instance is degenerate (``n < 2``, ``k < 1``, ``k > n``)
-        or ``eps`` is out of range.
+        If the instance is degenerate (``n < 2``, ``k < 1``, ``k > n``),
+        ``eps`` is out of range or ``theta_cap`` is below 1.
     """
     n = graph.n
     check_instance(n, k, eps)
+    check_theta_cap(theta_cap)
     model = DiffusionModel.parse(model)
     if collection is None:
         collection = SortedRRRCollection(n)
@@ -323,8 +323,8 @@ def estimate_theta(
         return sel.covered_samples / max(len(collection), 1)
 
     try:
-        theta, lb, history = doubling_search(
-            n, k, eps, l, cover, theta_cap=theta_cap
+        theta, lb, history = drive(
+            doubling_search(n, k, eps, l, theta_cap=theta_cap), cover
         )
     finally:
         if owned_engine is not None:

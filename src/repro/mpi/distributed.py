@@ -13,11 +13,13 @@ of the sample space:
   set independent of ``p``) or from the paper's leap-frog LCG
   substreams (``rng_scheme="leapfrog"``).
 
-* **Seed selection** — each rank counts vertex memberships over its
-  local partition ``R_r``; one All-Reduce produces the global counters;
-  every iteration picks the argmax locally (identical on all ranks),
-  purges the local partition, and All-Reduces the decrements —
-  ``O(k · n · lg p)`` communication, exactly the paper's scheme.
+* **Seed selection** — every rank runs ``select_seeds``'s kernel,
+  :func:`~repro.imm.select.greedy_cover`, over its local partition
+  ``R_r``; an adapter All-Reduces the counts it yields, then each
+  iteration's decrement, so every rank picks the same argmax —
+  ``O(k · n · lg p)`` communication, exactly the paper's scheme.  The
+  θ estimation likewise drives ``imm()``'s
+  :func:`~repro.imm.theta.doubling_search`.
 
 * **Memory model** — a rank whose modeled resident set (graph replica +
   local RRR partition + counter arrays) exceeds the node's DRAM raises
@@ -44,7 +46,6 @@ modeled from per-rank work meters, intra-node OpenMP speedup, and the
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Generator
 
@@ -53,13 +54,13 @@ import numpy as np
 from ..diffusion import DiffusionModel
 from ..graph import CSRGraph
 from ..imm.result import IMMResult
-from ..imm.select import vertex_index
+from ..imm.select import FlatView, _metered, greedy_cover
 from ..imm.theta import (
-    _inflated_l,
-    lambda_prime,
-    lambda_star,
+    check_instance,
+    check_theta_cap,
+    doubling_search,
+    max_rounds,
     shrink_epsilon,
-    validate_eps,
 )
 from ..perf.counters import WorkCounters
 from ..perf.memory import MemoryModel
@@ -105,7 +106,6 @@ class _RankRecord:
     coverage_history: list[tuple[int, float]] = field(default_factory=list)
     final_sample_edges: int = 0
     final_select_entries: int = 0
-    rounds: int = 0
 
 
 @dataclass
@@ -142,47 +142,27 @@ class _JobState:
             self.sink.append(ck.to_dict())
 
 
-def _dist_select(
-    collection: SortedRRRCollection, n: int, k: int
-) -> Generator:
-    """Distributed greedy selection (generator; use ``yield from``).
+def _allreduced(steps: Generator, n: int) -> Generator:
+    """Run a greedy step generator on one rank (use ``yield from``): each
+    yielded vector goes out in an ``Allreduce`` and the global sum comes
+    back; ``None`` goes out as zeros, so every rank issues the same call."""
+    try:
+        local = next(steps)
+        while True:
+            if local is None:
+                local = np.zeros(n, dtype=np.int64)
+            local = steps.send((yield Allreduce(local)))
+    except StopIteration as done:
+        return done.value
 
-    Returns ``(seeds, covered_total, local_entries_scanned)``.
-    """
-    flat, indptr, sample_of = collection.flattened()
-    num_local = len(collection)
-    local_counts = np.bincount(flat, minlength=n).astype(np.int64)
-    entries = int(collection.total_entries)
-    global_counts = yield Allreduce(local_counts)
-    global_counts = np.asarray(global_counts, dtype=np.int64).copy()
 
-    vert_order, vert_indptr = vertex_index(flat, n)
-    sample_alive = np.ones(num_local, dtype=bool)
-
-    seeds = np.empty(k, dtype=np.int64)
-    covered_local = 0
-    for i in range(k):
-        v = int(np.argmax(global_counts))
-        seeds[i] = v
-        positions = vert_order[vert_indptr[v] : vert_indptr[v + 1]]
-        hit = sample_of[positions]
-        killed = hit[sample_alive[hit]]
-        decrement = np.zeros(n, dtype=np.int64)
-        if len(killed):
-            sample_alive[killed] = False
-            covered_local += len(killed)
-            starts = indptr[killed]
-            stops = indptr[killed + 1]
-            counts = stops - starts
-            total = int(counts.sum())
-            entry_idx = np.repeat(stops - np.cumsum(counts), counts) + np.arange(total)
-            decrement = np.bincount(flat[entry_idx], minlength=n).astype(np.int64)
-            entries += total
-        delta = yield Allreduce(decrement)
-        global_counts -= np.asarray(delta, dtype=np.int64)
-        global_counts[v] = -1
-    covered_total = yield Allreduce(covered_local)
-    return seeds, int(covered_total), entries
+def _dist_select(collection: SortedRRRCollection, n: int, k: int) -> Generator:
+    """Distributed greedy selection (generator; use ``yield from``), ``k + 1``
+    vector All-Reduces and one scalar: ``(seeds, covered_total, local_entries)``."""
+    view = FlatView(n, *collection.flattened())
+    seeds, state = yield from _allreduced(greedy_cover(view, k), n)
+    covered_total = yield Allreduce(state.covered)
+    return seeds, int(covered_total), _metered(view, seeds, state, 1).entries_scanned
 
 
 def _make_rank_program(
@@ -201,11 +181,6 @@ def _make_rank_program(
 ):
     """Build the SPMD rank program closure for the SPMD runtimes."""
     n = graph.n
-    l_eff = _inflated_l(n, l)
-    eps_p = math.sqrt(2.0) * eps
-    lam_p = lambda_prime(n, k, eps, l_eff)
-    lam_s = lambda_star(n, k, eps, l_eff)
-    max_x = max(1, int(math.ceil(math.log2(n))) - 1)
 
     def program(rank: int, size: int) -> Generator:
         # A (re)started incarnation reports fresh meters: respawn replays
@@ -261,7 +236,7 @@ def _make_rank_program(
                 next_global=next_global,
                 lb=lb,
                 theta=theta,
-                rounds_done=rec.rounds,
+                rounds_done=len(rec.coverage_history),
                 coverage_history=tuple(rec.coverage_history),
                 deals=tuple(state.deals),
                 alive=tuple(state.alive),
@@ -277,50 +252,43 @@ def _make_rank_program(
 
         # --- resume: re-derive the local partition from the cursor alone -
         ck = state.resume
-        lb = 1.0
-        theta: int | None = None
-        start_x = 1
         if ck is not None:
             rec.rebuild_edges = extend_to(ck.next_global)
             rec.edges_total += rec.rebuild_edges
-            lb = ck.lb
-            theta = ck.theta
             rec.coverage_history = [tuple(h) for h in ck.coverage_history]
-            rec.rounds = ck.rounds_done
-            start_x = ck.round
+        replay = [frac for _, frac in rec.coverage_history]
+
+        def estimate_round(theta_x: int) -> Generator:
+            """The covered fraction of the first ``theta_x`` samples."""
+            if replay:  # a round the checkpoint already recorded
+                return replay.pop(0)
+            stats.set_phase("EstimateTheta")
+            # lb stays 1.0 until a round accepts, which ends the search.
+            round_ = len(rec.coverage_history) + 1
+            state.write_checkpoint(rank, snapshot("estimate", round_, 1.0, None))
+            round_edges = extend_to(theta_x)
+            _, covered_total, entries = yield from _dist_select(collection, n, k)
+            rec.round_meters.append((round_edges, entries))
+            rec.edges_total += round_edges
+            # Fractions are over the *live* sample count: after a shrink,
+            # dead ranks' lost samples are not in anyone's partition, so
+            # θ_x overstates the population.  Fault-free, live_x ==
+            # theta_x and histories match the serial driver.
+            live_x = live_count(state.deals, state.alive, theta_x)
+            frac = covered_total / max(live_x, 1)
+            rec.coverage_history.append((theta_x, frac))
+            return frac
 
         # --- EstimateTheta (Algorithm 2, replicated control flow) --------
-        if ck is None or ck.stage == "estimate":
-            stats.set_phase("EstimateTheta")
-            for x in range(start_x, max_x + 1):
-                state.write_checkpoint(rank, snapshot("estimate", x, lb, None))
-                rec.rounds += 1
-                y = n / (2.0**x)
-                theta_x = int(math.ceil(lam_p / y))
-                if theta_cap is not None:
-                    theta_x = min(theta_x, theta_cap)
-                round_edges = extend_to(theta_x)
-                seeds, covered_total, entries = yield from _dist_select(collection, n, k)
-                rec.round_meters.append((round_edges, entries))
-                rec.edges_total += round_edges
-                # Fractions are over the *live* sample count: after a
-                # shrink, dead ranks' lost samples are not in anyone's
-                # partition, so θ_x overstates the population.  Fault-free,
-                # live_x == theta_x and histories match the serial driver.
-                live_x = live_count(state.deals, state.alive, theta_x)
-                frac = covered_total / max(live_x, 1)
-                rec.coverage_history.append((theta_x, frac))
-                if n * frac >= (1.0 + eps_p) * y:
-                    lb = n * frac / (1.0 + eps_p)
-                    break
-                if theta_cap is not None and theta_x >= theta_cap:
-                    break
-            theta = int(math.ceil(lam_s / lb))
-            if theta_cap is not None:
-                theta = min(theta, theta_cap)
-        assert theta is not None
+        search = doubling_search(n, k, eps, l, theta_cap=theta_cap)
+        try:
+            theta_x = next(search)
+            while True:
+                theta_x = search.send((yield from estimate_round(theta_x)))
+        except StopIteration as done:
+            theta, lb, _ = done.value
         rec.theta, rec.lb = theta, lb
-        state.write_checkpoint(rank, snapshot("final", max_x + 1, lb, theta))
+        state.write_checkpoint(rank, snapshot("final", max_rounds(n) + 1, lb, theta))
 
         # --- Sample (top-up to θ) -----------------------------------------
         stats.set_phase("Sample")
@@ -400,6 +368,10 @@ def imm_dist(
 
     Raises
     ------
+    ValueError
+        Before any rank starts: on a degenerate instance (``n < 2``,
+        ``k`` outside ``[1, n]``), ``eps`` outside ``(0, 1 - 1/e)`` or
+        a ``theta_cap`` below 1.
     SimulatedOOMError
         If any rank's modeled footprint exceeds the node memory (and no
         policy absorbs it).
@@ -417,7 +389,8 @@ def imm_dist(
             "shrink recovery requires the per-sample rng_scheme: leap-frog "
             "substreams are bound to ranks and cannot be re-dealt"
         )
-    validate_eps(eps)
+    check_instance(graph.n, k, eps)
+    check_theta_cap(theta_cap)
     model = DiffusionModel.parse(model)
     if isinstance(fault_plan, str):
         fault_plan = FaultPlan.parse(fault_plan)
@@ -511,7 +484,7 @@ def imm_dist(
         return local + argmax + t_sel_comm
 
     sim = PhaseTimer()
-    rounds = max(rec.rounds for rec in records)
+    rounds = max(len(rec.coverage_history) for rec in records)
     for i in range(rounds):
         round_edges = [
             rec.round_meters[i][0] if i < len(rec.round_meters) else 0
@@ -562,17 +535,14 @@ def imm_dist(
     degraded = theta_eff < rec0.theta
     eps_eff = shrink_epsilon(n, k, l, theta_eff, rec0.lb) if degraded else eps
 
+    entries = sum(
+        rec.final_select_entries + sum(m[1] for m in rec.round_meters) for rec in records
+    )
     counters = WorkCounters(
         edges_examined=sum(rec.edges_total for rec in records),
         samples_generated=sum(rec.local_samples for rec in records),
-        entries_scanned=sum(
-            rec.final_select_entries + sum(m[1] for m in rec.round_meters)
-            for rec in records
-        ),
-        counter_updates=sum(
-            rec.final_select_entries + sum(m[1] for m in rec.round_meters)
-            for rec in records
-        ),
+        entries_scanned=entries,
+        counter_updates=entries,
         allreduce_calls=comm_stats.calls,
         allreduce_elements=comm_stats.payload_bytes // 8,
     )
@@ -602,7 +572,7 @@ def imm_dist(
             "comm_by_label": comm_stats.label_totals(),
             "measured_breakdown": wall.breakdown(),
             "per_rank_samples": [rec.local_samples for rec in records],
-            "estimation_rounds": rec0.rounds,
+            "estimation_rounds": len(rec0.coverage_history),
             "coverage_history": rec0.coverage_history,
             "theta_capped": theta_cap is not None and rec0.theta >= theta_cap,
             "policy": policy,

@@ -32,7 +32,7 @@ from ..diffusion import DiffusionModel
 from ..graph import CSRGraph
 from ..imm.result import IMMResult
 from ..imm.select import select_seeds
-from ..imm.theta import estimate_theta
+from ..imm.theta import check_theta_cap, estimate_theta
 from ..perf.counters import WorkCounters
 from ..perf.timers import PhaseTimer, side_by_side
 from ..sampling import (
@@ -105,6 +105,7 @@ def imm_mt(
             f"{machine.name} offers {machine.threads_per_node} threads per node,"
             f" requested {num_threads}"
         )
+    check_theta_cap(theta_cap)
     model = DiffusionModel.parse(model)
     collection = SortedRRRCollection(graph.n)
     engine = None

@@ -9,25 +9,14 @@ batching, thread count, or rank assignment.  This is the discipline that
 lets the parallel implementations produce bit-identical seed sets (the
 paper relies on leap-frog streams for the same guarantee; we test both).
 
-Two engines execute the same contract:
-
-* ``"batched"`` (default) — the cohort sampler
-  (:class:`~repro.sampling.batched.BatchedRRRSampler`): the new samples
-  are generated as fused multi-source traversals, bit-identical to the
-  serial engine at any cohort size (the determinism contract of
-  :mod:`repro.sampling.batched`).
-* ``"serial"`` — one :meth:`RRRSampler.generate` call per sample, kept
-  as the reference implementation and for callers that thread their own
-  per-sample streams.
-* ``"parallel"`` — a pre-built
-  :class:`~repro.sampling.parallel_engine.ParallelSamplingEngine`
-  fanning blocks of the same global indices out to a process pool over a
-  shared-memory CSR.  Bit-identical to the other two at any worker
-  count (the engine's determinism contract).
-
-Passing a pre-built sampler selects the engine implicitly (its type
-says which loop it feeds); otherwise ``engine`` decides, defaulting to
-batched.
+The new samples come from the sampler's ``sample_into``: by default a
+fresh :class:`~repro.sampling.batched.BatchedRRRSampler`, which
+generates them as fused multi-source traversals, or a caller's pre-built
+:class:`~repro.sampling.parallel_engine.ParallelSamplingEngine`, which
+fans blocks of the same global indices out to a process pool over a
+shared-memory CSR.  Both produce bit-identical collections (their
+determinism contracts); the per-sample serial loop they are checked
+against lives in :mod:`repro.validate`.
 """
 
 from __future__ import annotations
@@ -38,11 +27,9 @@ import numpy as np
 
 from ..diffusion import DiffusionModel
 from ..graph import CSRGraph
-from ..rng import sample_stream
 from .batched import BatchedRRRSampler
 from .collection import RRRCollection
 from .parallel_engine import ParallelSamplingEngine
-from .rrr import RRRSampler
 
 __all__ = ["sample_batch", "SampleBatch"]
 
@@ -81,8 +68,7 @@ def sample_batch(
     target: int,
     seed: int,
     *,
-    sampler: RRRSampler | BatchedRRRSampler | ParallelSamplingEngine | None = None,
-    engine: str | None = None,
+    sampler: BatchedRRRSampler | ParallelSamplingEngine | None = None,
 ) -> SampleBatch:
     """Grow ``collection`` to ``target`` samples (Algorithm 3).
 
@@ -99,15 +85,12 @@ def sample_batch(
     seed:
         Master seed of the run (not of the batch).
     sampler:
-        Optional pre-built :class:`~repro.sampling.batched.BatchedRRRSampler`
-        or :class:`RRRSampler` to reuse scratch space across invocations;
-        its type selects the engine when ``engine`` is not given.
-    engine:
-        ``"batched"``, ``"serial"`` or ``"parallel"``; defaults to the
-        sampler's engine, or batched.  All produce bit-identical
-        collections.  ``"parallel"`` requires a pre-built
+        Optional pre-built sampler reused across invocations: a
+        :class:`~repro.sampling.batched.BatchedRRRSampler` or a
         :class:`~repro.sampling.parallel_engine.ParallelSamplingEngine`
-        (pool lifetime belongs to the caller, not to one batch).
+        (its pool outlives any single batch).  Defaults to a fresh
+        batched sampler.  One without ``sample_into`` (the per-sample
+        :class:`~repro.sampling.rrr.RRRSampler`) raises ``TypeError``.
 
     Returns
     -------
@@ -115,49 +98,22 @@ def sample_batch(
     """
     if target < 0:
         raise ValueError("target sample count must be non-negative")
-    if engine is None:
-        if isinstance(sampler, RRRSampler):
-            engine = "serial"
-        elif isinstance(sampler, ParallelSamplingEngine):
-            engine = "parallel"
-        else:
-            engine = "batched"
-    if engine not in ("batched", "serial", "parallel"):
-        raise ValueError(
-            f"unknown engine {engine!r}; expected 'batched', 'serial' or 'parallel'"
-        )
-    if engine == "parallel" and not isinstance(sampler, ParallelSamplingEngine):
-        raise ValueError(
-            "engine='parallel' requires a pre-built ParallelSamplingEngine "
-            "(its process pool outlives any single batch)"
+    if sampler is not None and not hasattr(sampler, "sample_into"):
+        raise TypeError(
+            f"{type(sampler).__name__} has no sample_into method; pass a "
+            "BatchedRRRSampler or a ParallelSamplingEngine"
         )
     first = len(collection)
     count = max(0, target - first)
     if count == 0:
         return SampleBatch(first_index=first, count=0)
-    n = graph.n
-    if engine in ("batched", "parallel"):
-        if engine == "batched" and not isinstance(sampler, BatchedRRRSampler):
-            sampler = BatchedRRRSampler(graph, model)
-        indices = np.arange(first, first + count, dtype=np.int64)
-        per_sample = sampler.sample_into(collection, indices, seed)
-        total_edges = int(per_sample.sum())
-    else:
-        if not isinstance(sampler, RRRSampler):
-            sampler = RRRSampler(graph, model)
-        per_sample = np.zeros(count, dtype=np.int64)
-        total_edges = 0
-        for i in range(count):
-            j = first + i
-            rng = sample_stream(seed, j)
-            root = rng.randint(0, n)
-            verts, edges = sampler.generate(root, rng)
-            collection.append(verts)
-            per_sample[i] = edges
-            total_edges += edges
+    if sampler is None:
+        sampler = BatchedRRRSampler(graph, model)
+    indices = np.arange(first, first + count, dtype=np.int64)
+    per_sample = sampler.sample_into(collection, indices, seed)
     return SampleBatch(
         first_index=first,
         count=count,
-        edges_examined=total_edges,
+        edges_examined=int(per_sample.sum()),
         per_sample_edges=per_sample,
     )

@@ -22,15 +22,15 @@ the index tail in place (old samples stay valid; θ grows monotonically);
 queries that fit inside the index touch **zero** graph edges, which the
 oracle's edge-meter assertion enforces.
 
-**One kernel, one search.**  ``top_k`` runs
-:func:`~repro.imm.theta.doubling_search`, the search ``imm()``'s
-estimation runs, with a cover step that extends or cuts the index
-prefix instead of sampling.  Every selection — replay rounds, the final
-pick, ``what_if`` and degraded answers — runs
-:func:`~repro.imm.select.greedy_cover`, the kernel behind
-``select_seeds``, over a :class:`~repro.imm.select.FlatView` that cuts
-the prefix from one cached vertex→entries index; ``marginal_gain``
-reuses the kernel's cover step.
+**One kernel, one search.**  ``top_k`` drives
+:func:`~repro.imm.theta.doubling_search`, the search that ``imm()``'s
+estimation and every ``imm_dist`` rank drive, with a cover step that
+extends or cuts the index prefix instead of sampling.  Every
+selection — replay rounds, the final pick, ``what_if`` and degraded
+answers — runs :func:`~repro.imm.select.greedy_cover`, the kernel
+behind ``select_seeds``, over a :class:`~repro.imm.select.FlatView`
+that cuts the prefix from one cached vertex→entries index;
+``marginal_gain`` reuses the kernel's cover step.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from ..diffusion import DiffusionModel
-from ..imm.select import CoverState, FlatView, greedy_cover, select_seeds, vertex_index
+from ..imm.select import CoverState, FlatView, drive, greedy_cover, select_seeds, vertex_index
 from ..imm.theta import check_instance, doubling_search, estimate_theta, shrink_epsilon
 from ..sampling import BatchedRRRSampler, SortedRRRCollection, sample_batch
 from .frozen import FrozenIndexError, FrozenRRRIndex
@@ -268,7 +268,7 @@ class InfluenceQueryEngine:
 
     def _select(self, num_samples: int, k: int, **constraints) -> tuple[np.ndarray, int]:
         """(seeds, covered samples) of greedy over a sample prefix."""
-        seeds, state = greedy_cover(self._prefix(num_samples), k, **constraints)
+        seeds, state = drive(greedy_cover(self._prefix(num_samples), k, **constraints))
         return seeds, state.covered
 
     # -- sampling-on-demand ------------------------------------------------
@@ -351,8 +351,9 @@ class InfluenceQueryEngine:
             ensure(theta_x)
             return self._select(theta_x, k)[1] / max(theta_x, 1)
 
-        theta, lb, history = doubling_search(
-            idx.n, k, eps, float(mf["l"]), cover, theta_cap=mf.get("theta_cap")
+        theta, lb, history = drive(
+            doubling_search(idx.n, k, eps, float(mf["l"]), theta_cap=mf.get("theta_cap")),
+            cover,
         )
         # imm() tops the collection up to θ; its final selection sees
         # every sample the estimation rounds drew, θ or more.

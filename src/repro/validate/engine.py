@@ -39,11 +39,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..sampling import BatchedRRRSampler, SortedRRRCollection
+from ..rng import sample_stream
+from ..sampling import BatchedRRRSampler, RRRSampler, SampleBatch, SortedRRRCollection
 from ..sampling.parallel_engine import ParallelSamplingEngine
 from .report import ValidationReport
 
-__all__ = ["check_engine_sampling"]
+__all__ = ["check_engine_sampling", "serial_sample_batch"]
+
+
+def serial_sample_batch(
+    graph, model: str, collection, target: int, seed: int, sampler: RRRSampler | None = None
+) -> SampleBatch:
+    """The reference ``sample_batch``: one :meth:`RRRSampler.generate` per
+    sample, which every batch engine must match bit for bit."""
+    sampler = sampler or RRRSampler(graph, model)
+    first = len(collection)
+    count = max(0, target - first)
+    per_sample = np.zeros(count, dtype=np.int64)
+    for i in range(count):
+        rng = sample_stream(seed, first + i)
+        verts, per_sample[i] = sampler.generate(rng.randint(0, graph.n), rng)
+        collection.append(verts)
+    return SampleBatch(first, count, int(per_sample.sum()), per_sample)
 
 
 def check_engine_sampling(

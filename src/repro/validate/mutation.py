@@ -19,6 +19,7 @@ corrupted ``sample_of``     ``collection.sample-of`` invariant
 byte-model drift            ``collection.byte-model`` invariant
 dropped inverted entry      ``collection.inverted-index`` invariant
 skipped counter decrement   seed-set equivalence comparison
+SPMD decrement not reduced  ``oracle.seed-set`` on ``imm_dist[nodes=2]``
 biased RNG draw             bitwise collection comparison
 recovery skips a sample     ``recovery.rebuild-count``
 wrong-stream replay         ``recovery.rebuild-bitwise``
@@ -51,19 +52,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..datasets import load
-from ..imm.select import FlatView, greedy_cover, select_seeds
+from ..imm.select import FlatView, drive, greedy_cover, select_seeds
 from ..mpi import imm_dist, rebuild_partition
+from ..mpi.comm import Allreduce
 from ..sampling import (
     BatchedRRRSampler,
     CompressedRRRCollection,
     HypergraphRRRCollection,
-    RRRSampler,
     SortedRRRCollection,
     sample_batch,
 )
 from ..sampling.parallel_engine import ParallelSamplingEngine
 from ..sampling.supervisor import SupervisedSamplingEngine
-from .engine import check_engine_sampling
+from .engine import check_engine_sampling, serial_sample_batch
 from .invariants import (
     check_compressed_collection,
     check_hypergraph_collection,
@@ -223,7 +224,7 @@ def _mutant_skipped_decrement(seed: int) -> MutantResult:
     for s in ([0, 1], [0, 1], [1], [2]):
         coll.append(np.asarray(s, dtype=np.int64))
     good = select_seeds(coll, 3, 2).seeds
-    bad, _ = greedy_cover(_NoDecrementView(3, *coll.flattened()), 2)
+    bad, _ = drive(greedy_cover(_NoDecrementView(3, *coll.flattened()), 2))
     diverged = not np.array_equal(good, bad)
     return MutantResult(
         "skipped-decrement",
@@ -237,14 +238,54 @@ def _mutant_skipped_decrement(seed: int) -> MutantResult:
     )
 
 
+def _own_decrements(steps, n: int):
+    """The injected SPMD bug: an All-Reduce adapter that still issues every
+    collective, but after the counts hands each rank its own decrement."""
+    try:
+        local = steps.send((yield Allreduce(next(steps))))
+        while True:
+            if local is None:
+                local = np.zeros(n, dtype=np.int64)
+            yield Allreduce(local)  # the reduced sum is dropped
+            local = steps.send(local)
+    except StopIteration as done:
+        return done.value
+
+
+def _mutant_spmd_decrement(seed: int) -> MutantResult:
+    """Distributed greedy whose ranks subtract only their own decrements.
+
+    The collective schedule is unchanged, so no rank hangs, and one rank
+    is still exact; from two ranks on, each rank's counters miss the
+    other ranks' kills, and the oracle's ``imm_dist`` axis must see it.
+    """
+    from ..imm import imm
+    from ..mpi import distributed
+    from .oracle import OracleConfig, check_dist_equivalence
+
+    cfg = OracleConfig(datasets=(_MUTATION_DATASET,), seed=seed, rank_counts=(2,))
+    graph = load(_MUTATION_DATASET, "IC")
+    ref = imm(graph, cfg.k, cfg.eps, "IC", seed=seed, theta_cap=cfg.theta_cap)
+    real = distributed._allreduced
+    distributed._allreduced = _own_decrements
+    try:
+        report = check_dist_equivalence(graph, "IC", ref, cfg, "mutant")
+    finally:
+        distributed._allreduced = real
+    detected, evidence = _violated(report, "oracle.seed-set")
+    return MutantResult(
+        "spmd-decrement-not-reduced",
+        "imm_dist ranks subtract their local decrement, not the All-Reduced one",
+        detected,
+        evidence,
+    )
+
+
 def _mutant_biased_rng(seed: int) -> MutantResult:
     """Bias the IC coin acceptance and demand the bitwise compare sees it."""
     graph = load(_MUTATION_DATASET, "IC")
     reference = SortedRRRCollection(graph.n)
-    sample_batch(
-        graph, "IC", reference, _MUTATION_THETA, seed,
-        sampler=RRRSampler(graph, "IC"), engine="serial",
-    )
+    serial_sample_batch(graph, "IC", reference, _MUTATION_THETA, seed)
     sampler = BatchedRRRSampler(graph, "IC")
     # Double every acceptance threshold: each coin flip now succeeds
     # roughly twice as often — a biased draw, not a different stream.
@@ -253,9 +294,7 @@ def _mutant_biased_rng(seed: int) -> MutantResult:
     )
     sampler._thresh_shifted = None  # force the (valid) unshifted compare
     mutant = SortedRRRCollection(graph.n)
-    sample_batch(
-        graph, "IC", mutant, _MUTATION_THETA, seed, sampler=sampler, engine="batched"
-    )
+    sample_batch(graph, "IC", mutant, _MUTATION_THETA, seed, sampler=sampler)
     ref_flat, ref_indptr, _ = reference.flattened()
     mut_flat, mut_indptr, _ = mutant.flattened()
     diverged = not (
@@ -804,6 +843,7 @@ _MUTANTS = {
     "byte-model-drift": _mutant_byte_model,
     "inverted-index-drop": _mutant_inverted_index,
     "skipped-decrement": _mutant_skipped_decrement,
+    "spmd-decrement-not-reduced": _mutant_spmd_decrement,
     "biased-rng": _mutant_biased_rng,
     "recovery-skips-sample": _mutant_recovery_skip,
     "wrong-stream-replay": _mutant_wrong_stream,

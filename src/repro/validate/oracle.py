@@ -48,11 +48,10 @@ from ..sampling import (
     BatchedRRRSampler,
     CompressedRRRCollection,
     HypergraphRRRCollection,
-    RRRSampler,
     SortedRRRCollection,
     sample_batch,
 )
-from .engine import check_engine_sampling
+from .engine import check_engine_sampling, serial_sample_batch
 from .invariants import check_collection
 from .recovery import (
     check_community_driver,
@@ -71,6 +70,7 @@ __all__ = [
     "quick_config",
     "full_config",
     "check_graph_equivalence",
+    "check_dist_equivalence",
     "check_compressed_layout",
     "check_selection_meters",
     "run_oracle",
@@ -212,10 +212,7 @@ def _check_sampling_equivalence(
     rep = ValidationReport()
     # Reference: the serial engine, sample by sample, sorted layout.
     ref_coll = SortedRRRCollection(graph.n)
-    ref_batch = sample_batch(
-        graph, model, ref_coll, theta, cfg.seed,
-        sampler=RRRSampler(graph, model), engine="serial",
-    )
+    ref_batch = serial_sample_batch(graph, model, ref_coll, theta, cfg.seed)
     rep.merge(check_collection(ref_coll, f"{subject} engine=serial"))
     ref_flat, ref_indptr, _ = ref_coll.flattened()
 
@@ -223,9 +220,7 @@ def _check_sampling_equivalence(
         sub = f"{subject} cohort={cohort}"
         coll = SortedRRRCollection(graph.n)
         sampler = BatchedRRRSampler(graph, model, max_cohort=max(1, cohort))
-        batch = sample_batch(
-            graph, model, coll, theta, cfg.seed, sampler=sampler, engine="batched"
-        )
+        batch = sample_batch(graph, model, coll, theta, cfg.seed, sampler=sampler)
         rep.merge(check_collection(coll, sub))
         flat, indptr, _ = coll.flattened()
         rep.check(
@@ -248,7 +243,7 @@ def _check_sampling_equivalence(
     # Hypergraph layout fed by both engines: same samples, and the
     # layout-specific selector must pick the same seeds.
     hyper = HypergraphRRRCollection(graph.n)
-    sample_batch(graph, model, hyper, theta, cfg.seed, engine="batched")
+    sample_batch(graph, model, hyper, theta, cfg.seed)
     rep.merge(check_collection(hyper, f"{subject} layout=hypergraph"))
     same_lists = len(hyper) == len(ref_coll) and all(
         np.array_equal(a, b) for a, b in zip(hyper, ref_coll)
@@ -269,6 +264,45 @@ def _check_sampling_equivalence(
         _seed_mismatch(sel_sorted.seeds, sel_hyper.seeds),
     )
     return rep, ref_coll
+
+
+def check_dist_equivalence(
+    graph, model: str, ref, cfg: OracleConfig, subject: str
+) -> ValidationReport:
+    """``imm_dist`` (per-sample streams) must reproduce the serial ``ref``."""
+    rep = ValidationReport()
+    for ranks in cfg.rank_counts:
+        dist = imm_dist(
+            graph, cfg.k, cfg.eps, model, num_nodes=ranks, machine=PUMA,
+            seed=cfg.seed, rng_scheme="per-sample", theta_cap=cfg.theta_cap,
+        )
+        sub = f"{subject} imm_dist[nodes={ranks}]"
+        rep.check(
+            bool(np.array_equal(ref.seeds, dist.seeds)) and ref.theta == dist.theta,
+            "oracle.seed-set",
+            sub,
+            _seed_mismatch(ref.seeds, dist.seeds)
+            + f"; theta {ref.theta} vs {dist.theta}",
+        )
+        rep.check(
+            dist.extra.get("coverage_history") == ref.extra["coverage_history"],
+            "oracle.coverage-history",
+            sub,
+            f"per-round (theta_x, frac) diverges: "
+            f"{dist.extra.get('coverage_history')} vs "
+            f"{ref.extra['coverage_history']}",
+        )
+        rep.check(
+            dist.counters.edges_examined == ref.counters.edges_examined
+            and dist.counters.samples_generated == ref.counters.samples_generated,
+            "meters.driver-conservation",
+            sub,
+            f"rank meters do not sum to the serial ledger: edges "
+            f"{dist.counters.edges_examined} vs {ref.counters.edges_examined}, "
+            f"samples {dist.counters.samples_generated} vs "
+            f"{ref.counters.samples_generated}",
+        )
+    return rep
 
 
 def check_graph_equivalence(
@@ -314,37 +348,7 @@ def check_graph_equivalence(
         )
 
     # -- distributed driver, per-sample scheme ---------------------------
-    for ranks in cfg.rank_counts:
-        dist = imm_dist(
-            graph, k, eps, model, num_nodes=ranks, machine=PUMA,
-            seed=seed, rng_scheme="per-sample", theta_cap=cap,
-        )
-        sub = f"{subject} imm_dist[nodes={ranks}]"
-        rep.check(
-            bool(np.array_equal(ref.seeds, dist.seeds)) and ref.theta == dist.theta,
-            "oracle.seed-set",
-            sub,
-            _seed_mismatch(ref.seeds, dist.seeds)
-            + f"; theta {ref.theta} vs {dist.theta}",
-        )
-        rep.check(
-            dist.extra.get("coverage_history") == ref.extra["coverage_history"],
-            "oracle.coverage-history",
-            sub,
-            f"per-round (theta_x, frac) diverges: "
-            f"{dist.extra.get('coverage_history')} vs "
-            f"{ref.extra['coverage_history']}",
-        )
-        rep.check(
-            dist.counters.edges_examined == ref.counters.edges_examined
-            and dist.counters.samples_generated == ref.counters.samples_generated,
-            "meters.driver-conservation",
-            sub,
-            f"rank meters do not sum to the serial ledger: edges "
-            f"{dist.counters.edges_examined} vs {ref.counters.edges_examined}, "
-            f"samples {dist.counters.samples_generated} vs "
-            f"{ref.counters.samples_generated}",
-        )
+    rep.merge(check_dist_equivalence(graph, model, ref, cfg, subject))
 
     # -- distributed driver, leap-frog scheme ----------------------------
     if cfg.check_leapfrog:
@@ -531,9 +535,9 @@ def check_compressed_layout(
 
     # -- batched landing, invariants, and layout-selection parity ----------
     ref_coll = SortedRRRCollection(graph.n)
-    sample_batch(graph, model, ref_coll, ref.theta, cfg.seed, engine="batched")
+    sample_batch(graph, model, ref_coll, ref.theta, cfg.seed)
     comp_coll = CompressedRRRCollection(graph.n)
-    sample_batch(graph, model, comp_coll, ref.theta, cfg.seed, engine="batched")
+    sample_batch(graph, model, comp_coll, ref.theta, cfg.seed)
     rep.merge(check_collection(comp_coll, f"{subject} layout=compressed"))
     same_lists = len(comp_coll) == len(ref_coll) and all(
         np.array_equal(a, b) for a, b in zip(comp_coll, ref_coll)

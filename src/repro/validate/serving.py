@@ -45,12 +45,7 @@ import numpy as np
 
 from ..graph import CSRGraph
 from ..imm import imm
-from ..sampling import (
-    BlockCheckpointSink,
-    RRRSampler,
-    SortedRRRCollection,
-    sample_batch,
-)
+from ..sampling import BlockCheckpointSink, SortedRRRCollection, sample_batch
 from ..serving import (
     COMPRESSED_ENCODING_VERSION,
     FrozenRRRIndex,
@@ -61,6 +56,7 @@ from ..serving import (
     freeze_index,
     graph_fingerprint,
 )
+from .engine import serial_sample_batch
 from .report import ValidationReport
 
 __all__ = [
@@ -104,10 +100,7 @@ def check_index_bitwise(index, graph, model: str, subject: str) -> ValidationRep
     """
     rep = ValidationReport()
     ref = SortedRRRCollection(graph.n)
-    sample_batch(
-        graph, model, ref, index.num_samples, index.seed,
-        sampler=RRRSampler(graph, model), engine="serial",
-    )
+    serial_sample_batch(graph, model, ref, index.num_samples, index.seed)
     ref_flat, ref_indptr, _ = ref.flattened()
     flat, indptr, _ = index.arrays()
     rep.check(
@@ -450,10 +443,7 @@ def check_compressed_serving(
         # -- re-open after extension: seal holds, still bit-identical ----
         cidx = FrozenRRRIndex.open(cdir, graph=graph)
         ref = SortedRRRCollection(graph.n)
-        sample_batch(
-            graph, model, ref, cidx.num_samples, seed,
-            sampler=RRRSampler(graph, model), engine="serial",
-        )
+        serial_sample_batch(graph, model, ref, cidx.num_samples, seed)
         ref_flat, _, _ = ref.flattened()
         rep.check(
             bool(np.array_equal(np.asarray(cidx.arrays()[0]), ref_flat)),

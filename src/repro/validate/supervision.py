@@ -43,20 +43,12 @@ from pathlib import Path
 import numpy as np
 
 from ..imm import imm
-from ..sampling import RRRSampler, SortedRRRCollection, sample_batch
+from ..sampling import SortedRRRCollection
 from ..sampling.supervisor import DeadlineExceededError, SupervisedSamplingEngine
+from .engine import serial_sample_batch
 from .report import ValidationReport
 
 __all__ = ["check_supervised_sampling", "check_supervised_equivalence"]
-
-
-def _serial_reference(graph, model: str, theta: int, seed: int):
-    coll = SortedRRRCollection(graph.n)
-    batch = sample_batch(
-        graph, model, coll, theta, seed,
-        sampler=RRRSampler(graph, model), engine="serial",
-    )
-    return coll, batch
 
 
 def _bitwise_equal(coll, ref) -> bool:
@@ -79,7 +71,8 @@ def check_supervised_sampling(
     mutants.
     """
     rep = ValidationReport()
-    ref, ref_batch = _serial_reference(graph, model, theta, seed)
+    ref = SortedRRRCollection(graph.n)
+    ref_batch = serial_sample_batch(graph, model, ref, theta, seed)
     coll = SortedRRRCollection(graph.n)
     per_sample = engine.sample_into(coll, np.arange(theta, dtype=np.int64), seed)
     rep.check(
@@ -172,7 +165,8 @@ def check_supervised_equivalence(
         )
 
     # -- deadline: expiry raises, never silently reports full θ ----------
-    ref, _ = _serial_reference(graph, model, theta, seed)
+    ref = SortedRRRCollection(graph.n)
+    serial_sample_batch(graph, model, ref, theta, seed)
     eng = engine(deadline=1e-4)
     try:
         coll = SortedRRRCollection(graph.n)

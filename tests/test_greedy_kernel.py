@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.imm.select import FlatView, _metered, greedy_cover, select_seeds, vertex_index
+from repro.imm.select import FlatView, _metered, drive, greedy_cover, select_seeds, vertex_index
 from repro.sampling import (
     CompressedRRRCollection,
     HypergraphRRRCollection,
@@ -139,7 +139,7 @@ def test_kernel_matches_naive_greedy_on_every_view(inst):
         n, flat, indptr, sample_of,
         num_samples=prefix, by_vertex=vertex_index(flat, n),
     )
-    seeds, state = greedy_cover(view, k, forced=forced, excluded=excluded)
+    seeds, state = drive(greedy_cover(view, k, forced=forced, excluded=excluded))
     sel = _metered(view, seeds, state, ranks)
     assert observed(seeds.tolist(), state.covered, sel) == naive_greedy(
         sets[:prefix], n, k, ranks, forced=forced, excluded=excluded

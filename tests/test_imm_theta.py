@@ -4,8 +4,18 @@ import math
 
 import pytest
 
-from repro.imm import ThetaEstimate, estimate_theta, lambda_prime, lambda_star, logcnk
-from repro.sampling import HypergraphRRRCollection, SortedRRRCollection
+from repro.imm import (
+    ThetaEstimate,
+    estimate_theta,
+    imm,
+    imm_sweep,
+    lambda_prime,
+    lambda_star,
+    logcnk,
+)
+from repro.mpi import imm_dist
+from repro.parallel import imm_mt
+from repro.sampling import BatchedRRRSampler, HypergraphRRRCollection, SortedRRRCollection
 
 
 class TestLogCnk:
@@ -125,3 +135,26 @@ class TestEstimateTheta:
 
         with pytest.raises(ValueError):
             estimate_theta(path_graph(1), 1, 0.5)
+
+
+DRIVERS = {
+    "imm": lambda g, cap: imm(g, 5, 0.5, theta_cap=cap),
+    "imm_mt": lambda g, cap: imm_mt(g, 5, 0.5, theta_cap=cap),
+    "imm_sweep": lambda g, cap: imm_sweep(g, [5], 0.5, theta_cap=cap),
+    "imm_dist": lambda g, cap: imm_dist(g, 5, 0.5, theta_cap=cap),
+    "estimate_theta": lambda g, cap: estimate_theta(g, 5, 0.5, theta_cap=cap),
+}
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+@pytest.mark.parametrize("driver", list(DRIVERS))
+def test_theta_cap_below_one_rejected(ba_graph, monkeypatch, driver, cap):
+    """A θ cap below one sample is rejected by the check every driver
+    shares, before any sample is drawn."""
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before theta_cap was checked")
+
+    monkeypatch.setattr(BatchedRRRSampler, "sample_into", no_sampling)
+    with pytest.raises(ValueError, match=f"theta_cap must be at least 1, got {cap}"):
+        DRIVERS[driver](ba_graph, cap)

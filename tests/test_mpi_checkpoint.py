@@ -163,19 +163,28 @@ class TestImmDistCheckpointing:
             base.extra["coverage_history"] == resumed.extra["coverage_history"]
         )
 
-    def test_resume_from_estimate_checkpoint_is_bitexact(self, ba_graph):
+    @pytest.mark.parametrize("round_", [1, 2, 3])
+    def test_resume_from_estimate_checkpoint_is_bitexact(self, ba_graph, round_):
+        """Every estimate-stage checkpoint resumes to the uninterrupted
+        run: the recorded rounds' fractions are fed back into the same
+        search, which goes on from the checkpointed round."""
         sink = []
         base = imm_dist(
-            ba_graph, k=4, eps=0.5, num_nodes=2, seed=3, theta_cap=120,
-            checkpoint_sink=sink,
+            ba_graph, k=4, eps=0.5, num_nodes=2, seed=3, checkpoint_sink=sink
         )
-        mid = next(c for c in sink if c["stage"] == "estimate")
+        estimates = [c for c in sink if c["stage"] == "estimate"]
+        assert [c["round"] for c in estimates] == [1, 2, 3]
+        trail = []
         resumed = imm_dist(
-            ba_graph, k=4, eps=0.5, num_nodes=2, seed=3, theta_cap=120,
-            resume_from=mid,
+            ba_graph, k=4, eps=0.5, num_nodes=2, seed=3,
+            resume_from=estimates[round_ - 1], checkpoint_sink=trail,
         )
         np.testing.assert_array_equal(base.seeds, resumed.seeds)
-        assert base.theta == resumed.theta
+        assert (base.theta, base.lb, base.coverage) == (
+            resumed.theta, resumed.lb, resumed.coverage
+        )
+        assert base.extra["coverage_history"] == resumed.extra["coverage_history"]
+        assert trail == sink[round_:]  # every later checkpoint, rewritten as is
 
     def test_incompatible_resume_rejected(self, ba_graph):
         sink = []

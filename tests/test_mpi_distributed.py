@@ -1,8 +1,14 @@
 """Tests for the distributed IMM (repro.mpi.distributed)."""
 
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from repro.datasets import load
+from repro.graph import from_edge_list
 from repro.imm import imm
 from repro.mpi import SimulatedOOMError, imm_dist
 from repro.mpi.costmodel import allreduce_seconds, collective_seconds
@@ -79,8 +85,8 @@ class TestIMMDist:
             assert len(dist.extra["coverage_history"]) == dist.extra["estimation_rounds"]
 
     def test_eps_beyond_guarantee_rejected(self, ba_graph):
-        """imm_dist replicates Algorithm 2 without calling estimate_theta,
-        so it must apply the same eps validation itself."""
+        """imm_dist drives Algorithm 2 without calling estimate_theta, so
+        it must apply the same eps validation itself."""
         with pytest.raises(ValueError, match="1 - 1/e"):
             imm_dist(ba_graph, k=5, eps=0.7, num_nodes=2)
 
@@ -124,6 +130,14 @@ class TestIMMDist:
             imm_dist(ba_graph, k=5, eps=0.5, num_nodes=2, rng_scheme="magic")
         with pytest.raises(ValueError):
             imm_dist(ba_graph, k=5, eps=0.5, num_nodes=2, threads_per_node=999)
+        # The instance checks imm() applies, before any rank starts.
+        with pytest.raises(ValueError, match="need 1 <= k <= n"):
+            imm_dist(ba_graph, k=0, eps=0.5, num_nodes=2)
+        with pytest.raises(ValueError, match="need 1 <= k <= n"):
+            imm_dist(ba_graph, k=ba_graph.n + 1, eps=0.5, num_nodes=2)
+        single = from_edge_list(1, [])
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            imm_dist(single, k=1, eps=0.5, num_nodes=2)
 
     def test_ranks_reported_as_total_threads(self, ba_graph):
         dist = imm_dist(
@@ -131,3 +145,50 @@ class TestIMMDist:
         )
         assert dist.ranks == 4 * EDISON.threads_per_node
         assert dist.extra["machine"] == "Edison"
+
+
+def _fingerprint(res, sink) -> str:
+    """sha256 of what the SPMD path reports: seeds, per-round coverage,
+    work ledger, collective traffic and the checkpoint trail."""
+    blob = json.dumps(
+        {
+            "seeds": res.seeds.tolist(),
+            "coverage_history": res.extra["coverage_history"],
+            "counters": dataclasses.asdict(res.counters),
+            "comm_calls": res.extra["comm_calls"],
+            "comm_bytes": res.extra["comm_bytes"],
+            "comm_by_label": res.extra["comm_by_label"],
+            "checkpoint_sink": sink,
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+#: cit-HepTh (IC, k=8, eps=0.5, seed 1, θ cap 600) fingerprints of the
+#: SPMD path: a change to the greedy kernel, the θ search or the
+#: All-Reduce adapter must leave every one of them unchanged.
+PINNED = {
+    ("per-sample", 1, None): "89da923b331c9a2993b24bf8abea787b112da04b01a47b4853320ee303cef90f",
+    ("per-sample", 3, None): "098f8e22551718a57cf52b974d2501ccdde5fd33711080b1a0128bae00537c92",
+    ("per-sample", 5, None): "cc49aaffb03298f9ae1fca75e0f2cc2e1a1a8175dafcef38cfd0775faf6e07b5",
+    ("leapfrog", 1, None): "070e2e5e574bfe045076b925bd0c26c4de66bf2efd754b28d8ecc8ef8ac154d8",
+    ("leapfrog", 3, None): "9d167838c6b2f0a1bdf47fa786fbb1464e051766d14b32af3848c7ecd83bd879",
+    ("leapfrog", 5, None): "c8158df1af85973d4469317c27302b83eb0773fc5fa5c882d2e539097c4ad361",
+    ("per-sample", 4, "crash:2@phase=SelectSeeds"): (
+        "e8b2838b30b173e42ed260b1b436dd21f74af9482ba69dc39b5ccd6db545f7c8"
+    ),
+}
+
+
+@pytest.mark.parametrize("scheme, nodes, plan", list(PINNED))
+def test_spmd_path_pinned(scheme, nodes, plan):
+    graph = load("cit-HepTh", "IC")
+    sink = []
+    faults = {"fault_plan": plan, "policy": "shrink"} if plan else {}
+    res = imm_dist(
+        graph, k=8, eps=0.5, num_nodes=nodes, seed=1, theta_cap=600,
+        rng_scheme=scheme, checkpoint_sink=sink, **faults,
+    )
+    assert res.extra["degraded"] == (plan is not None)
+    assert _fingerprint(res, sink) == PINNED[(scheme, nodes, plan)]

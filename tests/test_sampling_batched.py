@@ -22,6 +22,7 @@ from repro.sampling import (
     in_edge_cumweights,
     sample_batch,
 )
+from repro.validate.engine import serial_sample_batch
 
 #: Samples drawn per (graph, mode) — enough to exercise multi-cohort
 #: chunking at every cohort size below.
@@ -103,13 +104,13 @@ def test_sampler_reuse_across_calls(serial_refs, model, edge_flip):
 
 @pytest.mark.parametrize("model", ["IC", "LT"])
 def test_engine_equality_sample_batch(model):
-    """sample_batch's two engines build bit-identical collections and
-    report identical work meters."""
+    """sample_batch and the per-sample reference loop build bit-identical
+    collections and report identical work meters."""
     graph = _graph_for("cit-HepTh", model)
     a = SortedRRRCollection(graph.n)
     b = SortedRRRCollection(graph.n)
-    ba = sample_batch(graph, model, a, 60, SEED, engine="batched")
-    bs = sample_batch(graph, model, b, 60, SEED, engine="serial")
+    ba = sample_batch(graph, model, a, 60, SEED)
+    bs = serial_sample_batch(graph, model, b, 60, SEED)
     assert ba.edges_examined == bs.edges_examined
     np.testing.assert_array_equal(ba.per_sample_edges, bs.per_sample_edges)
     fa, ia, sa = a.flattened()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.sampling import RRRSampler, SortedRRRCollection, sample_batch
+from repro.sampling import BatchedRRRSampler, RRRSampler, SortedRRRCollection, sample_batch
+from repro.validate.engine import serial_sample_batch
 
 
 class TestSampleBatch:
@@ -68,10 +69,27 @@ class TestSampleBatch:
             sample_batch(ba_graph, "IC", SortedRRRCollection(ba_graph.n), -1, seed=0)
 
     def test_reusable_sampler(self, ba_graph):
+        """A shared sampler's scratch carries no state between samples, in
+        the batched engine and in the per-sample reference loop."""
         coll1 = SortedRRRCollection(ba_graph.n)
         coll2 = SortedRRRCollection(ba_graph.n)
-        shared = RRRSampler(ba_graph, "IC")
+        ref = SortedRRRCollection(ba_graph.n)
+        shared = BatchedRRRSampler(ba_graph, "IC")
+        sample_batch(ba_graph, "IC", coll1, 6, seed=5, sampler=shared)
         sample_batch(ba_graph, "IC", coll1, 12, seed=5, sampler=shared)
         sample_batch(ba_graph, "IC", coll2, 12, seed=5)
-        for a, b in zip(coll1, coll2):
+        serial = RRRSampler(ba_graph, "IC")
+        serial_sample_batch(ba_graph, "IC", ref, 6, 5, sampler=serial)
+        serial_sample_batch(ba_graph, "IC", ref, 12, 5, sampler=serial)
+        assert len(coll1) == len(coll2) == len(ref) == 12
+        for a, b, c in zip(coll1, coll2, ref):
             np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, c)
+
+    def test_per_sample_sampler_rejected(self, ba_graph):
+        """The per-sample RRRSampler has no batch method; passing it is a
+        type error, not a silent switch of engines."""
+        coll = SortedRRRCollection(ba_graph.n)
+        with pytest.raises(TypeError, match="RRRSampler has no sample_into"):
+            sample_batch(ba_graph, "IC", coll, 5, seed=0, sampler=RRRSampler(ba_graph, "IC"))
+        assert len(coll) == 0

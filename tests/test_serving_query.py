@@ -13,7 +13,7 @@ import pytest
 
 from repro.graph import CSRGraph
 from repro.imm import imm
-from repro.imm.select import greedy_cover, select_seeds
+from repro.imm.select import drive, greedy_cover, select_seeds
 from repro.serving import (
     FrozenIndexError,
     FrozenRRRIndex,
@@ -50,7 +50,7 @@ class TestCelfParity:
             eng = InfluenceQueryEngine(index, graph=ba_graph)
             for m in (1, 3, 17, CAP // 2, index.num_samples):
                 for k in (1, 2, K):
-                    seeds, state = greedy_cover(eng._prefix(m), k)
+                    seeds, state = drive(greedy_cover(eng._prefix(m), k))
                     want = select_seeds(
                         index.collection_view(m), ba_graph.n, k
                     )
@@ -62,7 +62,7 @@ class TestCelfParity:
         with FrozenRRRIndex.open(out, graph=ba_graph) as index:
             eng = InfluenceQueryEngine(index, graph=ba_graph)
             view = eng._prefix(index.num_samples)
-            seeds, _ = greedy_cover(view, K, forced=(42, 7))
+            seeds, _ = drive(greedy_cover(view, K, forced=(42, 7)))
             assert seeds[:2].tolist() == [42, 7]
             assert len(np.unique(seeds)) == K
 
@@ -71,9 +71,9 @@ class TestCelfParity:
         with FrozenRRRIndex.open(out, graph=ba_graph) as index:
             eng = InfluenceQueryEngine(index, graph=ba_graph)
             m = index.num_samples
-            free, _ = greedy_cover(eng._prefix(m), K)
+            free, _ = drive(greedy_cover(eng._prefix(m), K))
             banned = tuple(int(v) for v in free[:2])
-            seeds, _ = greedy_cover(eng._prefix(m), K, excluded=banned)
+            seeds, _ = drive(greedy_cover(eng._prefix(m), K, excluded=banned))
             assert not set(banned) & set(seeds.tolist())
 
     def test_constraint_errors(self, ba_graph, frozen):
@@ -82,11 +82,11 @@ class TestCelfParity:
             eng = InfluenceQueryEngine(index, graph=ba_graph)
             view = eng._prefix(index.num_samples)
             with pytest.raises(ValueError, match="exceed k"):
-                greedy_cover(view, 2, forced=(1, 2, 3))
+                drive(greedy_cover(view, 2, forced=(1, 2, 3)))
             with pytest.raises(ValueError, match="out of range"):
                 eng.what_if(2, forced=(ba_graph.n,))
             with pytest.raises(ValueError, match="both forced and excluded"):
-                greedy_cover(view, 2, forced=(1,), excluded=(1,))
+                drive(greedy_cover(view, 2, forced=(1,), excluded=(1,)))
 
 
 class TestTopK:

@@ -20,6 +20,7 @@ EXPECTED_MUTANTS = {
     "byte-model-drift",
     "inverted-index-drop",
     "skipped-decrement",
+    "spmd-decrement-not-reduced",
     "biased-rng",
     "recovery-skips-sample",
     "wrong-stream-replay",
