@@ -406,7 +406,14 @@ class BatchedRRRSampler:
                 new_keys = np.flatnonzero(mark_live == stamp).astype(kd, copy=False)
             else:
                 # Sparse tail levels: a small sort beats an O(B·n) scan.
-                new_keys = np.unique(cand_keys)
+                # In place plus an adjacent-difference mask: the same
+                # ascending unique keys as ``np.unique``, whose hash-table
+                # path costs over ten times more at a few thousand keys.
+                cand_keys.sort()
+                first = np.empty(len(cand_keys), dtype=bool)
+                first[0] = True
+                np.not_equal(cand_keys[1:], cand_keys[:-1], out=first[1:])
+                new_keys = cand_keys[first]
                 mark_live[new_keys] = cohort_floor
             visited_keys.append(new_keys)
             f_sample, f_vertex = np.divmod(new_keys, kd(n))

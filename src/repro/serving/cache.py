@@ -1,4 +1,4 @@
-"""LRU of open frozen indices, keyed by ``(graph, model, eps, theta_cap)``.
+"""LRU of open frozen indices, keyed by each index's full identity.
 
 A serving process answers queries for many instances; each open index
 costs mapped address space plus the derived ``indptr`` / ``sample_of`` /
@@ -9,10 +9,12 @@ next request).
 
 Keys are the *identity* of the frozen instance — the graph fingerprint
 (falling back to the resolved path for indices frozen without a graph),
-the diffusion model, the manifest ``eps``, and the ``theta_cap`` — read
-fresh from the tiny manifest JSON on every request, so a ``tighten``
-that amends the manifest in place re-keys the entry instead of leaving
-a stale alias.
+the diffusion model, the sample-stream ``seed``, and the manifest ``k``,
+``eps``, ``l`` and ``theta_cap``, every fact a served answer depends on —
+read fresh from the tiny manifest JSON on every request, so a
+``tighten`` that amends the manifest in place re-keys the entry instead
+of leaving a stale alias, and a republish under another seed retires the
+old engine (and the greedy answers it remembers).
 
 **Concurrency contract** (what the async front end leans on):
 
@@ -84,15 +86,18 @@ class IndexCache:
 
     @staticmethod
     def _manifest_key(manifest: dict, path: Path) -> tuple:
-        # theta_cap is part of the identity: a capped and an uncapped
-        # freeze of the same (graph, model, eps) answer tighter-eps
-        # queries differently (the cap is replay-sticky), so they must
-        # never alias one cache entry.
+        # Every fact a served answer depends on: the seed picks the
+        # sample streams, and k, eps, l and the (replay-sticky) theta_cap
+        # pick the default query and its replay, so two indices that
+        # differ in any of them must never alias one cache entry.
         identity = manifest.get("graph_fingerprint") or str(path)
         return (
             identity,
             manifest.get("model"),
+            manifest.get("seed"),
+            manifest.get("k"),
             manifest.get("eps"),
+            manifest.get("l"),
             manifest.get("theta_cap"),
         )
 

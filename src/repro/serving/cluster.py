@@ -9,8 +9,8 @@ frozen index) and adds the cluster contracts:
 
 **Consistent-hash routing.**  Each query is routed by rendezvous
 (highest-random-weight) hashing of the index *identity* — the same
-``(graph_fingerprint, model, eps, theta_cap)`` key the cache uses — over
-the replica set, with a deterministic ``blake2b`` score (never Python's
+``(graph_fingerprint, model, seed, k, eps, l, theta_cap)`` key the cache
+uses — over the replica set, with a deterministic ``blake2b`` score (never Python's
 salted ``hash``).  The same identity always lands on the same primary
 replica across routers and processes, and the rest of the rendezvous
 order *is* the failover order.

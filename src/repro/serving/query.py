@@ -31,11 +31,21 @@ answers — runs :func:`~repro.imm.select.greedy_cover`, the kernel
 behind ``select_seeds``, over a :class:`~repro.imm.select.FlatView`
 that cuts the prefix from one cached vertex→entries index;
 ``marginal_gain`` reuses the kernel's cover step.
+
+**Sealed prefixes answer from memory.**  A sealed prefix never changes:
+extension only appends past it, ``amend`` edits facts, not samples, and
+a republish retires the engine.  So each engine remembers its
+unconstrained greedy answers per ``(prefix length, k)`` — the replay
+rounds, the final pick and ``degraded`` — and a repeated ``top_k`` costs
+the θ-search arithmetic plus one lookup per round.  ``what_if`` and
+``marginal_gain`` are computed every time.
 """
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,6 +64,11 @@ __all__ = [
     "MarginalGains",
     "freeze_index",
 ]
+
+#: Greedy answers each engine keeps, least recently used out first.  An
+#: entry holds ``k`` seed ids, and a ``top_k`` pair needs one per replay
+#: round plus the final pick.
+_MEMO_ENTRIES = 128
 
 
 @dataclass
@@ -246,6 +261,9 @@ class InfluenceQueryEngine:
         # and a single tuple assignment is atomic where a pair of
         # attribute writes can be observed half-built.
         self._vert_cache: tuple[np.ndarray, np.ndarray] | None = None
+        # (prefix length, k) -> (seeds, covered) of unconstrained greedy.
+        self._memo: OrderedDict[tuple[int, int], tuple[np.ndarray, int]] = OrderedDict()
+        self._memo_lock = threading.Lock()
         #: cumulative edges examined by serving-time extensions.
         self.edges_examined = 0
         # Test hook for the tighten-reuses-wrong-stream-offset mutant:
@@ -259,16 +277,30 @@ class InfluenceQueryEngine:
         cached vertex index over the whole mapped index."""
         flat, indptr, sample_of = self.index.arrays()
         cache = self._vert_cache
-        if cache is None:
+        # Rebuilt when it covers fewer entries than the mapping: a reader
+        # that raced an extension may store an index of the old one.
+        if cache is None or len(cache[0]) < len(flat):
             cache = self._vert_cache = vertex_index(np.asarray(flat), self.index.n)
         return FlatView(
             self.index.n, flat, indptr, sample_of,
             num_samples=num_samples, by_vertex=cache,
         )
 
-    def _select(self, num_samples: int, k: int, **constraints) -> tuple[np.ndarray, int]:
-        """(seeds, covered samples) of greedy over a sample prefix."""
-        seeds, state = drive(greedy_cover(self._prefix(num_samples), k, **constraints))
+    def _select(self, num_samples: int, k: int) -> tuple[np.ndarray, int]:
+        """(seeds, covered samples) of unconstrained greedy over a sample
+        prefix, remembered per (clamped prefix length, k)."""
+        view = self._prefix(num_samples)
+        key = (view.num_samples, k)
+        with self._memo_lock:
+            hit = self._memo.get(key)
+            if hit is not None:
+                self._memo.move_to_end(key)
+                return hit[0].copy(), hit[1]
+        seeds, state = drive(greedy_cover(view, k))
+        with self._memo_lock:
+            self._memo[key] = (seeds.copy(), state.covered)
+            if len(self._memo) > _MEMO_ENTRIES:
+                self._memo.popitem(last=False)
         return seeds, state.covered
 
     # -- sampling-on-demand ------------------------------------------------
@@ -306,7 +338,6 @@ class InfluenceQueryEngine:
         idx.extend(
             flat.astype(np.int32), np.diff(indptr), per_sample, start=start
         )
-        self._vert_cache = None
         edges = int(per_sample.sum())
         self.edges_examined += edges
         return target - start, edges
@@ -416,11 +447,11 @@ class InfluenceQueryEngine:
         n = self.index.n
         k = int(mf["k"]) if k is None else int(k)
         m = self.index.num_samples
-        seeds, covered = self._select(
-            m, k,
+        seeds, state = drive(greedy_cover(
+            self._prefix(m), k,
             forced=_validate_vertex_ids(forced, n, "forced"),
             excluded=_validate_vertex_ids(excluded, n, "excluded"),
-        )
+        ))
         return ServingResult(
             seeds=seeds,
             k=k,
@@ -428,7 +459,7 @@ class InfluenceQueryEngine:
             model=self.index.model,
             theta=int(mf["theta"]),
             num_samples_used=m,
-            coverage=covered / max(m, 1),
+            coverage=state.covered / max(m, 1),
             lb=float(mf["lb"]) if mf.get("lb") is not None else 1.0,
             estimation_rounds=int(mf.get("estimation_rounds") or 0),
             coverage_history=[],

@@ -29,6 +29,11 @@ wrong, never an unbounded pileup.  Axes:
 * **republish-redispatch** — a mid-flight ``stale:@Q`` republish is
   absorbed by hot re-open + at-most-once re-dispatch, and the answer
   is still bit-identical.
+* **republish-fresh** — after a warm ``top_k``, another seed frozen
+  over the same path at the same cap (so every replay prefix length
+  repeats) is served as a fresh ``imm()`` at that seed: neither the
+  cache nor a remembered greedy answer may outlive the republish (the
+  detector the ``memo-survives-republish`` mutant must trip).
 * **quiesce** — after ``close()`` the cache holds zero engines and new
   queries are refused with a typed rejection.
 """
@@ -262,6 +267,29 @@ async def _run_axes(
         f"misses={fe.cache.misses}, degraded={r0.degraded}",
     )
     await fe.close()
+
+    # -- republish-fresh: a re-frozen index is served, not remembered ----
+    repub = path.parent / "republish"
+    shutil.copytree(path, repub)
+    fe = _frontend(fe_kwargs, concurrency=2)
+    warm = await fe.top_k(repub)
+    seed2 = seed + 1
+    freeze_index(graph, k, eps, model, seed2, theta_cap=cap, out_dir=repub)[0].close()
+    fresh_new = imm(graph, k, eps, model, seed=seed2, layout="sorted", theta_cap=cap)
+    served = await fe.top_k(repub)
+    await fe.close()
+    rep.check(
+        bool(np.array_equal(warm.seeds, fresh.seeds))
+        and bool(np.array_equal(served.seeds, fresh_new.seeds))
+        and served.theta == fresh_new.theta
+        and served.coverage_history == fresh_new.extra["coverage_history"],
+        "frontend.republish-fresh",
+        subject,
+        f"after re-freezing seed {seed2} over a warm seed-{seed} index the "
+        f"front end must serve a fresh imm(seed={seed2}): got "
+        f"{np.asarray(served.seeds).tolist()} (theta {served.theta}), want "
+        f"{fresh_new.seeds.tolist()} (theta {fresh_new.theta})",
+    )
 
     # -- quiesce: closed front end leaks nothing, refuses typed ----------
     try:

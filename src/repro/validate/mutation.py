@@ -37,6 +37,7 @@ rank perm not inverted      ``collection.compressed-decode`` invariant
 counting skips cont. byte   ``collection.compressed-counters`` invariant
 stale served as fresh       ``cluster.unavailable-honesty``
 failover hedges a write     ``cluster.single-writer``
+memo survives republish     ``frontend.republish-fresh``
 ==========================  ==========================================
 
 The corruption is applied *behind* the append-time validation (directly
@@ -726,8 +727,9 @@ def _mutant_compressed_continuation(seed: int) -> MutantResult:
     )
 
 
-def _frontend_mutant(seed: int, hook: str, check_name: str):
-    """Run the front-end oracle axis with one deliberate-bug flag set."""
+def _frontend_mutant(seed: int, hook: str | None, check_name: str):
+    """Run the front-end oracle axis with one deliberate-bug flag set
+    (or none, for a mutant patched in by its caller)."""
     from ..datasets import load as load_graph
     from .frontend import check_frontend_equivalence
     from .oracle import quick_config
@@ -735,7 +737,8 @@ def _frontend_mutant(seed: int, hook: str, check_name: str):
     cfg = quick_config()
     graph = load_graph(_MUTATION_DATASET, "IC")
     report = check_frontend_equivalence(
-        graph, "IC", cfg, "mutant", _frontend_kwargs={hook: True}
+        graph, "IC", cfg, "mutant",
+        _frontend_kwargs={hook: True} if hook else None,
     )
     return _violated(report, check_name)
 
@@ -775,6 +778,42 @@ def _mutant_breaker_bypass(seed: int) -> MutantResult:
     return MutantResult(
         "breaker-open-still-extends",
         "extension bulkhead entered while the circuit breaker is open",
+        detected,
+        evidence,
+    )
+
+
+def _mutant_memo_per_path(seed: int) -> MutantResult:
+    """Greedy answers remembered per index path instead of per engine.
+
+    Every engine opened on a path shares one table, so a republish that
+    reopens the path inherits the old index's answers.  A re-freeze at
+    the same cap repeats every replay prefix length, so each lookup hits
+    and the old seed set comes back whole — plausible, untyped and fast.
+    Only ``frontend.republish-fresh``, which compares the answer after
+    the republish with a fresh ``imm()`` at the new seed, can see it.
+    """
+    from pathlib import Path
+
+    from ..serving import InfluenceQueryEngine
+
+    tables: dict = {}
+    real_init = InfluenceQueryEngine.__init__
+
+    def shared_init(self, index, *args, **kwargs):
+        real_init(self, index, *args, **kwargs)
+        self._memo = tables.setdefault(Path(index.path).resolve(), self._memo)
+
+    InfluenceQueryEngine.__init__ = shared_init
+    try:
+        detected, evidence = _frontend_mutant(
+            seed, None, "frontend.republish-fresh"
+        )
+    finally:
+        InfluenceQueryEngine.__init__ = real_init
+    return MutantResult(
+        "memo-survives-republish",
+        "greedy memo kept per index path, so a republish reuses old answers",
         detected,
         evidence,
     )
@@ -859,6 +898,7 @@ _MUTANTS = {
     "tighten-reuses-wrong-stream-offset": _mutant_tighten_offset,
     "degraded-result-reports-full-epsilon": _mutant_dishonest_degrade,
     "breaker-open-still-extends": _mutant_breaker_bypass,
+    "memo-survives-republish": _mutant_memo_per_path,
     "cluster-unavailable-served-as-fresh": _mutant_stale_as_fresh,
     "failover-double-dispatches-extension": _mutant_hedge_writes,
     "compressed-rank-permutation-not-inverted-on-decode": _mutant_compressed_identity,

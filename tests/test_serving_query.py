@@ -8,9 +8,14 @@ that parity is what makes the θ-estimation replay, and therefore every
 served answer, bit-identical to a fresh ``imm()``.
 """
 
+import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from repro.datasets import load
 from repro.graph import CSRGraph
 from repro.imm import imm
 from repro.imm.select import drive, greedy_cover, select_seeds
@@ -324,3 +329,170 @@ class TestIndexCache:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             IndexCache(capacity=0)
+
+    def test_other_seed_at_another_path_is_not_aliased(self, tmp_path):
+        # Same graph, model, eps and cap; only the seed differs.
+        graph = load("cit-HepTh", "IC")
+        p0, p1 = tmp_path / "s0", tmp_path / "s1"
+        freeze_index(graph, 10, 0.5, "IC", 0, out_dir=p0)[0].close()
+        freeze_index(graph, 10, 0.5, "IC", 1, out_dir=p1)[0].close()
+        fresh = imm(graph, 10, 0.5, "IC", seed=1)
+        cache = IndexCache(capacity=2)
+        try:
+            e0 = cache.engine(p0)
+            e1 = cache.engine(p1)
+            assert e1 is not e0
+            assert e1.index.seed == 1
+            assert np.array_equal(e1.top_k().seeds, fresh.seeds)
+        finally:
+            cache.close()
+
+    def test_refreeze_over_leased_path_serves_new_seed(self, tmp_path):
+        graph = load("cit-HepTh", "IC")
+        path = tmp_path / "i"
+        freeze_index(graph, 10, 0.5, "IC", 0, out_dir=path)[0].close()
+        fresh = imm(graph, 10, 0.5, "IC", seed=1)
+        cache = IndexCache(capacity=2)
+        try:
+            with cache.lease(path) as old:
+                old.top_k()
+                freeze_index(graph, 10, 0.5, "IC", 1, out_dir=path)[0].close()
+                new = cache.engine(path)
+                assert new is not old
+                assert np.array_equal(new.top_k().seeds, fresh.seeds)
+            assert old.index._flat is None  # retired, closed on release
+        finally:
+            cache.close()
+
+
+def _fields(res) -> dict:
+    """Every ServingResult field but the wall-clock ``seconds``."""
+    out = {}
+    for f in dataclasses.fields(res):
+        if f.name != "seconds":
+            value = getattr(res, f.name)
+            out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return out
+
+
+class TestGreedyMemo:
+    """Each engine remembers unconstrained greedy answers per (sealed
+    prefix length, k); a repeat must be indistinguishable from a
+    computed answer."""
+
+    def test_repeat_equals_first_and_fresh_engine(self, frozen, monkeypatch):
+        from repro.serving import query
+
+        runs = []
+        kernel = query.greedy_cover
+        monkeypatch.setattr(
+            query, "greedy_cover", lambda *a, **kw: runs.append(1) or kernel(*a, **kw)
+        )
+        out, _ = frozen
+        with FrozenRRRIndex.open(out) as index:
+            eng = InfluenceQueryEngine(index)
+            for k in (K, 2):
+                first = eng.top_k(k)
+                computed = len(runs)
+                again = eng.top_k(k)
+                assert len(runs) == computed  # no kernel run on a repeat
+                other = InfluenceQueryEngine(index).top_k(k)
+                assert _fields(again) == _fields(first) == _fields(other)
+                assert again.samples_added == again.edges_examined == 0
+            deg = eng.degraded(K, EPS, "test")
+            assert _fields(eng.degraded(K, EPS, "test")) == _fields(deg)
+
+    def test_caller_mutation_does_not_leak(self, frozen):
+        out, fres = frozen
+        with FrozenRRRIndex.open(out) as index:
+            eng = InfluenceQueryEngine(index)
+            first = eng.top_k()
+            first.seeds[:] = -1
+            assert np.array_equal(eng.top_k().seeds, fres.seeds)
+            deg = eng.degraded(K, EPS, "test")
+            want = deg.seeds.copy()
+            deg.seeds[:] = -1
+            assert np.array_equal(eng.degraded(K, EPS, "test").seeds, want)
+
+    def test_pairs_stay_fresh_across_tighten(self, ba_graph, tmp_path):
+        index, _ = freeze_index(
+            ba_graph, K, 0.6, "IC", SEED, out_dir=tmp_path / "i"
+        )
+        try:
+            eng = InfluenceQueryEngine(index, graph=ba_graph)
+            eng.top_k()
+            eng.top_k(2)
+            before = index.num_samples
+            eng.tighten(0.5)
+            assert index.num_samples > before
+            for k, eps in ((K, 0.6), (2, 0.6), (K, 0.5), (2, 0.5)):
+                fresh = imm(ba_graph, k, eps, "IC", seed=SEED)
+                res = eng.top_k(k, eps)
+                assert np.array_equal(res.seeds, fresh.seeds), (k, eps)
+                assert res.theta == fresh.theta
+                assert res.coverage_history == fresh.extra["coverage_history"]
+        finally:
+            index.close()
+
+    def test_table_is_bounded(self, frozen, monkeypatch):
+        from repro.serving import query
+
+        monkeypatch.setattr(query, "_MEMO_ENTRIES", 3)
+        out, _ = frozen
+        with FrozenRRRIndex.open(out) as index:
+            eng = InfluenceQueryEngine(index)
+            for k in range(1, 8):
+                eng.top_k(k)
+                assert len(eng._memo) <= 3
+            again = eng.top_k(1)  # evicted long ago: computed again
+            assert _fields(again) == _fields(InfluenceQueryEngine(index).top_k(1))
+
+    def test_constrained_reads_are_not_remembered(self, frozen):
+        out, _ = frozen
+        with FrozenRRRIndex.open(out) as index:
+            eng = InfluenceQueryEngine(index)
+            eng.what_if(K)
+            eng.what_if(K, forced=(11,), excluded=(1,))
+            eng.marginal_gain([5])
+            assert len(eng._memo) == 0
+
+    def test_concurrent_threads_agree(self, frozen, monkeypatch):
+        from repro.serving import query
+
+        # A bound below the working set keeps the threads evicting each
+        # other's entries; a short switch interval interleaves them.
+        monkeypatch.setattr(query, "_MEMO_ENTRIES", 3)
+        out, _ = frozen
+        ks = (1, 2, 3, K, K + 3) * 6
+        with FrozenRRRIndex.open(out) as index:
+            want = {k: _fields(InfluenceQueryEngine(index).top_k(k)) for k in set(ks)}
+            eng = InfluenceQueryEngine(index)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=6) as pool:
+                    futures = [(k, pool.submit(eng.top_k, k)) for k in ks]
+                    got = [(k, _fields(f.result(timeout=60))) for k, f in futures]
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(eng._memo) <= 3
+        assert all(res == want[k] for k, res in got)
+
+    def test_vertex_index_of_older_mapping_is_rebuilt(self, ba_graph, tmp_path):
+        # A reader that raced an extension can store the vertex index
+        # of the shorter mapping after the writer moved on; the next
+        # read must not cut its hit lists to that mapping.
+        index, _ = freeze_index(
+            ba_graph, K, 0.6, "IC", SEED, out_dir=tmp_path / "i"
+        )
+        try:
+            eng = InfluenceQueryEngine(index, graph=ba_graph)
+            eng.top_k()
+            stale = eng._vert_cache
+            eng.tighten(0.5)
+            eng._vert_cache = stale
+            got = eng.what_if(K)
+            want = InfluenceQueryEngine(index).what_if(K)
+            assert _fields(got) == _fields(want)
+        finally:
+            index.close()

@@ -36,6 +36,7 @@ EXPECTED_MUTANTS = {
     "tighten-reuses-wrong-stream-offset",
     "degraded-result-reports-full-epsilon",
     "breaker-open-still-extends",
+    "memo-survives-republish",
     "compressed-rank-permutation-not-inverted-on-decode",
     "compressed-counting-skips-continuation-byte",
     "cluster-unavailable-served-as-fresh",
