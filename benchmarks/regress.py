@@ -24,14 +24,26 @@ Runs a fixed micro-suite and writes commit-stamped numbers to
   largest registry graphs: modeled resident RRR bytes and bytes per
   sample for the flat and compressed layouts (each measured in a fresh
   subprocess so its peak RSS is honest, not inherited from earlier
-  benches), plus selection wall time off each layout on the identical
-  sample set.  Two gates: compressed resident bytes must stay at or
-  under ``MEMORY_RATIO_GATE`` (0.6×) of flat, and compressed selection
-  must finish within ``SELECTION_RATIO_GATE`` (1.5×) of the flat
-  kernel.  Both are record-only on workloads whose flat layout is
-  smaller than ``MEMORY_GATE_FLOOR_BYTES`` — ratios over a few hundred
-  kilobytes of fixed per-layout overhead measure the overhead, not the
-  coding.
+  benches, and sampled after one ``select_seeds``, where a solve
+  peaks), the bytes of every buffer the collection holds (at full
+  allocation, growth slack included) next to that model, plus
+  selection wall time off each layout on the identical sample set.
+  Three gates: compressed resident bytes must stay at or under
+  ``MEMORY_RATIO_GATE`` (0.6×) of flat, compressed selection must
+  finish within ``SELECTION_RATIO_GATE`` (1.5×) of the flat kernel,
+  and the flat collection's held buffers must stay within
+  ``COLLECTION_BYTES_RATIO_GATE`` (2.0×, the doubling bound) of its
+  model.  The first two are
+  record-only on workloads whose flat layout is smaller than
+  ``MEMORY_GATE_FLOOR_BYTES`` — ratios over a few hundred kilobytes of
+  fixed per-layout overhead measure the overhead, not the coding.
+* **Served-index footprint** — the bytes each serving engine holds
+  privately (every non-mapped array the engine and its index hold:
+  the hit index and group offsets, the per-sample ``indptr``, and a
+  compressed index's decoded flat copy) over the index's data-file
+  bytes, on a cit-HepTh (k=50, eps=0.3) index of each layout.  The
+  flat index is gated at ``FOOTPRINT_RATIO_GATE`` (1.0×); the
+  compressed one is record-only.
 * **End-to-end ``imm()``** — total seconds, θ, and the selected seed set
   on two registry graphs (cit-HepTh IC, com-YouTube LT).
 * **Start-up** — what a process pays before its first query: seconds
@@ -223,14 +235,29 @@ MEMORY_GATE_FLOOR_BYTES = 256 * 1024
 #: flat kernel on the identical sample set.
 SELECTION_RATIO_GATE = 1.5
 SELECTION_REPS = 5
+#: The flat collection's held buffers over its 4-bytes-per-incidence
+#: ``nbytes_model()``.  Amortized doubling leaves each growable buffer
+#: under twice its contents, so an int32 layout stays under 2x; an
+#: int64 per-entry array beside it (the owner array this layout
+#: dropped) puts the probe workloads, at 166-236 entries per sample,
+#: near 3x before any slack of its own.
+COLLECTION_BYTES_RATIO_GATE = 2.0
+#: A flat-index serving engine's private bytes over the index's data
+#: files: its int32 hit index mirrors the int32 rows file, plus
+#: per-sample and per-vertex offsets (exact-size arrays, no slack).
+FOOTPRINT_RATIO_GATE = 1.0
+#: The served-index footprint workload: (dataset, model, k, eps, seed).
+FOOTPRINT_WORKLOAD = ("cit-HepTh", "IC", 50, 0.3, 1)
 
 #: Runs in a fresh interpreter per (workload, layout) so the reported
 #: peak RSS belongs to that layout alone — an in-process high-water mark
 #: after the throughput benches would be whichever bench peaked first.
 _MEMORY_PROBE = """\
 import json, resource, sys
+import numpy as np
 sys.path.insert(0, sys.argv[5])
 from repro.datasets import load
+from repro.imm.select import select_seeds
 from repro.sampling import (
     CompressedRRRCollection, SortedRRRCollection, sample_batch,
 )
@@ -241,12 +268,16 @@ coll = cls(graph.n)
 sample_batch(graph, model, coll, theta, %d)
 if layout == "compressed":
     coll.freeze_permutation()  # the final remap selection reads through
+# Every buffer the collection holds, at its full allocation.
+live = sum(a.nbytes for a in vars(coll).values() if isinstance(a, np.ndarray))
+select_seeds(coll, graph.n, %d)  # a solve's peak is its selection
 print(json.dumps({
     "resident_bytes": coll.nbytes_model(),
+    "live_bytes": int(live),
     "entries": coll.total_entries,
     "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
 }))
-""" % SAMPLING_SEED
+""" % (SAMPLING_SEED, SAMPLING_K)
 
 
 #: One fresh interpreter importing ``argv[1]``: import seconds, peak RSS
@@ -589,7 +620,7 @@ def bench_serving() -> dict:
 
     The fresh ``imm()`` time is the cost every un-amortized query pays;
     the warm ``top_k`` time is what the frozen index serves it for.  The
-    query is timed only after one warm-up call so the lazy vertex index
+    query is timed only after one warm-up call so the lazy hit index
     is built (that cost is part of ``open_s``'s story, not the steady
     state the serving layer advertises).  ``query_s`` times computed
     queries (:func:`computed_pairs`); ``query_repeat_s`` times the frozen
@@ -623,7 +654,7 @@ def bench_serving() -> dict:
 
         index = FrozenRRRIndex.open(out_dir, graph=graph)
         engine = InfluenceQueryEngine(index, graph=graph, verify=False)
-        result = engine.top_k()  # warm-up builds the lazy vertex index
+        result = engine.top_k()  # warm-up builds the lazy hit index
         query_times, repeat_times, whatif_times, marginal_times = [], [], [], []
         forced = (int(ref.seeds[0]),)
         half_set = np.asarray(ref.seeds[: max(1, k // 2)])
@@ -649,7 +680,7 @@ def bench_serving() -> dict:
         per_edges = BatchedRRRSampler(graph, model).sample_into(
             tail, np.arange(num_samples, 2 * num_samples, dtype=np.int64), seed
         )
-        t_flat, t_indptr, _ = tail.flattened()
+        t_flat, t_indptr = tail.flattened()
         payload = (t_flat.astype(np.int32), np.diff(t_indptr), per_edges)
         extend_times, tighten_times, tighten_added = [], [], 0
         for _ in range(REPS):
@@ -752,7 +783,7 @@ def bench_frontend() -> dict:
         # with its reference makes that drift cancel out of the ratio.
         index = FrozenRRRIndex.open(out_dir)
         engine = InfluenceQueryEngine(index, verify=False)
-        engine.top_k()  # warm-up builds the lazy vertex index
+        engine.top_k()  # warm-up builds the lazy hit index
 
         async def _zero_fault():
             async with ServingFrontend(concurrency=1) as fe:
@@ -1085,6 +1116,7 @@ def bench_memory() -> dict:
         "ratio_gate": MEMORY_RATIO_GATE,
         "gate_floor_bytes": MEMORY_GATE_FLOOR_BYTES,
         "selection_gate": SELECTION_RATIO_GATE,
+        "collection_bytes_gate": COLLECTION_BYTES_RATIO_GATE,
     }
     for name, model, theta in WORKER_SCALING_DATASETS:
         rec: dict = {"theta": theta}
@@ -1100,6 +1132,8 @@ def bench_memory() -> dict:
             rec[layout] = {
                 "resident_bytes": int(probe["resident_bytes"]),
                 "bytes_per_sample": round(probe["resident_bytes"] / theta, 1),
+                "live_bytes": int(probe["live_bytes"]),
+                "live_ratio": round(probe["live_bytes"] / probe["resident_bytes"], 4),
                 "peak_rss_kb": int(probe["maxrss_kb"]),
             }
             entries = int(probe["entries"])
@@ -1140,8 +1174,10 @@ def bench_memory() -> dict:
 def memory_gate(mem: dict) -> list[str]:
     """The compressed layout's two promises: ≤0.6× resident bytes and
     ≤1.5× selection time, gated only above the size floor.  Seed-set
-    parity between the layouts is gated unconditionally — a divergence
-    is a correctness bug at any size."""
+    parity between the layouts and the flat collection's held bytes
+    (within ``COLLECTION_BYTES_RATIO_GATE`` of its model) are gated
+    unconditionally — a divergence is a correctness bug at any size,
+    and the byte ratio is a byte count, not a timing."""
     failures: list[str] = []
     for wl, rec in mem.items():
         if not isinstance(rec, dict) or "resident_ratio" not in rec:
@@ -1150,6 +1186,14 @@ def memory_gate(mem: dict) -> list[str]:
             failures.append(
                 f"MEMORY {wl}: compressed-layout selection diverges from the "
                 "flat layout on the identical sample set — bit-parity broken"
+            )
+        if rec["flat"]["live_ratio"] > COLLECTION_BYTES_RATIO_GATE:
+            failures.append(
+                f"MEMORY {wl}: the flat collection's buffers hold "
+                f"{rec['flat']['live_bytes']:,} B, {rec['flat']['live_ratio']}x "
+                f"its modeled {rec['flat']['resident_bytes']:,} B — above the "
+                f"{COLLECTION_BYTES_RATIO_GATE}x doubling bound (a per-entry "
+                "array beyond the int32 ids?)"
             )
         if not rec["gated"]:
             print(
@@ -1176,6 +1220,81 @@ def memory_gate(mem: dict) -> list[str]:
                 f"{SELECTION_RATIO_GATE}x budget"
             )
     return failures
+
+
+def _private_bytes(*objs) -> int:
+    """Bytes of every array the objects hold as an attribute or inside
+    a tuple attribute, each buffer counted once at its full allocation.
+    Memory-mapped files are shared page cache, not private, and are
+    left out."""
+    buffers = {}
+    for obj in objs:
+        for attr in vars(obj).values():
+            for arr in attr if isinstance(attr, tuple) else (attr,):
+                if isinstance(arr, np.ndarray):
+                    while isinstance(arr.base, np.ndarray):
+                        arr = arr.base
+                    if not isinstance(arr, np.memmap):
+                        buffers[id(arr)] = arr.nbytes
+    return sum(buffers.values())
+
+
+def bench_footprint() -> dict:
+    """Per-engine private bytes over the index's data-file bytes.
+
+    One engine per layout opens a frozen :data:`FOOTPRINT_WORKLOAD`
+    index and answers the router's probe read plus a ``top_k``, which
+    builds its hit index.  Private: :func:`_private_bytes` of the
+    engine and its index (the hit index and its group offsets, the
+    per-sample ``indptr``, and a compressed index's decoded flat copy);
+    the mapped files are shared page cache.
+    """
+    import tempfile
+
+    from repro.serving import FrozenRRRIndex, InfluenceQueryEngine, freeze_index
+
+    name, model, k, eps, seed = FOOTPRINT_WORKLOAD
+    graph = load(name, model)
+    out: dict = {"dataset": name, "model": model, "k": k, "eps": eps, "seed": seed,
+                 "gate": FOOTPRINT_RATIO_GATE}
+    with tempfile.TemporaryDirectory(prefix="repro-bench-footprint-") as td:
+        for layout in ("flat", "compressed"):
+            path = Path(td) / layout
+            index, _ = freeze_index(
+                graph, k, eps, model, seed, out_dir=path,
+                compress=layout == "compressed",
+            )
+            index.close()
+            file_bytes = sum(
+                f.stat().st_size for f in path.iterdir() if f.suffix == ".bin"
+            )
+            with FrozenRRRIndex.open(path) as index:
+                engine = InfluenceQueryEngine(index)
+                engine.what_if(1)
+                engine.top_k()
+                private = _private_bytes(engine, index)
+                out[layout] = {
+                    "num_samples": index.num_samples,
+                    "entries": index.entries,
+                    "private_bytes": int(private),
+                    "file_bytes": int(file_bytes),
+                    "ratio": round(private / file_bytes, 4),
+                }
+    return out
+
+
+def footprint_gate(fp: dict) -> list[str]:
+    """A flat-index engine holds no more private bytes than the index
+    files: 4 bytes per incidence, like the file.  Compressed is
+    record-only while its engines decode a flat copy."""
+    rec = fp["flat"]
+    if rec["ratio"] <= FOOTPRINT_RATIO_GATE:
+        return []
+    return [
+        f"FOOTPRINT {fp['dataset']}/{fp['model']}: a flat-index engine holds "
+        f"{rec['private_bytes']:,} private B, {rec['ratio']}x the index's "
+        f"{rec['file_bytes']:,} file B — above the {FOOTPRINT_RATIO_GATE}x gate"
+    ]
 
 
 def bench_imm() -> dict:
@@ -1355,6 +1474,7 @@ def main(argv: list[str] | None = None) -> int:
         "worker_scaling": bench_worker_scaling(),
         "supervised_overhead": bench_supervised_overhead(),
         "memory": bench_memory(),
+        "footprint": bench_footprint(),
         "imm": bench_imm(),
         "serving": bench_serving(),
         "frontend": bench_frontend(),
@@ -1413,6 +1533,23 @@ def main(argv: list[str] | None = None) -> int:
             f"{r['flat']['select_s']}s vs {r['compressed']['select_s']}s "
             f"({r['selection_ratio']}x, remap {r['compressed']['final_remap_s']}s)"
         )
+        print(
+            f"    live buffers: flat {r['flat']['live_bytes']:,} B "
+            f"({r['flat']['live_ratio']}x model), compressed "
+            f"{r['compressed']['live_bytes']:,} B "
+            f"({r['compressed']['live_ratio']}x model); peak RSS after one "
+            f"select: flat {r['flat']['peak_rss_kb'] // 1024} MB, compressed "
+            f"{r['compressed']['peak_rss_kb'] // 1024} MB"
+        )
+    fp = fresh["footprint"]
+    for layout in ("flat", "compressed"):
+        r = fp[layout]
+        print(
+            f"  footprint {fp['dataset']}/{fp['model']} k={fp['k']} "
+            f"eps={fp['eps']} {layout} ({r['entries']:,} entries): engine "
+            f"private {r['private_bytes']:,} B over {r['file_bytes']:,} file B "
+            f"= {r['ratio']}x"
+        )
     for wl, r in fresh["imm"].items():
         print(f"  imm {wl}: theta={r['theta']} {r['seconds']}s")
     sv = fresh["serving"]
@@ -1468,6 +1605,7 @@ def main(argv: list[str] | None = None) -> int:
     failures.extend(worker_scaling_gate(ws))
     failures.extend(supervised_overhead_gate(so))
     failures.extend(memory_gate(mem))
+    failures.extend(footprint_gate(fp))
     failures.extend(serving_gate(sv))
     failures.extend(frontend_gate(fr))
     failures.extend(cluster_gate(cl))

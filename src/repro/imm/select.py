@@ -10,11 +10,13 @@ sets (a cross-checked invariant).
 The loop is written once, in :func:`greedy_cover`, over a *view* of one
 storage layout.  A view supplies the initial per-vertex counts
 (``counts()``), the ids of the samples that hold a vertex (``hits(v)``)
-and the vertices of a set of killed samples (``members(samples)``):
+and the per-vertex counts over a set of killed samples
+(``tally(samples)``):
 
 * :class:`FlatView` — the sorted one-directional layout (IMM\\ :sup:`OPT`)
-  or a sample prefix of it.  The frozen serving index cuts its prefixes
-  from one cached vertex→entries index instead of re-sorting per query.
+  or a sample prefix of it.  Hits come from a sample-keyed hit index
+  (:func:`vertex_index`); the frozen serving index cuts its prefixes
+  from one cached hit index instead of re-sorting per query.
 * :class:`CompressedView` — the frequency-ranked delta+varint layout
   (HBMax-style), read off a single parse of the coded stream; counters
   stay in original vertex-id space, so ties break exactly as above.
@@ -93,20 +95,35 @@ class SelectionResult:
         return self.covered_samples / num_samples if num_samples else 0.0
 
 
-def vertex_index(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat-entry positions grouped by vertex, plus the group offsets.
+def vertex_index(ids: np.ndarray, indptr: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sample-keyed hit index: the ids of the samples holding each
+    of ``n`` groups (vertex or rank), plus the group offsets.
 
-    The sort is stable, so positions ascend within each vertex and any
-    sample prefix is cut from a group with one ``searchsorted``.  When
-    every id fits 16 bits the keys are sorted as ``uint16``, where
-    NumPy's stable sort is a radix sort: the same permutation, 2–3×
-    faster on com-Orkut's 1.7M-entry θ collection (2-CPU VM).
+    ``ids[indptr[j]:indptr[j + 1]]`` are sample ``j``'s entries.  One
+    unstable sort of the keys ``id·m + sample`` (``m`` samples; unique,
+    since a sample holds an id at most once) groups the entries by id
+    with ascending sample ids inside each group, so a sample prefix is
+    cut from a group with one ``searchsorted``.  The keys are ``int32``
+    while ``n·m`` fits, ``int64`` beyond; the group offsets come from
+    searching the sorted keys for ``id·m``, and only ``key % m`` is kept
+    — ``int32`` sample ids, 4 bytes per incidence at either key width.
     """
-    keys = flat.astype(np.uint16) if n <= (1 << 16) else flat
-    order = np.argsort(keys, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flat, minlength=n), out=indptr[1:])
-    return order, indptr
+    m = len(indptr) - 1
+    width = np.int32 if n * m < 2**31 else np.int64
+    keys = ids.astype(width)
+    keys *= width(m)
+    keys += np.repeat(np.arange(m, dtype=width), np.diff(indptr))
+    keys.sort()
+    base = np.arange(n + 1, dtype=width) * width(m)
+    vptr = np.searchsorted(keys, base)
+    keys -= np.repeat(base[:-1], np.diff(vptr))  # key % m, without a division
+    return keys.astype(np.int32 if m < 2**31 else np.int64, copy=False), vptr
+
+
+#: Entries the kill pass gathers and counts at a time (at least ``n``,
+#: plus at most one sample): one seed can kill most entries, and
+#: whole-kill temporaries would then be the peak of a solve.
+_TALLY_CHUNK = 1 << 16
 
 
 class _Rows:
@@ -115,20 +132,17 @@ class _Rows:
 
     def __init__(self, indptr: np.ndarray) -> None:
         self._indptr = indptr
-        # Gather scratch, grown to the largest kill seen so far instead
+        # Gather scratch, grown to the largest run seen so far instead
         # of re-allocating the index temporaries on every kill.
-        self._scratch = np.empty(0, dtype=np.int64)
+        self._scratch = np.empty(0, dtype=np.intp)
 
-    def _positions(self, samples: np.ndarray) -> np.ndarray:
-        """Entry positions of ``samples`` (all non-empty), concatenated."""
-        starts = self._indptr[samples]
-        stops = self._indptr[samples + 1]
+    def _positions(self, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+        """Entry positions of the ranges ``[starts[i], stops[i])`` (all
+        non-empty), concatenated."""
         ends = np.cumsum(stops - starts)
         total = int(ends[-1])
         if len(self._scratch) < total:
-            self._scratch = np.empty(
-                max(total, 2 * len(self._scratch)), dtype=np.int64
-            )
+            self._scratch = np.empty(max(total, 2 * len(self._scratch)), dtype=np.intp)
         # Concatenated ranges built in place: ones, with each range's
         # first slot holding the jump from the previous range's last
         # value, then one cumulative sum — repeat(starts) plus an
@@ -140,6 +154,27 @@ class _Rows:
         np.cumsum(idx, out=idx)
         return idx
 
+    def _tally(self, values: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        """Per-id counts of ``values`` over the entries of ``samples``
+        (all non-empty), gathered and counted a run of samples at a
+        time, each run about :data:`_TALLY_CHUNK` entries (a sample
+        holds at most ``n``, so no run is empty)."""
+        starts = self._indptr[samples]
+        stops = self._indptr[samples + 1]
+        ends = np.cumsum(stops - starts)
+        chunk = max(_TALLY_CHUNK, self.n)
+        cuts = np.searchsorted(ends, np.arange(chunk, int(ends[-1]), chunk), side="right")
+        bounds = [0, *cuts.tolist(), len(samples)]
+        counts = None
+        for lo, hi in zip(bounds, bounds[1:]):
+            idx = self._positions(starts[lo:hi], stops[lo:hi])
+            run = np.bincount(values[idx], minlength=self.n)
+            if counts is None:
+                counts = run
+            else:
+                counts += run
+        return counts
+
     def sizes(self) -> np.ndarray:
         return np.diff(self._indptr)
 
@@ -148,9 +183,9 @@ class FlatView(_Rows):
     """The sorted flat layout, or its first ``num_samples`` samples.
 
     ``by_vertex`` may be a cached :func:`vertex_index` over a longer
-    flat array (the frozen index's, shared by every query); each vertex's
-    positions are cut to the prefix.  ``num_samples`` is clamped to the
-    mapped rows, because a concurrent extension commits the manifest
+    flat array (the frozen index's, shared by every query); each
+    vertex's hits are cut to the prefix.  ``num_samples`` is clamped to
+    the mapped rows, because a concurrent extension commits the manifest
     count before the remap lands.  ``count_engine`` (a
     :class:`~repro.sampling.parallel_engine.ParallelSamplingEngine`)
     computes the initial counts with its partitioned kernel instead of a
@@ -162,7 +197,6 @@ class FlatView(_Rows):
         n: int,
         flat: np.ndarray,
         indptr: np.ndarray,
-        sample_of: np.ndarray,
         *,
         num_samples: int | None = None,
         by_vertex: tuple[np.ndarray, np.ndarray] | None = None,
@@ -177,37 +211,43 @@ class FlatView(_Rows):
         self.entries = int(indptr[m])
         # Plain-ndarray view: indexing a memmap subclass is slower.
         self._flat = np.asarray(flat)[: self.entries]
-        self._sample_of = sample_of
         if by_vertex is None:
-            by_vertex = vertex_index(self._flat, n)
-        self._order, self._vptr = by_vertex
+            by_vertex = vertex_index(self._flat, self._indptr, n)
+        self._hits, self._vptr = by_vertex
         self._count_engine = count_engine
 
     def counts(self) -> np.ndarray:
         if self._count_engine is not None:
             return self._count_engine.count_partitioned(self._flat, self.n)
+        if len(self._hits) == self.entries:
+            # The hit index covers exactly these rows: its group sizes
+            # are the counts.
+            return np.diff(self._vptr)
         return np.bincount(self._flat, minlength=self.n)
 
     def hits(self, v: int) -> np.ndarray:
-        pos = self._order[self._vptr[v] : self._vptr[v + 1]]
-        return self._sample_of[pos[: int(np.searchsorted(pos, self.entries))]]
+        # An intp copy: the cover step indexes with it three times, and
+        # NumPy would convert an int32 index array each time.
+        ids = self._hits[self._vptr[v] : self._vptr[v + 1]]
+        return ids[: int(np.searchsorted(ids, self.num_samples))].astype(np.intp)
 
-    def members(self, samples: np.ndarray) -> np.ndarray:
-        return self._flat[self._positions(samples)]
+    def tally(self, samples: np.ndarray) -> np.ndarray:
+        return self._tally(self._flat, samples)
 
 
 class CompressedView(_Rows):
     """Greedy view straight off the coded stream (HBMax-style).
 
     The collection's flat int32 rows are never materialized: the stream
-    is parsed once (one vectorized varint pass), the hit lookup is a
-    rank-space index over the parsed entries, and the kill pass gathers
-    the killed samples' entries from that single parse and inverts rank
-    → vertex.  Counts are kept in original vertex-id space and equal the
-    flat layout's bincount, so seeds, coverage and meters are identical
-    to :class:`FlatView`'s.  ``count_engine`` substitutes the engine's
-    fused per-worker histogram merge for the count when its books
-    balance.
+    is parsed once (one vectorized varint pass), the hit lookup is the
+    same sample-keyed :func:`vertex_index`, built in rank space over the
+    parsed entries, and the kill pass tallies the killed samples'
+    entries from that single parse in rank space, then gathers the
+    tally to vertex ids.  Counts are kept in original vertex-id space
+    and equal the flat layout's bincount, so seeds, coverage and meters
+    are identical to :class:`FlatView`'s.  ``count_engine`` substitutes
+    the engine's fused per-worker histogram merge for the count when
+    its books balance.
     """
 
     def __init__(
@@ -215,11 +255,7 @@ class CompressedView(_Rows):
     ) -> None:
         collection._ensure_ranked()
         m = len(collection)
-        if m:
-            ranks, sizes = collection.parse_stream()
-        else:
-            ranks = np.empty(0, dtype=np.int64)
-            sizes = np.empty(0, dtype=np.int64)
+        ranks, sizes = collection.parse_stream()
         # Per-sample entry ranges into the parse (stream order is sample
         # order), so the kill pass is a pure gather.
         indptr = np.zeros(m + 1, dtype=np.int64)
@@ -231,17 +267,7 @@ class CompressedView(_Rows):
         self._ranks = ranks
         self._count_engine = count_engine
         self._rank_of = collection._rank_of
-        # Rank-space hit index built with one key sort (key = rank·m +
-        # sample): grouped by rank with ascending sample ids inside each
-        # group — the same hit order as the flat layout's vertex index.
-        # int32 keys when they fit: half the bytes for the sort to move.
-        self._rptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ranks, minlength=n), out=self._rptr[1:])
-        width = np.int32 if n * m < 2**31 else np.int64
-        keys = ranks.astype(width) * m
-        keys += np.repeat(np.arange(m, dtype=width), sizes)
-        keys.sort()
-        self._hit_samples = (keys % m).astype(np.int64)
+        self._hit_samples, self._rptr = vertex_index(ranks, indptr, n)
 
     def counts(self) -> np.ndarray:
         if self._count_engine is not None:
@@ -251,10 +277,11 @@ class CompressedView(_Rows):
 
     def hits(self, v: int) -> np.ndarray:
         r = int(self._rank_of[v])
-        return self._hit_samples[self._rptr[r] : self._rptr[r + 1]]
+        return self._hit_samples[self._rptr[r] : self._rptr[r + 1]].astype(np.intp)
 
-    def members(self, samples: np.ndarray) -> np.ndarray:
-        return self._collection._invert(self._ranks[self._positions(samples)])
+    def tally(self, samples: np.ndarray) -> np.ndarray:
+        # Counted in rank space, then gathered to vertex ids like counts().
+        return self._tally(self._ranks, samples)[self._rank_of]
 
 
 class HypergraphView:
@@ -273,8 +300,9 @@ class HypergraphView:
     def hits(self, v: int) -> np.ndarray:
         return np.asarray(self._collection.samples_containing(v), dtype=np.int64)
 
-    def members(self, samples: np.ndarray) -> np.ndarray:
-        return np.concatenate([self._collection[s] for s in samples])
+    def tally(self, samples: np.ndarray) -> np.ndarray:
+        entries = np.concatenate([self._collection[s] for s in samples])
+        return np.bincount(entries, minlength=self.n)
 
     def sizes(self) -> np.ndarray:
         return np.fromiter(
@@ -333,9 +361,7 @@ def greedy_cover(view, k: int, *, forced=(), excluded=()) -> Generator:
                 raise ValueError(f"cannot seat {k} seeds: only {len(seeds)} candidates")
         seeds.append(v)
         killed = state.cover(v)
-        decrement = yield (
-            np.bincount(view.members(killed), minlength=n) if len(killed) else None
-        )
+        decrement = yield (view.tally(killed) if len(killed) else None)
         if decrement is not None:
             counters -= decrement
         counters[v] = -1  # never re-pick a seated vertex
@@ -393,7 +419,7 @@ def _metered(view, seeds: np.ndarray, state: CoverState, num_ranks: int) -> Sele
         # Each update belongs to the rank owning its vertex: every entry
         # once for the counting pass, again if its sample died.
         visits = np.concatenate([np.arange(len(sizes)), np.flatnonzero(dead)])
-        load = np.bincount(view.members(visits), minlength=n)
+        load = view.tally(visits)
         cum = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(load, out=cum[1:])
         bounds = _interval_bounds(n, num_ranks)

@@ -38,6 +38,19 @@ VERTEX_ID_BYTES = 4
 #: Modeled bytes per stored sample id in the inverted index (``int64``,
 #: since theta routinely exceeds 2**31 on the paper's largest runs).
 SAMPLE_ID_BYTES = 8
+#: Largest vertex count ``int32`` vertex ids (and ranks) can address.
+MAX_VERTICES = 2**31 - 1
+
+
+def check_vertex_count(n: int) -> None:
+    """Reject a vertex count the ``int32`` layouts cannot address."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if n > MAX_VERTICES:
+        raise ValueError(
+            f"{n} vertices exceed the int32 vertex ids of this layout "
+            f"(at most {MAX_VERTICES})"
+        )
 
 
 class RRRCollection:
@@ -97,33 +110,34 @@ class RRRCollection:
 class SortedRRRCollection(RRRCollection):
     """One-directional layout: each sample once, vertices sorted by id.
 
-    Storage is three growable flat buffers (amortized doubling, the HBMax
+    Storage is two growable flat buffers (amortized doubling, the HBMax
     reorganization applied to our NumPy substrate) — no per-sample Python
     objects at all:
 
     ``flat``
-        All vertex ids, samples concatenated in insertion order.
+        All vertex ids as ``int32``, samples concatenated in insertion
+        order: the 4 bytes per incidence :meth:`nbytes_model` charges.
     ``indptr``
-        Sample boundaries: sample ``i`` is ``flat[indptr[i]:indptr[i+1]]``.
-    ``sample_of``
-        The owning sample index of each ``flat`` entry.
+        Sample boundaries (``int64``): sample ``i`` is
+        ``flat[indptr[i]:indptr[i+1]]``.
 
-    :meth:`flattened` returns zero-copy views of the live buffers, so no
-    cache invalidation exists to get wrong: alternating sampling and
-    selection phases (as ``EstimateTheta`` does) never re-concatenates
-    anything, and :meth:`append_batch` lands a whole sampler cohort with
-    a handful of bulk copies.
+    No per-entry owner array is kept: selection finds the samples that
+    hold a vertex through a sample-keyed hit index built per read phase
+    (:func:`repro.imm.select.vertex_index`).  :meth:`flattened` returns
+    zero-copy views of the live buffers, so no cache invalidation exists
+    to get wrong: alternating sampling and selection phases (as
+    ``EstimateTheta`` does) never re-concatenates anything, and
+    :meth:`append_batch` lands a whole sampler cohort with a handful of
+    bulk copies.
     """
 
     _INITIAL_ENTRIES = 1024
     _INITIAL_SAMPLES = 64
 
     def __init__(self, n: int) -> None:
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
+        check_vertex_count(n)
         self.n = n
-        self._flat = np.empty(self._INITIAL_ENTRIES, dtype=np.int64)
-        self._sample_of = np.empty(self._INITIAL_ENTRIES, dtype=np.int64)
+        self._flat = np.empty(self._INITIAL_ENTRIES, dtype=np.int32)
         self._indptr = np.empty(self._INITIAL_SAMPLES + 1, dtype=np.int64)
         self._indptr[0] = 0
         self._num = 0
@@ -135,11 +149,9 @@ class SortedRRRCollection(RRRCollection):
         """Grow the flat buffers to fit ``extra_*`` more (doubling)."""
         need = self._entries + extra_entries
         if need > len(self._flat):
-            cap = max(need, 2 * len(self._flat))
-            for name in ("_flat", "_sample_of"):
-                grown = np.empty(cap, dtype=np.int64)
-                grown[: self._entries] = getattr(self, name)[: self._entries]
-                setattr(self, name, grown)
+            grown = np.empty(max(need, 2 * len(self._flat)), dtype=np.int32)
+            grown[: self._entries] = self._flat[: self._entries]
+            self._flat = grown
         need = self._num + extra_samples + 1
         if need > len(self._indptr):
             cap = max(need, 2 * len(self._indptr))
@@ -161,7 +173,6 @@ class SortedRRRCollection(RRRCollection):
         self._reserve(size, 1)
         e = self._entries
         self._flat[e : e + size] = vertices
-        self._sample_of[e : e + size] = self._num
         self._indptr[self._num + 1] = e + size
         self._num += 1
         self._entries += size
@@ -206,9 +217,6 @@ class SortedRRRCollection(RRRCollection):
         self._reserve(total, count)
         e, s = self._entries, self._num
         self._flat[e : e + total] = flat
-        self._sample_of[e : e + total] = np.repeat(
-            np.arange(s, s + count, dtype=np.int64), sizes
-        )
         np.cumsum(sizes, out=self._indptr[s + 1 : s + 1 + count])
         self._indptr[s + 1 : s + 1 + count] += e
         self._num += count
@@ -233,24 +241,20 @@ class SortedRRRCollection(RRRCollection):
     def total_entries(self) -> int:
         return self._entries
 
-    def flattened(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(flat, indptr, sample_of)`` as zero-copy views.
+    def flattened(self) -> tuple[np.ndarray, np.ndarray]:
+        """Return ``(flat, indptr)`` as zero-copy views.
 
         The views snapshot the current contents: appends past this call
         either write beyond the views' ends or into fresh buffers after
         a growth reallocation — in both cases the returned arrays stay
         valid and unchanged.
         """
-        return (
-            self._flat[: self._entries],
-            self._indptr[: self._num + 1],
-            self._sample_of[: self._entries],
-        )
+        return self._flat[: self._entries], self._indptr[: self._num + 1]
 
     def counters(self) -> np.ndarray:
         """Per-vertex sample membership counts (the first counting step of
         Algorithm 4), as an ``int64`` array of length ``n``."""
-        flat, _, _ = self.flattened()
+        flat, _ = self.flattened()
         return np.bincount(flat, minlength=self.n)
 
     def nbytes_model(self) -> int:

@@ -40,9 +40,12 @@ subtypes) instead of returning garbage — a truncated stream (final byte
 still has its continuation bit set) is distinguished from a corrupt one
 (ranks out of range, zero deltas, offsets disagreeing with the bytes).
 
-Both codec directions are vectorized: a byte-position loop of at most
-:data:`MAX_VARINT_BYTES` iterations replaces any per-value Python loop,
-so encode/decode run at NumPy speed over whole cohorts.
+Both codec directions are vectorized, so encode/decode run at NumPy
+speed over whole cohorts: the encoder loops over byte positions (at
+most :data:`MAX_VARINT_BYTES` iterations), and the decoder gathers the
+terminal bytes at once, then folds the few continuation bytes into
+their values with one segmented reduction.  The whole-stream parse
+keeps ranks in ``int32``.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .collection import (
     VECTOR_HEADER_BYTES,
     VERTEX_ID_BYTES,
     RRRCollection,
+    check_vertex_count,
 )
 
 __all__ = [
@@ -133,27 +137,42 @@ def encode_varints(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _values_from_terminals(buf: np.ndarray, terminal: np.ndarray) -> np.ndarray:
-    """Decode values given the per-byte terminal mask (vectorized OR-fold)."""
-    ends = np.flatnonzero(terminal)
-    starts = np.empty(len(ends), dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lengths = ends - starts + 1
-    max_len = int(lengths.max())
-    if max_len > MAX_VARINT_BYTES:
-        raise CorruptCodedStreamError(
-            f"varint of {max_len} bytes exceeds the {MAX_VARINT_BYTES}-byte "
-            "bound — the stream was not produced by this encoder"
+def _values_from_terminals(
+    buf: np.ndarray, terminal: np.ndarray, cont: np.ndarray, dtype=np.int64
+) -> np.ndarray:
+    """Decode values given the per-byte terminal mask and the positions
+    of the continuation bytes (``flatnonzero(~terminal)``), as ``dtype``.
+
+    Almost every coded value is one byte, so the values start as one
+    masked gather of the terminal bytes (whose high bit is clear, so
+    each already is its top limb).  The continuation bytes (few)
+    are then folded into the values they open: the ``i``-th of them, at
+    byte ``p``, belongs to value ``p - i`` (the terminal bytes before
+    it), and its limb index is its place in its value's run.  A value
+    ``dtype`` cannot hold is corrupt.
+    """
+    values = buf[terminal].astype(dtype)
+    if len(cont):
+        owner = cont - np.arange(len(cont))
+        first = np.flatnonzero(np.diff(owner, prepend=-1))
+        runs = np.diff(first, append=len(cont))  # continuation bytes per value
+        if int(runs.max()) >= MAX_VARINT_BYTES:
+            raise CorruptCodedStreamError(
+                f"varint of {int(runs.max()) + 1} bytes exceeds the "
+                f"{MAX_VARINT_BYTES}-byte bound — the stream was not "
+                "produced by this encoder"
+            )
+        limb = np.arange(len(cont)) - np.repeat(first, runs)
+        low = np.bitwise_or.reduceat(
+            (buf[cont] & 0x7F).astype(np.int64) << (7 * limb), first
         )
-    # Limb 0 exists for every value — a direct gather, no mask.  Higher
-    # limbs are indexed by the (typically small) set of longer varints:
-    # integer indices beat an almost-all-False boolean mask there, and
-    # the dominant all-1-byte case never enters the loop at all.
-    values = (buf[starts] & 0x7F).astype(np.int64)
-    for j in range(1, max_len):
-        m = np.flatnonzero(lengths > j)
-        values[m] |= (buf[starts[m] + j].astype(np.int64) & 0x7F) << (7 * j)
+        multi = owner[first]
+        wide = (values[multi].astype(np.int64) << (7 * runs)) | low
+        if int(wide.max()) > np.iinfo(dtype).max:
+            raise CorruptCodedStreamError(
+                f"varint value {int(wide.max())} overflows {np.dtype(dtype).name}"
+            )
+        values[multi] = wide
     return values
 
 
@@ -172,7 +191,7 @@ def decode_varints(buf: np.ndarray) -> np.ndarray:
             "coded stream ends inside a varint (continuation bit set on "
             "the final byte)"
         )
-    return _values_from_terminals(buf, terminal)
+    return _values_from_terminals(buf, terminal, np.flatnonzero(~terminal))
 
 
 def _concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -189,15 +208,36 @@ def _concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _segmented_ranks(deltas: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Undo gap coding per sample: cumulative-sum the deltas, then
-    subtract each sample's carried-in prefix total."""
-    csum = np.cumsum(deltas)
-    entry_ends = np.cumsum(counts)
-    base = np.empty(len(counts), dtype=np.int64)
-    base[0] = 0
-    base[1:] = csum[entry_ends[:-1] - 1]
-    return csum - np.repeat(base, counts)
+def _parse_samples(
+    buf: np.ndarray, terminal: np.ndarray, span_ends: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``int32`` ranks and per-sample entry counts of whole gap-coded
+    samples laid back to back in ``buf``, sample ``j`` ending at byte
+    ``span_ends[j]`` (every span ends on a terminal byte, so it holds at
+    least one value).
+
+    Gap coding is undone in place with one running sum: each sample's
+    first delta gives back the previous sample's total, so the sum
+    restarts at every sample.  Sums wrap like the encoder's integers
+    would, so any rank that is really in ``[0, n)`` comes out exact, and
+    the range check sees every other one.
+    """
+    cont = np.flatnonzero(~terminal)
+    deltas = _values_from_terminals(buf, terminal, cont, np.int32)
+    counts = np.diff(span_ends, prepend=0) - np.diff(
+        np.searchsorted(cont, span_ends), prepend=0
+    )
+    first = np.zeros(len(counts), dtype=np.int64)
+    np.cumsum(counts[:-1], out=first[1:])
+    totals = np.add.reduceat(deltas, first, dtype=np.int32)
+    deltas[first[1:]] -= totals[:-1]
+    ranks = np.cumsum(deltas, dtype=np.int32, out=deltas)
+    # One pass for both bounds: a negative rank reads as a huge unsigned.
+    if int(ranks.view(np.uint32).max()) >= n:
+        raise CorruptCodedStreamError(
+            f"decoded rank outside [0, {n}) — corrupt deltas"
+        )
+    return ranks, counts
 
 
 class CompressedRRRCollection(RRRCollection):
@@ -224,8 +264,7 @@ class CompressedRRRCollection(RRRCollection):
     _INITIAL_SAMPLES = 64
 
     def __init__(self, n: int) -> None:
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
+        check_vertex_count(n)
         self.n = n
         self._buf = np.empty(self._INITIAL_BYTES, dtype=np.uint8)
         self._ends = np.empty(self._INITIAL_SAMPLES, dtype=np.int64)
@@ -440,11 +479,12 @@ class CompressedRRRCollection(RRRCollection):
         """One vectorized varint pass over the whole coded stream.
 
         Returns ``(ranks, counts)``: every entry's rank in stream order
-        (ascending within each sample) and the per-sample entry counts.
-        This is the counting kernel's substrate — no flat int32 rows.
+        (``int32``, ascending within each sample) and the per-sample
+        entry counts.  This is the counting kernel's substrate — no flat
+        int32 rows.
         """
         if self._num == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64)
         buf = self._buf[: self._bytes]
         terminal = self._stream_terminals(buf)
         if not terminal[-1]:
@@ -452,22 +492,16 @@ class CompressedRRRCollection(RRRCollection):
                 "coded stream ends inside a varint (continuation bit set "
                 "on the final byte)"
             )
-        starts = np.zeros(self._num, dtype=np.int64)
-        starts[1:] = self._ends[: self._num - 1]
-        if int(self._ends[self._num - 1]) != self._bytes or (
-            self._num > 1 and np.any(np.diff(self._ends[: self._num]) <= 0)
+        ends = self._ends[: self._num]
+        if (
+            int(ends[-1]) != self._bytes
+            or (self._num > 1 and np.any(np.diff(ends) <= 0))
+            or not terminal[ends - 1].all()
         ):
             raise CorruptCodedStreamError(
                 "per-sample offset index disagrees with the coded bytes"
             )
-        deltas = _values_from_terminals(buf, terminal)
-        counts = np.add.reduceat(terminal.astype(np.int64), starts)
-        ranks = _segmented_ranks(deltas, counts)
-        if int(ranks.max()) >= self.n or int(ranks.min()) < 0:
-            raise CorruptCodedStreamError(
-                f"decoded rank outside [0, {self.n}) — corrupt deltas"
-            )
-        return ranks, counts
+        return _parse_samples(buf, terminal, ends, self.n)
 
     def decode_samples(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decode the given sample ids off the coded stream.
@@ -489,19 +523,12 @@ class CompressedRRRCollection(RRRCollection):
             raise TruncatedCodedStreamError(
                 "coded sample span ends inside a varint"
             )
-        span_starts = np.zeros(len(ids), dtype=np.int64)
-        np.cumsum((byte_stops - byte_starts)[:-1], out=span_starts[1:])
-        if not terminal[span_starts - 1].all():  # index -1 is the final byte
+        span_ends = np.cumsum(byte_stops - byte_starts)
+        if not terminal[span_ends - 1].all():
             raise CorruptCodedStreamError(
                 "a sample's coded bytes end inside a varint"
             )
-        deltas = _values_from_terminals(span, terminal)
-        counts = np.add.reduceat(terminal.astype(np.int64), span_starts)
-        ranks = _segmented_ranks(deltas, counts)
-        if int(ranks.max()) >= self.n or int(ranks.min()) < 0:
-            raise CorruptCodedStreamError(
-                f"decoded rank outside [0, {self.n}) — corrupt deltas"
-            )
+        ranks, counts = _parse_samples(span, terminal, span_ends, self.n)
         return self._invert(ranks), counts
 
     # -- collection interface -----------------------------------------------

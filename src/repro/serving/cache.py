@@ -1,8 +1,9 @@
 """LRU of open frozen indices, keyed by each index's full identity.
 
 A serving process answers queries for many instances; each open index
-costs mapped address space plus the derived ``indptr`` / ``sample_of`` /
-vertex-position arrays.  The cache bounds that footprint: at most
+costs mapped address space plus the derived per-sample ``indptr`` and
+the engine's hit index (``int32`` sample ids, 4 bytes per incidence,
+with per-vertex offsets).  The cache bounds that footprint: at most
 ``capacity`` indices stay open, evicting the least recently used (its
 memmaps are closed; the on-disk index is untouched and reopens on the
 next request).

@@ -37,9 +37,10 @@ pinned permutation (the sealed bytes are never rewritten).
 ``stream_seeds_array(seed, [0, num_samples))`` must equal the manifest's,
 each data file must hold at least the bytes the manifest certifies,
 and the derived ``indptr`` must land on ``entries``.  Only the derived
-``indptr`` / ``sample_of`` arrays (needed by the selection kernels) are
-materialized; the incidence data itself — the array that grows with θ —
-stays on disk until the page cache faults it in.
+per-sample ``indptr`` is materialized; the incidence data itself — the
+array that grows with θ — stays on disk until the page cache faults it
+in, and no per-entry owner array is built (the query engine's hit index
+carries the sample ids it needs).
 
 Because sample ``j`` is a pure function of ``(graph, model, seed, j)``,
 a frozen index can be *extended* in place when a tighter ``eps`` (or a
@@ -59,10 +60,12 @@ its certified size is torn below the seal and refuses to open.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -141,22 +144,14 @@ class FrozenCollectionView(SortedRRRCollection):
 
     The selection kernels dispatch on the collection type and consume
     only ``flattened()`` / ``len`` / ``total_entries``, all of which are
-    served from the views handed in here — ``flat`` can stay an
-    ``int32`` memmap (every consumer is dtype-agnostic).  Appends are
-    refused: a frozen index only grows through
+    served from the views handed in here — ``flat`` stays the ``int32``
+    memmap.  Appends are refused: a frozen index only grows through
     :meth:`FrozenRRRIndex.extend`, which re-seals the manifest.
     """
 
-    def __init__(
-        self,
-        n: int,
-        flat: np.ndarray,
-        indptr: np.ndarray,
-        sample_of: np.ndarray,
-    ) -> None:
+    def __init__(self, n: int, flat: np.ndarray, indptr: np.ndarray) -> None:
         self.n = int(n)
         self._flat = flat
-        self._sample_of = sample_of
         self._indptr = indptr
         self._num = len(indptr) - 1
         self._entries = len(flat)
@@ -179,11 +174,13 @@ class FrozenRRRIndex:
     def __init__(self, path: Path, manifest: dict) -> None:
         self.path = Path(path)
         self.manifest = manifest
-        self._flat: np.ndarray | None = None
+        # ``(flat, indptr)`` as ONE attribute, assigned last by _map():
+        # reads on other threads see the rows of one mapping, never a
+        # remapped flat with the previous indptr.  A compressed index
+        # holds ``(None, indptr)`` until rows() decodes its flat copy.
+        self._rows: tuple[np.ndarray | None, np.ndarray] | None = None
         self._sizes: np.ndarray | None = None
         self._edges: np.ndarray | None = None
-        self._indptr: np.ndarray | None = None
-        self._sample_of: np.ndarray | None = None
         self._coded: np.ndarray | None = None
         self._offsets: np.ndarray | None = None
         self._perm: np.ndarray | None = None
@@ -295,7 +292,7 @@ class FrozenRRRIndex:
                 keys.sort()
                 flat32 = np.ascontiguousarray(keys % max(n, 1), dtype=np.int32)
             else:
-                flat, indptr, _ = coll.flattened()
+                flat, indptr = coll.flattened()
                 sizes = np.diff(indptr).astype(np.int64)
                 flat32 = np.ascontiguousarray(flat, dtype=np.int32)
             if edges is None:
@@ -475,14 +472,14 @@ class FrozenRRRIndex:
             else:
                 self._perm = np.empty(0, dtype=np.int64)
             # The flat incidence array is decoded lazily on first read
-            # (arrays()); resident until then: just the coded section.
-            self._flat = None
+            # (rows()); resident until then: just the coded section.
+            flat = None
         elif entries:
-            self._flat = np.memmap(
+            flat = np.memmap(
                 self.path / _FLAT, dtype=np.int32, mode="r", shape=(entries,)
             )
         else:
-            self._flat = np.empty(0, dtype=np.int32)
+            flat = np.empty(0, dtype=np.int32)
         if num:
             self._sizes = np.memmap(
                 self.path / _SIZES, dtype=np.int64, mode="r", shape=(num,)
@@ -500,45 +497,53 @@ class FrozenRRRIndex:
                 f"sizes sum to {int(indptr[-1])} entries, manifest "
                 f"certifies {entries}"
             )
-        self._indptr = indptr
-        self._sample_of = np.repeat(
-            np.arange(num, dtype=np.int64), np.asarray(self._sizes)
-        )
+        self._rows = (flat, indptr)
 
     # -- reads -------------------------------------------------------------
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(flat, indptr, sample_of)`` — flat is the raw memmap for a
-        flat index; a compressed index decodes its coded section into an
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(flat, indptr)`` — flat is the raw int32 memmap for a flat
+        index; a compressed index decodes its coded section into an
         identical int32 array once, lazily, and caches it (the query
         engine on top is therefore layout-blind and bit-identical)."""
-        if self._indptr is None:
+        rows = self._rows
+        if rows is None:
             raise FrozenIndexError("index is closed")
-        if self._flat is None:
-            self._flat = self._decode_flat()
-        return self._flat, self._indptr, self._sample_of
+        if rows[0] is None:
+            rows = self._rows = (self._decode_flat(rows[1]), rows[1])
+        return rows
 
-    def _decode_flat(self) -> np.ndarray:
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(flat, indptr, sample_of)``: :meth:`rows` plus each entry's
+        owning sample, built on every call and never kept (the query
+        engine reads :meth:`rows`)."""
+        flat, indptr = self.rows()
+        return flat, indptr, _owners(indptr)
+
+    def _decode_flat(self, indptr: np.ndarray) -> np.ndarray:
         """Decode the compressed section to the exact bytes the flat
-        layout would have written: int32, id-sorted within each sample."""
-        num, entries = self.num_samples, self.entries
+        layout would have written: int32, id-sorted within each sample.
+        Only the samples ``indptr`` bounds are decoded: the coded files
+        are append-only, so a remap racing this read leaves that prefix
+        as it was."""
+        num = len(indptr) - 1
         if num == 0:
             return np.empty(0, dtype=np.int32)
         coll = CompressedRRRCollection.from_stream(
             self.n,
             self._coded,
-            self._offsets,
+            self._offsets[:num],
             np.asarray(self._perm),
-            entries=entries,
+            entries=int(indptr[-1]),
         )
         ranks, counts = coll.parse_stream()
-        if not np.array_equal(counts, np.asarray(self._sizes)):
+        if not np.array_equal(counts, np.diff(indptr)):
             raise FrozenIndexError(
                 "compressed section decodes to per-sample counts that "
                 "disagree with sizes.i64.bin — index is torn or corrupt"
             )
-        verts = np.asarray(self._perm)[ranks]
-        keys = self._sample_of * max(self.n, 1) + verts
+        keys = _owners(indptr) * max(self.n, 1)
+        keys += np.asarray(self._perm)[ranks]
         keys.sort()
         return np.ascontiguousarray(keys % max(self.n, 1), dtype=np.int32)
 
@@ -551,14 +556,11 @@ class FrozenRRRIndex:
         """A read-only collection over the first ``num_samples`` samples
         (default: all).  Prefix views are zero-copy slices, which is what
         lets the query engine replay the θ-estimation rounds exactly."""
-        flat, indptr, sample_of = self.arrays()
+        flat, indptr = self.rows()
         if num_samples is None or num_samples >= self.num_samples:
-            return FrozenCollectionView(self.n, flat, indptr, sample_of)
+            return FrozenCollectionView(self.n, flat, indptr)
         m = int(num_samples)
-        e = int(indptr[m])
-        return FrozenCollectionView(
-            self.n, flat[:e], indptr[: m + 1], sample_of[:e]
-        )
+        return FrozenCollectionView(self.n, flat[: int(indptr[m])], indptr[: m + 1])
 
     # -- extension ---------------------------------------------------------
 
@@ -582,10 +584,12 @@ class FrozenRRRIndex:
         a copy and installed only once it is durable, so a failure at
         any step leaves this object and the directory at the old sealed
         state.  A handle whose manifest is older than the one on disk
-        refuses to extend instead of truncating sealed samples; one
-        writer per index remains the caller's rule.
+        refuses to extend instead of truncating sealed samples; the
+        check and the writes hold the directory's writer lock, so of two
+        racing writers the second waits and then refuses.  One writer per
+        index remains the caller's rule.
         """
-        if self._indptr is None:
+        if self._rows is None:
             raise FrozenIndexError("index is closed")
         if int(start) != self.num_samples:
             raise FrozenIndexError(
@@ -622,25 +626,27 @@ class FrozenRRRIndex:
         else:
             files = ((_FLAT, flat32), (_SIZES, sizes), (_EDGES, edges64))
         certified = _certified_bytes(self.manifest)
-        if _certified_bytes(_read_manifest(self.path)) != certified:
-            # Truncating through a stale handle would cut samples another
-            # writer sealed (and pages its handle has mapped).
-            raise FrozenIndexError(
-                f"index {self.path} was extended behind this handle — "
-                "reopen it before extending"
-            )
-        for name, arr in files:
-            with open(self.path / name, "r+b") as fh:
-                fh.truncate(certified[name])
-                fh.seek(certified[name])
-                fh.write(arr.tobytes())
-                fh.flush()
-                os.fsync(fh.fileno())
         num = self.num_samples + len(sizes)
         manifest["num_samples"] = num
         manifest["entries"] = self.entries + len(flat32)
         manifest["stream_fold"] = _fold_range(self.seed, num)
-        _write_manifest(self.path, manifest)
+        with _writer_lock(self.path):
+            if _certified_bytes(_read_manifest(self.path)) != certified:
+                # Truncating through a stale handle would cut samples
+                # another writer sealed (and pages its handle has mapped:
+                # reading them would raise SIGBUS).
+                raise FrozenIndexError(
+                    f"index {self.path} was extended behind this handle — "
+                    "reopen it before extending"
+                )
+            for name, arr in files:
+                with open(self.path / name, "r+b") as fh:
+                    fh.truncate(certified[name])
+                    fh.seek(certified[name])
+                    fh.write(arr.tobytes())
+                    fh.flush()
+                    os.fsync(fh.fileno())
+            _write_manifest(self.path, manifest)
         self.manifest = manifest
         self._map()
 
@@ -659,7 +665,8 @@ class FrozenRRRIndex:
                 [int(tx), float(fr)] for tx, fr in facts["coverage_history"]
             ]
         manifest = {**self.manifest, **facts}
-        _write_manifest(self.path, manifest)
+        with _writer_lock(self.path):
+            _write_manifest(self.path, manifest)
         self.manifest = manifest
 
     # -- lifecycle ---------------------------------------------------------
@@ -667,8 +674,7 @@ class FrozenRRRIndex:
     def close(self) -> None:
         """Drop the memmaps (idempotent); the on-disk index survives."""
         for name in (
-            "_flat", "_sizes", "_edges", "_indptr", "_sample_of",
-            "_coded", "_offsets", "_perm",
+            "_rows", "_sizes", "_edges", "_coded", "_offsets", "_perm",
         ):
             setattr(self, name, None)
 
@@ -677,6 +683,11 @@ class FrozenRRRIndex:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _owners(indptr: np.ndarray) -> np.ndarray:
+    """The owning sample of every entry of the rows ``indptr`` bounds."""
+    return np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
 
 
 def _certified_bytes(manifest: dict) -> dict[str, int]:
@@ -699,6 +710,23 @@ def _read_manifest(path: Path) -> dict:
         return json.loads(mpath.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise FrozenIndexError(f"unreadable index manifest {mpath}: {exc}") from exc
+
+
+@contextmanager
+def _writer_lock(path: Path):
+    """Hold an exclusive ``flock`` on the index directory.
+
+    Every manifest write, and an extension from its stale-handle check
+    through its appends to the new manifest, runs under it: a second
+    writer waits, then finds the manifest moved and refuses, instead of
+    truncating bytes the first writer has sealed and mapped.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)  # closing the descriptor releases the lock
 
 
 def _write_manifest(path: Path, manifest: dict) -> None:

@@ -29,7 +29,8 @@ extends or cuts the index prefix instead of sampling.  Every
 selection — replay rounds, the final pick, ``what_if`` and degraded
 answers — runs :func:`~repro.imm.select.greedy_cover`, the kernel
 behind ``select_seeds``, over a :class:`~repro.imm.select.FlatView`
-that cuts the prefix from one cached vertex→entries index;
+that cuts the prefix from one cached sample-keyed hit index (``int32``
+sample ids, built once per mapping; no per-entry owner array exists);
 ``marginal_gain`` reuses the kernel's cover step.
 
 **Sealed prefixes answer from memory.**  A sealed prefix never changes:
@@ -256,10 +257,10 @@ class InfluenceQueryEngine:
         self.index = index
         self.graph = graph
         self._sampler = None
-        # The vertex index as ONE attribute: the front end runs
-        # concurrent queries against a shared engine in worker threads,
-        # and a single tuple assignment is atomic where a pair of
-        # attribute writes can be observed half-built.
+        # The hit index as ONE attribute: the front end runs concurrent
+        # queries against a shared engine in worker threads, and a
+        # single tuple assignment is atomic where a pair of attribute
+        # writes can be observed half-built.
         self._vert_cache: tuple[np.ndarray, np.ndarray] | None = None
         # (prefix length, k) -> (seeds, covered) of unconstrained greedy.
         self._memo: OrderedDict[tuple[int, int], tuple[np.ndarray, int]] = OrderedDict()
@@ -274,16 +275,15 @@ class InfluenceQueryEngine:
 
     def _prefix(self, num_samples: int) -> FlatView:
         """Greedy view of the first ``num_samples`` samples, cut from the
-        cached vertex index over the whole mapped index."""
-        flat, indptr, sample_of = self.index.arrays()
+        cached hit index over the whole mapped index."""
+        flat, indptr = self.index.rows()
         cache = self._vert_cache
         # Rebuilt when it covers fewer entries than the mapping: a reader
         # that raced an extension may store an index of the old one.
         if cache is None or len(cache[0]) < len(flat):
-            cache = self._vert_cache = vertex_index(np.asarray(flat), self.index.n)
+            cache = self._vert_cache = vertex_index(np.asarray(flat), indptr, self.index.n)
         return FlatView(
-            self.index.n, flat, indptr, sample_of,
-            num_samples=num_samples, by_vertex=cache,
+            self.index.n, flat, indptr, num_samples=num_samples, by_vertex=cache
         )
 
     def _select(self, num_samples: int, k: int) -> tuple[np.ndarray, int]:
@@ -334,9 +334,9 @@ class InfluenceQueryEngine:
         else:
             indices = np.arange(start, target, dtype=np.int64)
         per_sample = self._sampler.sample_into(coll, indices, idx.seed)
-        flat, indptr, _ = coll.flattened()
+        flat, indptr = coll.flattened()
         idx.extend(
-            flat.astype(np.int32), np.diff(indptr), per_sample, start=start
+            flat, np.diff(indptr), per_sample, start=start
         )
         edges = int(per_sample.sum())
         self.edges_examined += edges
@@ -446,9 +446,12 @@ class InfluenceQueryEngine:
         mf = self.index.manifest
         n = self.index.n
         k = int(mf["k"]) if k is None else int(k)
-        m = self.index.num_samples
+        # The samples the view holds: a racing extension commits its
+        # count before the remap lands (see marginal_gain).
+        view = self._prefix(self.index.num_samples)
+        m = view.num_samples
         seeds, state = drive(greedy_cover(
-            self._prefix(m), k,
+            view, k,
             forced=_validate_vertex_ids(forced, n, "forced"),
             excluded=_validate_vertex_ids(excluded, n, "excluded"),
         ))
@@ -498,10 +501,7 @@ class InfluenceQueryEngine:
             state.cover(v)
         covered = state.covered
         alive = np.flatnonzero(state.alive)
-        counts = (
-            np.bincount(view.members(alive), minlength=n)
-            if len(alive) else np.zeros(n, dtype=np.int64)
-        )
+        counts = view.tally(alive) if len(alive) else np.zeros(n, dtype=np.int64)
         scale = n / m if m else 0.0
         gains = counts.astype(np.float64) * scale
         gains[list(seed_set)] = 0.0

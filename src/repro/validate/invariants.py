@@ -13,8 +13,10 @@ Checked for :class:`~repro.sampling.collection.SortedRRRCollection`:
   least its root) and ends at ``total_entries``;
 * every sample's vertex list is strictly increasing (sorted,
   duplicate-free) and within ``[0, n)``;
-* ``sample_of[e]`` names the sample whose ``indptr`` interval contains
-  entry ``e`` (the selection kernels' reverse map);
+* the selection kernel's sample-keyed hit index
+  (:func:`~repro.imm.select.vertex_index`) is *exactly* the transpose of
+  ``flat``/``indptr`` — per vertex, the ids of the samples holding it,
+  ascending — and a sample prefix cut from it is the prefix's transpose;
 * ``counters()`` equals an independent bincount of the flat buffer;
 * ``nbytes_model()`` equals the documented closed form (byte-model
   conservation — Table 2 comparisons silently lie if this drifts).
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..imm import select
 from ..sampling.collection import (
     SAMPLE_ID_BYTES,
     VECTOR_HEADER_BYTES,
@@ -75,7 +78,7 @@ def check_sorted_collection(
 ) -> ValidationReport:
     """Verify the flat-buffer invariants of the sorted layout."""
     rep = ValidationReport()
-    flat, indptr, sample_of = coll.flattened()
+    flat, indptr = coll.flattened()
     num, entries = len(coll), coll.total_entries
 
     rep.check(
@@ -86,11 +89,10 @@ def check_sorted_collection(
         f"got len={len(indptr)} first={indptr[0] if len(indptr) else '∅'}",
     )
     rep.check(
-        len(flat) == entries and len(sample_of) == entries,
+        len(flat) == entries,
         "collection.flat-length",
         subject,
-        f"flat/sample_of length {len(flat)}/{len(sample_of)} != "
-        f"total_entries {entries}",
+        f"flat length {len(flat)} != total_entries {entries}",
     )
     if num:
         sizes = np.diff(indptr)
@@ -125,13 +127,13 @@ def check_sorted_collection(
             subject,
             f"vertex ids must lie in [0, {coll.n})",
         )
-        if monotone_ok:
-            expected_owner = np.repeat(np.arange(num, dtype=np.int64), sizes)
+        if monotone_ok and in_range:
+            wrong = _hit_index_mismatch(flat, indptr, coll.n)
             rep.check(
-                bool(np.array_equal(sample_of, expected_owner)),
-                "collection.sample-of",
+                wrong is None,
+                "collection.hit-index",
                 subject,
-                "sample_of disagrees with the indptr partition",
+                f"hit index is not the transpose of flat/indptr: {wrong}",
             )
         if in_range:
             rep.check(
@@ -155,6 +157,39 @@ def check_sorted_collection(
         f"(header + {num}·header + {entries}·{VERTEX_ID_BYTES})",
     )
     return rep
+
+
+def _hit_index_mismatch(flat: np.ndarray, indptr: np.ndarray, n: int) -> str | None:
+    """Where the kernel's hit index departs from the transpose of the
+    rows (``None`` if nowhere), over all samples and over a prefix cut
+    from the full index the way the serving engine cuts it."""
+    num = len(indptr) - 1
+    owner = np.repeat(np.arange(num, dtype=np.int64), np.diff(indptr))
+    want = owner[np.argsort(flat.astype(np.int64), kind="stable")]
+    want_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=n), out=want_ptr[1:])
+    index = select.vertex_index(flat, indptr, n)
+    hits, vptr = index
+    if not np.array_equal(vptr, want_ptr):
+        bad = int(np.flatnonzero(vptr != want_ptr)[0])
+        return f"group offset {bad} is {int(vptr[bad])}, want {int(want_ptr[bad])}"
+    if not np.array_equal(hits, want):
+        bad = int(np.flatnonzero(hits != want)[0])
+        return f"hit {bad} names sample {int(hits[bad])}, want {int(want[bad])}"
+    cut = num // 2
+    view = select.FlatView(n, flat, indptr, num_samples=cut, by_vertex=index)
+    got = [view.hits(v) for v in range(n)]
+    lengths = np.fromiter(map(len, got), dtype=np.int64, count=n)
+    want_lengths = np.bincount(flat[: int(indptr[cut])], minlength=n)
+    if not np.array_equal(lengths, want_lengths):
+        bad = int(np.flatnonzero(lengths != want_lengths)[0])
+        return (
+            f"vertex {bad} has {int(lengths[bad])} hits in the first {cut} "
+            f"samples, want {int(want_lengths[bad])}"
+        )
+    if n and not np.array_equal(np.concatenate(got), want[want < cut]):
+        return f"hits cut to the first {cut} samples name other samples"
+    return None
 
 
 def check_hypergraph_collection(

@@ -15,7 +15,8 @@ mutant                      expected detector
 unsorted sample             ``collection.sortedness`` invariant
 within-sample duplicate     ``collection.sortedness`` invariant
 corrupted ``indptr``        ``collection.indptr-monotone`` invariant
-corrupted ``sample_of``     ``collection.sample-of`` invariant
+hit-index keys mis-folded   ``collection.hit-index`` invariant and
+                            ``oracle.seed-set`` on ``imm_dist[nodes=1]``
 byte-model drift            ``collection.byte-model`` invariant
 dropped inverted entry      ``collection.inverted-index`` invariant
 skipped counter decrement   seed-set equivalence comparison
@@ -115,7 +116,7 @@ def _violated(report, check_name: str) -> tuple[bool, str]:
 
 def _mutant_unsorted(seed: int) -> MutantResult:
     coll = _sample_collection(seed)
-    flat, indptr, _ = coll.flattened()
+    flat, indptr = coll.flattened()
     # Reverse the first sample with >= 2 vertices, behind validation.
     sizes = np.diff(indptr)
     target = int(np.argmax(sizes >= 2))
@@ -131,7 +132,7 @@ def _mutant_unsorted(seed: int) -> MutantResult:
 
 def _mutant_duplicate(seed: int) -> MutantResult:
     coll = _sample_collection(seed)
-    _, indptr, _ = coll.flattened()
+    _, indptr = coll.flattened()
     sizes = np.diff(indptr)
     target = int(np.argmax(sizes >= 2))
     lo = int(indptr[target])
@@ -160,16 +161,46 @@ def _mutant_indptr(seed: int) -> MutantResult:
     )
 
 
-def _mutant_sample_of(seed: int) -> MutantResult:
+def _misfolded_vertex_index(ids, indptr, n):
+    """The injected hit-index bug: keys folded as ``id·(m-1) + sample``
+    but unfolded with ``m`` — hits land in shifted groups under shifted
+    sample ids, and every id is still a valid sample."""
+    m = len(indptr) - 1
+    keys = ids.astype(np.int64) * (m - 1)
+    keys += np.repeat(np.arange(m, dtype=np.int64), np.diff(indptr))
+    keys.sort()
+    vptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * m)
+    return (keys % m).astype(np.int32), vptr
+
+
+def _mutant_hit_index_fold(seed: int) -> MutantResult:
+    """The kernel's hit index built with the wrong key fold.
+
+    The structural invariant compares it with the rows' transpose; the
+    oracle sees the seeds ``imm_dist`` picks through it diverge from a
+    serial run computed before the fault went in.
+    """
+    from ..imm import imm, select
+    from .oracle import OracleConfig, check_dist_equivalence
+
     coll = _sample_collection(seed)
-    e = coll.total_entries // 2
-    coll._sample_of[e] += 1  # entry claims the wrong owning sample
-    detected, evidence = _violated(
-        check_sorted_collection(coll, "mutant"), "collection.sample-of"
-    )
+    cfg = OracleConfig(datasets=(_MUTATION_DATASET,), seed=seed, rank_counts=(1,))
+    graph = load(_MUTATION_DATASET, "IC")
+    ref = imm(graph, cfg.k, cfg.eps, "IC", seed=seed, theta_cap=cfg.theta_cap)
+    real = select.vertex_index
+    select.vertex_index = _misfolded_vertex_index
+    try:
+        structural = check_sorted_collection(coll, "mutant")
+        oracle = check_dist_equivalence(graph, "IC", ref, cfg, "mutant")
+    finally:
+        select.vertex_index = real
+    by_invariant, inv_evidence = _violated(structural, "collection.hit-index")
+    by_oracle, oracle_evidence = _violated(oracle, "oracle.seed-set")
     return MutantResult(
-        "sample-of-corruption", f"misattributed entry {e} to the next sample",
-        detected, evidence,
+        "hit-index-keys-misfolded",
+        "hit-index keys folded with m-1 samples, unfolded with m",
+        by_invariant and by_oracle,
+        f"{inv_evidence}; {oracle_evidence}",
     )
 
 
@@ -209,12 +240,12 @@ def _mutant_inverted_index(seed: int) -> MutantResult:
 
 
 class _NoDecrementView(FlatView):
-    """The injected selection bug: killed samples report no members, so
+    """The injected selection bug: killed samples tally no entries, so
     the real kernel never decrements — the classic "forgot to subtract
     covered memberships" slip that still returns a plausible seed set."""
 
-    def members(self, samples: np.ndarray) -> np.ndarray:
-        return np.empty(0, dtype=np.int64)
+    def tally(self, samples: np.ndarray) -> np.ndarray:
+        return np.zeros(self.n, dtype=np.int64)
 
 
 def _mutant_skipped_decrement(seed: int) -> MutantResult:
@@ -229,7 +260,7 @@ def _mutant_skipped_decrement(seed: int) -> MutantResult:
     diverged = not np.array_equal(good, bad)
     return MutantResult(
         "skipped-decrement",
-        "greedy kernel over a view whose killed samples have no members",
+        "greedy kernel over a view whose killed samples tally no entries",
         diverged,
         (
             f"seed-set comparison caught it: {good.tolist()} vs {bad.tolist()}"
@@ -296,8 +327,8 @@ def _mutant_biased_rng(seed: int) -> MutantResult:
     sampler._thresh_shifted = None  # force the (valid) unshifted compare
     mutant = SortedRRRCollection(graph.n)
     sample_batch(graph, "IC", mutant, _MUTATION_THETA, seed, sampler=sampler)
-    ref_flat, ref_indptr, _ = reference.flattened()
-    mut_flat, mut_indptr, _ = mutant.flattened()
+    ref_flat, ref_indptr = reference.flattened()
+    mut_flat, mut_indptr = mutant.flattened()
     diverged = not (
         np.array_equal(ref_flat, mut_flat) and np.array_equal(ref_indptr, mut_indptr)
     )
@@ -878,7 +909,7 @@ _MUTANTS = {
     "unsorted-sample": _mutant_unsorted,
     "within-sample-duplicate": _mutant_duplicate,
     "indptr-corruption": _mutant_indptr,
-    "sample-of-corruption": _mutant_sample_of,
+    "hit-index-keys-misfolded": _mutant_hit_index_fold,
     "byte-model-drift": _mutant_byte_model,
     "inverted-index-drop": _mutant_inverted_index,
     "skipped-decrement": _mutant_skipped_decrement,

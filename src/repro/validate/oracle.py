@@ -214,7 +214,7 @@ def _check_sampling_equivalence(
     ref_coll = SortedRRRCollection(graph.n)
     ref_batch = serial_sample_batch(graph, model, ref_coll, theta, cfg.seed)
     rep.merge(check_collection(ref_coll, f"{subject} engine=serial"))
-    ref_flat, ref_indptr, _ = ref_coll.flattened()
+    ref_flat, ref_indptr = ref_coll.flattened()
 
     for cohort in (*cfg.cohort_sizes, theta):
         sub = f"{subject} cohort={cohort}"
@@ -222,7 +222,7 @@ def _check_sampling_equivalence(
         sampler = BatchedRRRSampler(graph, model, max_cohort=max(1, cohort))
         batch = sample_batch(graph, model, coll, theta, cfg.seed, sampler=sampler)
         rep.merge(check_collection(coll, sub))
-        flat, indptr, _ = coll.flattened()
+        flat, indptr = coll.flattened()
         rep.check(
             bool(np.array_equal(flat, ref_flat))
             and bool(np.array_equal(indptr, ref_indptr)),

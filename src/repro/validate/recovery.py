@@ -72,8 +72,8 @@ def check_rebuild_fidelity(
         f"ownership map assigns {len(js)}",
     )
     if len(collection) == len(ref):
-        flat, indptr, _ = collection.flattened()
-        ref_flat, ref_indptr, _ = ref.flattened()
+        flat, indptr = collection.flattened()
+        ref_flat, ref_indptr = ref.flattened()
         rep.check(
             bool(np.array_equal(flat, ref_flat))
             and bool(np.array_equal(indptr, ref_indptr)),

@@ -101,8 +101,8 @@ def check_index_bitwise(index, graph, model: str, subject: str) -> ValidationRep
     rep = ValidationReport()
     ref = SortedRRRCollection(graph.n)
     serial_sample_batch(graph, model, ref, index.num_samples, index.seed)
-    ref_flat, ref_indptr, _ = ref.flattened()
-    flat, indptr, _ = index.arrays()
+    ref_flat, ref_indptr = ref.flattened()
+    flat, indptr = index.rows()
     rep.check(
         bool(
             np.array_equal(np.asarray(flat), ref_flat)
@@ -215,7 +215,7 @@ def check_serving_equivalence(
         # -- tighten: equal to a fresh eps' run, prefix untouched --------
         eps2 = eps * 0.8
         before = index.num_samples
-        flat_before = np.asarray(index.arrays()[0]).copy()
+        flat_before = np.asarray(index.rows()[0]).copy()
         fresh3 = imm(graph, k, eps2, model, seed=seed, layout="sorted", theta_cap=cap)
         r3 = eng.tighten(eps2)
         sub3 = f"{subject} tighten[eps={eps2:g}]"
@@ -237,7 +237,7 @@ def check_serving_equivalence(
             f"samples (used {r3.num_samples_used}) — landed samples must "
             "never be resampled",
         )
-        flat_now, _, _ = index.arrays()
+        flat_now, _ = index.rows()
         rep.check(
             bool(
                 np.array_equal(
@@ -253,7 +253,7 @@ def check_serving_equivalence(
         half = max(1, fresh.num_samples // 2)
         part = SortedRRRCollection(graph.n)
         pbatch = sample_batch(graph, model, part, half, seed)
-        pflat, pindptr, _ = part.flattened()
+        pflat, pindptr = part.flattened()
         ck = td / "ck"
         with BlockCheckpointSink(ck, n=graph.n, model=model, seed=seed) as sink:
             sink.append_block(
@@ -385,8 +385,8 @@ def check_compressed_serving(
         # -- reopen + serve: decoded arrays and answers bit-identical ----
         fidx = FrozenRRRIndex.open(fdir, graph=graph)
         cidx = FrozenRRRIndex.open(cdir, graph=graph)
-        fa = np.asarray(fidx.arrays()[0])
-        ca = np.asarray(cidx.arrays()[0])
+        fa = np.asarray(fidx.rows()[0])
+        ca = np.asarray(cidx.rows()[0])
         rep.check(
             bool(np.array_equal(fa, ca)),
             "serving.compressed-bitwise",
@@ -444,9 +444,9 @@ def check_compressed_serving(
         cidx = FrozenRRRIndex.open(cdir, graph=graph)
         ref = SortedRRRCollection(graph.n)
         serial_sample_batch(graph, model, ref, cidx.num_samples, seed)
-        ref_flat, _, _ = ref.flattened()
+        ref_flat, _ = ref.flattened()
         rep.check(
-            bool(np.array_equal(np.asarray(cidx.arrays()[0]), ref_flat)),
+            bool(np.array_equal(np.asarray(cidx.rows()[0]), ref_flat)),
             "serving.compressed-reopen",
             subject,
             "re-opened extended compressed index diverges from the serial "

@@ -54,8 +54,8 @@ __all__ = ["check_supervised_sampling", "check_supervised_equivalence"]
 def _bitwise_equal(coll, ref) -> bool:
     if len(coll) != len(ref):
         return False
-    flat, indptr, _ = coll.flattened()
-    ref_flat, ref_indptr, _ = ref.flattened()
+    flat, indptr = coll.flattened()
+    ref_flat, ref_indptr = ref.flattened()
     return bool(
         np.array_equal(flat, ref_flat) and np.array_equal(indptr, ref_indptr)
     )
@@ -184,8 +184,8 @@ def check_supervised_equivalence(
             f"flag={eng.stats.deadline_expired}) — silent full-θ result",
         )
         landed = len(coll)
-        flat, indptr, _ = coll.flattened()
-        ref_flat, ref_indptr, _ = ref.flattened()
+        flat, indptr = coll.flattened()
+        ref_flat, ref_indptr = ref.flattened()
         rep.check(
             landed < theta
             and bool(np.array_equal(flat, ref_flat[: len(flat)]))

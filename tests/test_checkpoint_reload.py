@@ -20,7 +20,7 @@ def _spilled_run(graph, run_dir, num_samples=40):
     """A run directory with ``num_samples`` certified samples in two blocks."""
     coll = SortedRRRCollection(graph.n)
     batch = sample_batch(graph, "IC", coll, num_samples, SEED)
-    flat, indptr, _ = coll.flattened()
+    flat, indptr = coll.flattened()
     sizes = np.diff(indptr)
     split = num_samples // 2
     with BlockCheckpointSink(run_dir, n=graph.n, model="IC", seed=SEED) as sink:
@@ -53,7 +53,7 @@ class TestLoadRangeBounds:
             tmp_path / "run", n=ba_graph.n, model="IC", seed=SEED, readonly=True
         )
         flat, sizes, edges = sink.load_range(0, sink.landed)
-        ref_flat, ref_indptr, _ = coll.flattened()
+        ref_flat, ref_indptr = coll.flattened()
         assert np.array_equal(flat, ref_flat)
         assert np.array_equal(sizes, np.diff(ref_indptr))
         assert np.array_equal(edges, batch.per_sample_edges)
@@ -136,7 +136,7 @@ class TestTornTail:
             tmp_path / "run", n=ba_graph.n, model="IC", seed=SEED, readonly=True
         )
         flat, _, _ = sink.load_range(0, sink.landed)
-        ref_flat, _, _ = coll.flattened()
+        ref_flat, _ = coll.flattened()
         assert np.array_equal(flat, ref_flat)
 
     def test_frozen_index_promotion_from_torn_run(self, ba_graph, tmp_path):
@@ -150,7 +150,7 @@ class TestTornTail:
         try:
             assert index.num_samples == len(coll)
             flat, indptr, _ = index.arrays()
-            ref_flat, ref_indptr, _ = coll.flattened()
+            ref_flat, ref_indptr = coll.flattened()
             assert np.array_equal(np.asarray(flat), ref_flat)
             assert np.array_equal(indptr, ref_indptr)
         finally:

@@ -155,6 +155,14 @@ class TestCompressedCollection:
         assert [s.tolist() for s in a] == [s.tolist() for s in b]
         assert a.counters().tolist() == b.counters().tolist()
 
+    def test_vertex_count_above_int32_rejected(self):
+        # Ranks decode as int32: a larger n is refused before anything
+        # is allocated (its per-vertex arrays alone would be 48 GB).
+        with pytest.raises(ValueError, match="int32"):
+            CompressedRRRCollection(2**31)
+        with pytest.raises(ValueError, match="non-negative"):
+            CompressedRRRCollection(-1)
+
     def test_empty_batch_is_noop(self):
         coll = build(SETS)
         before = (coll.coded_bytes, len(coll), coll.total_entries)

@@ -64,10 +64,10 @@ class TestCollectionMisuse:
         (the EstimateTheta loop does exactly this)."""
         coll = SortedRRRCollection(10)
         coll.append(np.array([1, 2], np.int32))
-        flat1, _, _ = coll.flattened()
+        flat1, _ = coll.flattened()
         counters1 = coll.counters()
         coll.append(np.array([2, 3], np.int32))
-        flat2, _, _ = coll.flattened()
+        flat2, _ = coll.flattened()
         counters2 = coll.counters()
         assert len(flat2) == 4
         assert counters2[2] == counters1[2] + 1

@@ -5,9 +5,10 @@ The reference below shares no code with :mod:`repro.imm.select`: it
 re-counts every vertex's alive samples each iteration and charges the
 work meters the way Algorithm 4 spends them, kill by kill.  Every view —
 sorted, compressed, hypergraph, and a frozen-style prefix cut from a
-vertex index over a longer collection (with ``forced``/``excluded``) —
+hit index over a longer collection (with ``forced``/``excluded``) —
 must match it in seeds, covered count and every ``SelectionResult``
-meter.
+meter.  The hit index under every view is checked on its own against
+the owners of an int64 stable sort, at every prefix and both key widths.
 """
 
 import math
@@ -132,15 +133,96 @@ def test_kernel_matches_naive_greedy_on_every_view(inst):
         naive_greedy(sets, n, k, inverted=True)
     )
 
-    # The frozen index's view: a prefix cut from a vertex index built
+    # The frozen index's view: a prefix cut from a hit index built
     # over the whole (longer) collection, with constraints.
-    flat, indptr, sample_of = build(SortedRRRCollection, sets, n).flattened()
+    flat, indptr = build(SortedRRRCollection, sets, n).flattened()
     view = FlatView(
-        n, flat, indptr, sample_of,
-        num_samples=prefix, by_vertex=vertex_index(flat, n),
+        n, flat, indptr, num_samples=prefix, by_vertex=vertex_index(flat, indptr, n)
     )
     seeds, state = drive(greedy_cover(view, k, forced=forced, excluded=excluded))
     sel = _metered(view, seeds, state, ranks)
     assert observed(seeds.tolist(), state.covered, sel) == naive_greedy(
         sets[:prefix], n, k, ranks, forced=forced, excluded=excluded
     )
+
+
+def _assert_hits_match_stable_sort(flat, indptr, n, vertices):
+    """Every prefix cut of the hit index equals the owners that an int64
+    stable sort of the entries lists per vertex."""
+    m = len(indptr) - 1
+    owner = np.repeat(np.arange(m, dtype=np.int64), np.diff(indptr))
+    want = owner[np.argsort(flat.astype(np.int64), kind="stable")]
+    want_ptr = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=n))])
+    index = vertex_index(flat, indptr, n)
+    assert index[0].dtype == np.int32
+    assert np.array_equal(index[0], want)
+    assert np.array_equal(index[1], want_ptr)
+    for prefix in range(m + 1):
+        view = FlatView(n, flat, indptr, num_samples=prefix, by_vertex=index)
+        for v in vertices:
+            expect = want[want_ptr[v] : want_ptr[v + 1]]
+            assert np.array_equal(view.hits(v), expect[expect < prefix]), (prefix, v)
+
+
+def _random_collections(count, seed):
+    """The edge cases (no samples, one vertex, every sample full), then
+    ``count`` random collections: 1–40 vertices, up to 25 samples of
+    1–6 distinct vertices each."""
+    yield 7, []
+    yield 1, [[0]] * 5
+    yield 4, [[0, 1, 2, 3]] * 6
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 41))
+        sizes = rng.integers(1, min(n, 6) + 1, size=int(rng.integers(0, 26)))
+        yield n, [np.sort(rng.choice(n, int(s), replace=False)) for s in sizes]
+
+
+def test_hit_index_equals_stable_sort_owners_at_every_prefix():
+    for n, sets in _random_collections(120, seed=19):
+        flat, indptr = build(SortedRRRCollection, sets, n).flattened()
+        assert n * (len(indptr) - 1) < 2**31  # int32 keys
+        _assert_hits_match_stable_sort(flat, indptr, n, range(n))
+
+
+def test_hit_index_with_int64_keys_at_every_prefix():
+    # n·m = 2^32: keys id·m + sample overflow int32, so they sort as
+    # int64; the sample ids kept stay int32.
+    n, m = 1 << 20, 1 << 12
+    pool = np.asarray([0, 5, n // 2, n - 3, n - 2, n - 1])
+    rng = np.random.default_rng(11)
+    sets = [np.sort(rng.choice(pool, rng.integers(1, 4), replace=False)) for _ in range(m)]
+    coll = SortedRRRCollection(n)
+    coll.append_batch(np.concatenate(sets), np.asarray([len(s) for s in sets]))
+    flat, indptr = coll.flattened()
+    assert n * m >= 2**31
+    _assert_hits_match_stable_sort(flat, indptr, n, pool)
+
+
+def test_kill_pass_in_runs_matches_one_bincount(monkeypatch):
+    # With the run size at its floor (n entries), a kill over many large
+    # samples is tallied in several runs; the counts and the picks must
+    # equal one bincount over the killed rows.
+    from repro.datasets import load
+    from repro.imm import select
+    from repro.imm.select import CompressedView
+    from repro.sampling import sample_batch
+
+    graph = load("cit-HepTh", "IC")
+    flat_coll = SortedRRRCollection(graph.n)
+    comp_coll = CompressedRRRCollection(graph.n)
+    sample_batch(graph, "IC", flat_coll, 300, 5)
+    sample_batch(graph, "IC", comp_coll, 300, 5)
+    want = [select_seeds(c, graph.n, 10, num_ranks=3) for c in (flat_coll, comp_coll)]
+    monkeypatch.setattr(select, "_TALLY_CHUNK", 1)
+    flat, indptr = flat_coll.flattened()
+    killed = np.arange(0, 300, 2)
+    rows = np.concatenate([flat[indptr[j] : indptr[j + 1]] for j in killed])
+    assert len(rows) > 3 * graph.n  # several runs
+    for view in (FlatView(graph.n, flat, indptr), CompressedView(comp_coll, graph.n)):
+        assert np.array_equal(view.tally(killed), np.bincount(rows, minlength=graph.n))
+    for coll, ref in zip((flat_coll, comp_coll), want):
+        got = select_seeds(coll, graph.n, 10, num_ranks=3)
+        assert observed(got.seeds, got.covered_samples, got) == observed(
+            ref.seeds, ref.covered_samples, ref
+        )

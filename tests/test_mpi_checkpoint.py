@@ -121,8 +121,8 @@ class TestRebuildPartition:
         assert js.tolist() == owned_indices(deals, 1, 0, 30).tolist()
         ref = SortedRRRCollection(ba_graph.n)
         ref_per = BatchedRRRSampler(ba_graph, "IC").sample_into(ref, js, seed)
-        a_flat, a_indptr, _ = coll.flattened()
-        b_flat, b_indptr, _ = ref.flattened()
+        a_flat, a_indptr = coll.flattened()
+        b_flat, b_indptr = ref.flattened()
         np.testing.assert_array_equal(a_flat, b_flat)
         np.testing.assert_array_equal(a_indptr, b_indptr)
         np.testing.assert_array_equal(per, ref_per)

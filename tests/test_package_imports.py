@@ -3,8 +3,8 @@
 ``repro`` binds its subpackages on first attribute access, so a serving
 process or the CLI never pays for ``repro.bio`` and ``scipy.stats``.
 Import order is process-global state, so every import check runs in a
-fresh interpreter.  The radix-sorted vertex index rides along: it must
-return the very permutation the int64 stable sort returns.
+fresh interpreter.  The vertex index rides along: its sample-keyed hit
+lists must equal the owners an int64 stable sort of the entries yields.
 """
 
 import json
@@ -101,11 +101,17 @@ def test_public_names_resolve_as_with_eager_imports():
 
 @pytest.mark.parametrize("n", [1 << 16, (1 << 16) + 1])
 def test_vertex_index_matches_int64_stable_sort(n):
+    # 50,000 entries in 1,000 samples of 50; ids may repeat across
+    # samples, never within one (the keys id·m + sample stay unique).
     rng = np.random.default_rng(n)
-    flat = rng.integers(0, n, size=50_000).astype(np.int32)
-    flat[[0, 7, -1]] = n - 1  # the widest id, repeated: order among ties
-    flat[[3, 9]] = 0
-    order, indptr = vertex_index(flat, n)
-    assert order.dtype == np.int64
-    assert np.array_equal(order, np.argsort(flat.astype(np.int64), kind="stable"))
-    assert np.array_equal(np.diff(indptr), np.bincount(flat, minlength=n))
+    flat = np.concatenate(
+        [np.sort(rng.choice(n, 50, replace=False)) for _ in range(1000)]
+    ).astype(np.int32)
+    flat[[49, 99, -1]] = n - 1  # the widest id, in several samples
+    flat[[0, 50]] = 0
+    indptr = np.arange(0, 50_001, 50, dtype=np.int64)
+    owner = np.repeat(np.arange(1000, dtype=np.int64), 50)
+    hits, vptr = vertex_index(flat, indptr, n)
+    assert hits.dtype == np.int32
+    assert np.array_equal(hits, owner[np.argsort(flat.astype(np.int64), kind="stable")])
+    assert np.array_equal(np.diff(vptr), np.bincount(flat, minlength=n))

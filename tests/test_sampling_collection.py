@@ -25,17 +25,17 @@ class TestSortedCollection:
     def test_flattened_structure(self):
         coll = SortedRRRCollection(6)
         coll.extend(SETS)
-        flat, indptr, sample_of = coll.flattened()
+        flat, indptr = coll.flattened()
         assert flat.tolist() == [0, 2, 5, 1, 2, 5]
         assert indptr.tolist() == [0, 3, 4, 6]
-        assert sample_of.tolist() == [0, 0, 0, 1, 2, 2]
+        assert (flat.dtype, indptr.dtype) == (np.int32, np.int64)
 
     def test_flattened_cache_invalidation(self):
         coll = SortedRRRCollection(6)
         coll.append(SETS[0])
-        flat1, _, _ = coll.flattened()
+        flat1, _ = coll.flattened()
         coll.append(SETS[1])
-        flat2, _, _ = coll.flattened()
+        flat2, _ = coll.flattened()
         assert len(flat2) == len(flat1) + 1
 
     def test_counters_equal_manual_bincount(self):
@@ -69,10 +69,46 @@ class TestSortedCollection:
 
     def test_empty_collection(self):
         coll = SortedRRRCollection(4)
-        flat, indptr, sample_of = coll.flattened()
+        flat, indptr = coll.flattened()
         assert len(flat) == 0
         assert indptr.tolist() == [0]
         assert coll.counters().tolist() == [0, 0, 0, 0]
+
+
+class TestStorage:
+    """Four bytes per incidence: int32 entries, no per-entry owner array."""
+
+    def _grown(self):
+        # 300 samples of 40 ids: several doublings of the entry buffer.
+        coll = SortedRRRCollection(1000)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            sets = [np.sort(rng.choice(1000, 40, replace=False)) for _ in range(50)]
+            coll.append_batch(np.concatenate(sets).astype(np.int64), np.full(50, 40))
+        coll.extend(np.sort(rng.choice(1000, 40, replace=False)) for _ in range(150))
+        return coll
+
+    def test_entries_are_int32(self):
+        coll = self._grown()
+        flat, _ = coll.flattened()
+        assert flat.dtype == np.int32 and coll[0].dtype == np.int32
+        assert coll[299].tolist() == flat[-40:].tolist()
+
+    def test_no_per_entry_owner_buffer(self):
+        coll = self._grown()
+        assert coll.total_entries == 300 * 40
+        per_entry = [
+            name for name, value in vars(coll).items()
+            if isinstance(value, np.ndarray) and len(value) >= coll.total_entries
+        ]
+        assert per_entry == ["_flat"]
+        held = sum(v.nbytes for v in vars(coll).values() if isinstance(v, np.ndarray))
+        assert held == 4 * len(coll._flat) + 8 * len(coll._indptr)
+
+    def test_vertex_count_above_int32_rejected(self):
+        SortedRRRCollection(2**31 - 1)
+        with pytest.raises(ValueError, match="int32"):
+            SortedRRRCollection(2**31)
 
 
 class TestAppendBatchBoundaries:
@@ -122,10 +158,10 @@ class TestAppendBatchBoundaries:
 
 class TestEmptyCollection:
     def test_flattened_on_empty(self):
-        flat, indptr, sample_of = SortedRRRCollection(6).flattened()
+        flat, indptr = SortedRRRCollection(6).flattened()
         assert flat.tolist() == []
         assert indptr.tolist() == [0]
-        assert sample_of.tolist() == []
+        assert flat.dtype == np.int32
 
     def test_getitem_on_empty_raises_indexerror(self):
         # Must be IndexError, not ZeroDivisionError from the modulo.
@@ -144,7 +180,7 @@ class TestEmptyCollection:
         coll = SortedRRRCollection(4)
         coll.append_batch(np.empty(0, np.int64), np.empty(0, np.int64))
         assert len(coll) == 0
-        flat, indptr, _ = coll.flattened()
+        flat, indptr = coll.flattened()
         assert flat.tolist() == [] and indptr.tolist() == [0]
 
 

@@ -49,7 +49,7 @@ def _reference(graph, model, theta, seed):
     coll = SortedRRRCollection(graph.n)
     indices = np.arange(theta, dtype=np.int64)
     edges = BatchedRRRSampler(graph, model).sample_into(coll, indices, seed)
-    flat, indptr, _ = coll.flattened()
+    flat, indptr = coll.flattened()
     return flat, indptr, edges
 
 
@@ -57,7 +57,7 @@ def _drive(engine, graph, theta, seed, chunk_size=None):
     coll = SortedRRRCollection(graph.n)
     indices = np.arange(theta, dtype=np.int64)
     edges = engine.sample_into(coll, indices, seed, chunk_size=chunk_size)
-    flat, indptr, _ = coll.flattened()
+    flat, indptr = coll.flattened()
     return flat, indptr, edges
 
 
@@ -115,8 +115,8 @@ class TestPoolEquivalence:
         BatchedRRRSampler(ba_graph, "IC").sample_into(ref_coll, indices, 7)
         coll = SortedRRRCollection(ba_graph.n)
         ic_engine.sample_into(coll, indices, 7, chunk_size=64)
-        a, ai, _ = coll.flattened()
-        b, bi, _ = ref_coll.flattened()
+        a, ai = coll.flattened()
+        b, bi = ref_coll.flattened()
         assert np.array_equal(a, b) and np.array_equal(ai, bi)
 
     def test_empty_batch(self, ic_engine, ba_graph):
@@ -269,7 +269,7 @@ class TestOutputArena:
         with ParallelSamplingEngine(ba_graph, "IC", workers=2) as eng:
             coll = SortedRRRCollection(ba_graph.n)
             eng.sample_into(coll, np.arange(THETA, dtype=np.int64), 3)
-            flat, _, _ = coll.flattened()
+            flat, _ = coll.flattened()
             expect = np.bincount(flat, minlength=ba_graph.n)
             counts = eng.count_partitioned(flat, ba_graph.n)
             assert np.array_equal(counts, expect)

@@ -55,7 +55,7 @@ def _reference(graph, model, theta, seed):
     coll = SortedRRRCollection(graph.n)
     indices = np.arange(theta, dtype=np.int64)
     edges = BatchedRRRSampler(graph, model).sample_into(coll, indices, seed)
-    flat, indptr, _ = coll.flattened()
+    flat, indptr = coll.flattened()
     return flat, indptr, edges
 
 
@@ -63,7 +63,7 @@ def _drive(engine, graph, theta, seed, chunk_size=None):
     coll = SortedRRRCollection(graph.n)
     indices = np.arange(theta, dtype=np.int64)
     edges = engine.sample_into(coll, indices, seed, chunk_size=chunk_size)
-    flat, indptr, _ = coll.flattened()
+    flat, indptr = coll.flattened()
     return flat, indptr, edges
 
 
@@ -247,7 +247,7 @@ class TestInjectedFaults:
             coll = SortedRRRCollection(ba_graph.n)
             with pytest.raises(DeadlineExceededError):
                 eng.sample_into(coll, np.arange(THETA, dtype=np.int64), 3)
-            flat, indptr, _ = coll.flattened()
+            flat, indptr = coll.flattened()
             assert np.array_equal(flat, ref_flat[: len(flat)])
             assert np.array_equal(indptr, ref_indptr[: len(coll) + 1])
         finally:

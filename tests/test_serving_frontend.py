@@ -520,8 +520,8 @@ class TestIndexCache:
         with cache.lease(path_a) as ea:
             with cache.lease(path_b) as eb:
                 # both stay mapped despite capacity 1:
-                assert ea.index._flat is not None
-                assert eb.index._flat is not None
+                assert ea.index._rows is not None
+                assert eb.index._rows is not None
                 assert len(cache) == 2
         cache.close()
 
@@ -533,8 +533,8 @@ class TestIndexCache:
             # still queryable mid-lease — close is deferred:
             r = eng.what_if(K)
             assert np.array_equal(r.seeds, res.seeds)
-            assert eng.index._flat is not None
-        assert eng.index._flat is None  # last lease out: now closed
+            assert eng.index._rows is not None
+        assert eng.index._rows is None  # last lease out: now closed
         cache.close()
 
     def test_republish_behind_engine_retires_it(self, ba_graph, uncapped, tmp_path):
@@ -553,8 +553,8 @@ class TestIndexCache:
         new = cache.engine(path)
         assert new is not old
         assert cache.misses == 2
-        assert old.index._flat is None  # unpinned: retired and closed
-        assert new.index._flat is not None
+        assert old.index._rows is None  # unpinned: retired and closed
+        assert new.index._rows is not None
         cache.close()
 
 

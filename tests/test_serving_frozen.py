@@ -5,6 +5,8 @@ binding, zero-copy prefix views, in-place extension, manifest
 amendment, and crash consistency of both write paths.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -49,10 +51,13 @@ class TestFreezeOpen:
         index.close()
         with FrozenRRRIndex.open(tmp_path / "idx", graph=ba_graph) as back:
             flat, indptr, sample_of = back.arrays()
-            ref_flat, ref_indptr, ref_sample_of = coll.flattened()
+            ref_flat, ref_indptr = coll.flattened()
             assert np.array_equal(np.asarray(flat), ref_flat)
             assert np.array_equal(indptr, ref_indptr)
-            assert np.array_equal(sample_of, ref_sample_of)
+            # Each entry's owner is the sample whose row holds it.
+            assert sample_of.dtype == np.int64 and len(sample_of) == len(flat)
+            for j in range(len(indptr) - 1):
+                assert (sample_of[indptr[j] : indptr[j + 1]] == j).all()
             assert np.array_equal(
                 np.asarray(back.per_sample_edges()), batch.per_sample_edges
             )
@@ -72,8 +77,9 @@ class TestFreezeOpen:
         index = _freeze(ba_graph, coll, batch, tmp_path / "idx")
         index.close()
         with FrozenRRRIndex.open(tmp_path / "idx") as back:
-            flat, _, _ = back.arrays()
+            flat, _ = back.rows()
             assert isinstance(flat, np.memmap)
+            assert flat is back.arrays()[0]
 
     def test_open_rejects_foreign_directory(self, tmp_path):
         (tmp_path / "INDEX.json").write_text('{"format": "something-else"}')
@@ -202,7 +208,7 @@ class TestExtend:
         try:
             full = SortedRRRCollection(ba_graph.n)
             full_batch = sample_batch(ba_graph, "IC", full, THETA + 20, SEED)
-            f_flat, f_indptr, _ = full.flattened()
+            f_flat, f_indptr = full.flattened()
             tail_lo = f_indptr[THETA]
             index.extend(
                 f_flat[tail_lo:].astype(np.int32),
@@ -225,7 +231,7 @@ class TestExtend:
         _freeze(ba_graph, coll, batch, tmp_path / "idx").close()
         full = SortedRRRCollection(ba_graph.n)
         full_batch = sample_batch(ba_graph, "IC", full, THETA + 20, SEED)
-        f_flat, f_indptr, _ = full.flattened()
+        f_flat, f_indptr = full.flattened()
         tail = (
             f_flat[f_indptr[THETA]:].astype(np.int32),
             np.diff(f_indptr)[THETA:],
@@ -238,6 +244,62 @@ class TestExtend:
             # to that would cut the samples the writer just sealed.
             with pytest.raises(FrozenIndexError, match="behind this handle"):
                 stale.extend(*tail, start=THETA)
+        with FrozenRRRIndex.open(tmp_path / "idx") as back:
+            assert back.num_samples == THETA + 20
+            assert np.array_equal(np.asarray(back.arrays()[0]), f_flat)
+
+    def test_racing_writer_waits_then_refuses(self, ba_graph, tmp_path, monkeypatch):
+        # Two handles race one extension: the first passes the stale
+        # check and stalls there.  The second must wait for the first's
+        # seal and refuse — it must not extend in that window, after
+        # which the first would truncate to the old seal under the
+        # second's mapped pages (reading them raises SIGBUS).
+        coll, batch = _sampled(ba_graph)
+        _freeze(ba_graph, coll, batch, tmp_path / "idx").close()
+        full = SortedRRRCollection(ba_graph.n)
+        full_batch = sample_batch(ba_graph, "IC", full, THETA + 20, SEED)
+        f_flat, f_indptr = full.flattened()
+        tail = (
+            f_flat[f_indptr[THETA]:],
+            np.diff(f_indptr)[THETA:],
+            full_batch.per_sample_edges[THETA:],
+        )
+        checked, sealed = threading.Event(), threading.Event()
+        read = frozen_mod._read_manifest
+
+        def stalled_read(path):
+            manifest = read(path)
+            if threading.current_thread().name == "first":
+                checked.set()
+                sealed.wait(timeout=0.3)
+            return manifest
+
+        outcome = {}
+
+        def extend(handle):
+            name = threading.current_thread().name
+            try:
+                handle.extend(*tail, start=THETA)
+                outcome[name] = "extended"
+            except FrozenIndexError:
+                outcome[name] = "refused"
+            finally:
+                if name == "second":
+                    sealed.set()
+
+        with FrozenRRRIndex.open(tmp_path / "idx") as a, \
+                FrozenRRRIndex.open(tmp_path / "idx") as b:
+            monkeypatch.setattr(frozen_mod, "_read_manifest", stalled_read)
+            first = threading.Thread(target=extend, args=(a,), name="first")
+            second = threading.Thread(target=extend, args=(b,), name="second")
+            first.start()
+            assert checked.wait(timeout=10)
+            second.start()
+            first.join()
+            second.join()
+            assert outcome == {"first": "extended", "second": "refused"}
+            assert np.array_equal(np.asarray(a.arrays()[0]), f_flat)
+            assert b.num_samples == THETA
         with FrozenRRRIndex.open(tmp_path / "idx") as back:
             assert back.num_samples == THETA + 20
             assert np.array_equal(np.asarray(back.arrays()[0]), f_flat)

@@ -1,7 +1,7 @@
 """Query-engine tests (repro.serving.query / repro.serving.cache).
 
 The load-bearing property is prefix-view parity: the greedy kernel over
-a frozen prefix cut from the engine's cached vertex index must
+a frozen prefix cut from the engine's cached hit index must
 reproduce ``select_seeds`` over the same samples bit for bit (same
 seeds, same covered count, same smallest-id tie-break) on any prefix —
 that parity is what makes the θ-estimation replay, and therefore every
@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import repro.serving.frozen as frozen_module
 from repro.datasets import load
 from repro.graph import CSRGraph
 from repro.imm import imm
@@ -256,10 +257,10 @@ class TestWhatIfAndMarginal:
 
     def test_marginal_gain_cuts_to_sample_prefix(self, ba_graph, frozen):
         """The front end runs pure reads concurrently with one extension
-        writer, so the mapped arrays (and the vertex index) can already
+        writer, so the mapped arrays (and the hit index) can already
         cover samples past a reader's ``num_samples`` snapshot.  Every
         read must cut to that prefix — before the cut this raised a
-        numpy ``IndexError`` (``alive`` is ``m``-long, ``sample_of``
+        numpy ``IndexError`` (``alive`` is ``m``-long, the hit index
         covers the grown tail)."""
         out, _ = frozen
         with FrozenRRRIndex.open(out) as index:
@@ -271,7 +272,7 @@ class TestWhatIfAndMarginal:
             covered = sum(
                 1 for s in view if np.intersect1d(s, seed_set).size
             )
-            eng.marginal_gain(seed_set)  # vertex index over the full maps
+            eng.marginal_gain(seed_set)  # hit index over the full maps
             # Simulate the race: the sealed-count snapshot lags the maps.
             index.manifest["num_samples"] = m
             mg = eng.marginal_gain(seed_set)
@@ -360,7 +361,7 @@ class TestIndexCache:
                 new = cache.engine(path)
                 assert new is not old
                 assert np.array_equal(new.top_k().seeds, fresh.seeds)
-            assert old.index._flat is None  # retired, closed on release
+            assert old.index._rows is None  # retired, closed on release
         finally:
             cache.close()
 
@@ -478,8 +479,77 @@ class TestGreedyMemo:
             assert len(eng._memo) <= 3
         assert all(res == want[k] for k, res in got)
 
+    def test_engine_holds_no_owner_array(self, frozen):
+        # After the router's probe read and one read of each kind, the
+        # only per-entry arrays are the mapped rows and the int32 hit
+        # index: no owner array, no int64 positions.
+        out, _ = frozen
+        with FrozenRRRIndex.open(out) as index:
+            eng = InfluenceQueryEngine(index)
+            eng.what_if(1)
+            eng.top_k()
+            eng.what_if(K, forced=(1,))
+            eng.marginal_gain([2, 3])
+            per_entry = sorted(
+                (f"{owner}.{name}", str(value.dtype))
+                for owner, obj in (("engine", eng), ("index", index))
+                for name, attr in vars(obj).items()
+                for value in (attr if isinstance(attr, tuple) else (attr,))
+                if isinstance(value, np.ndarray) and len(value) >= index.entries
+            )
+            # The hit index and the mapped flat rows, nothing else.
+            assert per_entry == [
+                ("engine._vert_cache", "int32"), ("index._rows", "int32"),
+            ]
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_read_inside_remap_sees_one_mapping(
+        self, ba_graph, tmp_path, monkeypatch, compress
+    ):
+        # The front end runs reads in worker threads while an extension
+        # remaps the index.  Replay a first read at the point where the
+        # extension's _map() has reopened the row data but not the
+        # sizes yet: the read must see the rows of one mapping (here
+        # the old one; a compressed handle decodes them there) and
+        # answer as an engine over that mapping does.
+        path = tmp_path / "i"
+        freeze_index(
+            ba_graph, K, 0.6, "IC", SEED, out_dir=path, compress=compress
+        )[0].close()
+        with FrozenRRRIndex.open(path) as old:
+            want = (
+                _fields(InfluenceQueryEngine(old).what_if(K)),
+                _fields(InfluenceQueryEngine(old).marginal_gain([2, 3])),
+            )
+        with FrozenRRRIndex.open(path) as index:
+            before = index.num_samples
+            reader = InfluenceQueryEngine(index)
+            got = []
+
+            class _Numpy:
+                def __getattr__(self, name):
+                    return getattr(np, name)
+
+                def memmap(self, filename, *args, **kwargs):
+                    if filename.name == "sizes.i64.bin" and not got:
+                        got.append((
+                            _fields(reader.what_if(K)),
+                            _fields(reader.marginal_gain([2, 3])),
+                        ))
+                    return np.memmap(filename, *args, **kwargs)
+
+            monkeypatch.setattr(frozen_module, "np", _Numpy())
+            # Extends without reading the rows first, so the reader's
+            # read is this handle's first.
+            InfluenceQueryEngine(index, graph=ba_graph)._ensure_samples(
+                before + 200, allow_extend=True
+            )
+            monkeypatch.undo()
+            assert index.num_samples == before + 200
+            assert got == [want]
+
     def test_vertex_index_of_older_mapping_is_rebuilt(self, ba_graph, tmp_path):
-        # A reader that raced an extension can store the vertex index
+        # A reader that raced an extension can store the hit index
         # of the shorter mapping after the writer moved on; the next
         # read must not cut its hit lists to that mapping.
         index, _ = freeze_index(

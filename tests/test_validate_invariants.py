@@ -71,11 +71,28 @@ class TestSortedInvariants:
         rep = check_sorted_collection(coll)
         assert any(v.check == "collection.indptr-monotone" for v in rep.violations)
 
-    def test_corrupt_sample_of_flagged(self):
+    def test_misfolded_hit_index_flagged(self, monkeypatch):
+        from repro.imm import select
+        from repro.validate.mutation import _misfolded_vertex_index
+
         coll = make("sorted")
-        coll._sample_of[0] += 1
+        assert check_sorted_collection(coll).ok
+        monkeypatch.setattr(select, "vertex_index", _misfolded_vertex_index)
         rep = check_sorted_collection(coll)
-        assert any(v.check == "collection.sample-of" for v in rep.violations)
+        assert [v.check for v in rep.violations] == ["collection.hit-index"]
+
+    def test_hit_prefix_cut_off_by_one_flagged(self, monkeypatch):
+        # A cut that keeps the first sample past the prefix.
+        from repro.imm import select
+
+        def hits(view, v):
+            ids = view._hits[view._vptr[v] : view._vptr[v + 1]]
+            return ids[: int(np.searchsorted(ids, view.num_samples, side="right"))]
+
+        coll = make("sorted")
+        monkeypatch.setattr(select.FlatView, "hits", hits)
+        rep = check_sorted_collection(coll)
+        assert [v.check for v in rep.violations] == ["collection.hit-index"]
 
     def test_byte_model_drift_flagged(self):
         coll = make("sorted")

@@ -16,7 +16,7 @@ EXPECTED_MUTANTS = {
     "unsorted-sample",
     "within-sample-duplicate",
     "indptr-corruption",
-    "sample-of-corruption",
+    "hit-index-keys-misfolded",
     "byte-model-drift",
     "inverted-index-drop",
     "skipped-decrement",
