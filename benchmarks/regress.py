@@ -72,6 +72,11 @@ Runs a fixed micro-suite and writes commit-stamped numbers to
   over a concurrent distinct-query batch, and the shed rate under an
   overload burst — shedding must happen, stay typed, keep the queue
   inside its bound, and leave every served answer bit-identical.
+* **Cluster** — the replicated router on the same workload: the
+  zero-fault routing tax over a single front end, both computed (gated
+  at ≤ 5 %), failover recovery and hedge wins (recorded), and
+  ``routed_repeat_s``, the p50 of a remembered ``top_k`` through the
+  router with reads spaced ``ROUTED_REPEAT_GAP_S`` apart (recorded).
 * **Supervision tax** — the supervised engine with zero faults vs the
   plain pool engine on the same workload; the run fails if supervision
   costs more than ``SUPERVISED_OVERHEAD_TOLERANCE`` (5 %) extra
@@ -221,6 +226,12 @@ CLUSTER_REPLICAS = 2
 #: Sequential queries against a straggling primary for the hedge
 #: win-rate record.
 CLUSTER_HEDGE_QUERIES = 6
+#: Remembered ``top_k`` reads behind the routed-repeat record, and the
+#: range of the uniform gap before each: spaced as an open-loop client
+#: spaces them, a read pays the wake-ups a back-to-back loop hides
+#: (about a third of the latency on a 2-CPU host).
+ROUTED_REPEAT_READS = 25
+ROUTED_REPEAT_GAP_S = (0.05, 0.25)
 
 #: Memory gate: compressed resident RRR bytes must be ≤ this fraction of
 #: the flat layout's on the two largest registry graphs (the ≥40 %
@@ -944,6 +955,9 @@ def bench_cluster() -> dict:
       primary with an aggressive hedge delay: how often the duplicate
       dispatch beats the straggler (recorded, not gated — it is a
       property of the injected latency gap).
+    * **routed repeat** — the p50 of a remembered ``top_k`` through the
+      router, reads spaced :data:`ROUTED_REPEAT_GAP_S` apart (recorded,
+      not gated): what a repeated served read costs end to end.
 
     Bit-identity of every answer on every axis is gated, as is the
     presence of the failover/hedge machinery actually engaging: a
@@ -951,6 +965,7 @@ def bench_cluster() -> dict:
     a straggler would otherwise record vacuous numbers forever.
     """
     import asyncio
+    import random
     import tempfile
 
     from repro.serving import ClusterRouter, ServingFrontend, freeze_index
@@ -1012,12 +1027,27 @@ def bench_cluster() -> dict:
                 )
                 return cr.stats.hedges, cr.stats.hedge_wins, identical
 
+        async def _routed_repeat():
+            async with ClusterRouter(
+                num_replicas=CLUSTER_REPLICAS, concurrency=1
+            ) as cr:
+                await cr.top_k(out_dir)  # computed once, remembered after
+                gaps = random.Random(seed)
+                times = []
+                for _ in range(ROUTED_REPEAT_READS):
+                    await asyncio.sleep(gaps.uniform(*ROUTED_REPEAT_GAP_S))
+                    t0 = time.perf_counter()
+                    await cr.top_k(out_dir)
+                    times.append(time.perf_counter() - t0)
+                return float(np.median(times))
+
         single_times, routed_times, routed_res, routed_same = asyncio.run(
             _zero_fault()
         )
         primary = asyncio.run(_primary())
         fo_s, fo_res, fo_count = asyncio.run(_failover(primary))
         hedges, hedge_wins, hedged_identical = asyncio.run(_hedge(primary))
+        routed_repeat = asyncio.run(_routed_repeat())
 
     t_single = min(single_times)
     med_diff = float(
@@ -1048,6 +1078,7 @@ def bench_cluster() -> dict:
         "hedge_wins": int(hedge_wins),
         "hedge_win_rate": round(hedge_wins / max(hedges, 1), 2),
         "hedged_bit_identical": bool(hedged_identical),
+        "routed_repeat_s": round(routed_repeat, 6),
     }
 
 
@@ -1580,7 +1611,8 @@ def main(argv: list[str] | None = None) -> int:
         f"{cl['router_query_s']}s (tax {cl['overhead']:+.1%}), failover "
         f"recovery {cl['failover_recovery_s']}s, hedge wins "
         f"{cl['hedge_wins']}/{cl['hedges']} "
-        f"(rate {cl['hedge_win_rate']})"
+        f"(rate {cl['hedge_win_rate']}), routed repeat "
+        f"{cl['routed_repeat_s']}s"
     )
 
     # A cramped host must not stamp its (meaningless) worker-scaling

@@ -499,7 +499,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     degraded = sum(1 for _, _, out, _ in rows if out.startswith("degraded"))
     print(
         f"served {stats['completed']}/{args.requests}"
-        f" (coalesced {stats['coalesced']}, degraded {degraded},"
+        f" (coalesced {stats['coalesced']}, remembered {stats['remembered']},"
+        f" degraded {degraded},"
         f" shed {shed}, deadline_shed {stats['deadline_shed']})"
     )
     if cluster is not None:

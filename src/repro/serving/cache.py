@@ -12,10 +12,25 @@ Keys are the *identity* of the frozen instance — the graph fingerprint
 (falling back to the resolved path for indices frozen without a graph),
 the diffusion model, the sample-stream ``seed``, and the manifest ``k``,
 ``eps``, ``l`` and ``theta_cap``, every fact a served answer depends on —
-read fresh from the tiny manifest JSON on every request, so a
-``tighten`` that amends the manifest in place re-keys the entry instead
-of leaving a stale alias, and a republish under another seed retires the
-old engine (and the greedy answers it remembers).
+checked against the manifest on every request, so a ``tighten`` that
+amends the manifest re-keys the entry instead of leaving a stale alias,
+and a republish under another seed retires the old engine (and the
+greedy answers it remembers).
+
+**The manifest's stat signature stands for its bytes.**  Every manifest
+write is a new file renamed into place, so ``(st_dev, st_ino, st_size,
+st_mtime_ns, st_ctime_ns)`` changes with the manifest, and a path whose
+manifest still has the signature it had when it was read keeps its
+resolved directory and identity key: one ``os.stat`` replaces a path
+resolve, an open, a read and a JSON parse.  A rewrite onto a reused
+inode within one timestamp tick could repeat a signature, so, as git
+treats a racily clean index entry, a signature is remembered only once
+its newer timestamp is :data:`_SETTLED_NS` old, and never when a stamp
+is a whole second (see :func:`_settled`); any other manifest is read
+every time.  The signature names the manifest the path reaches now, so a
+re-pointed symlink is followed.  The memo assumes a local file system:
+an NFS client may answer ``os.stat`` from its attribute cache for
+seconds, where opening the manifest would revalidate it.
 
 **Concurrency contract** (what the async front end leans on):
 
@@ -35,15 +50,41 @@ old engine (and the greedy answers it remembers).
 from __future__ import annotations
 
 import json
+import os
 import threading
+import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
 
-from .frozen import FrozenIndexError, FrozenRRRIndex
+from .frozen import _MANIFEST, FrozenIndexError, FrozenRRRIndex
 from .query import InfluenceQueryEngine
 
 __all__ = ["IndexCache"]
+
+#: Age (newer of mtime and ctime) from which a finely stamped manifest's
+#: stat signature is trusted to name its bytes: ten ticks of a 100 Hz
+#: kernel clock (Linux's coarsest), which sub-second stamps come from.
+_SETTLED_NS = 100_000_000
+
+#: Paths whose settled manifest signature each cache remembers.
+_SIGNATURES = 64
+
+
+def _signature(st: os.stat_result) -> tuple:
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
+def _settled(st: os.stat_result, now_ns: int) -> bool:
+    """Whether ``st``'s signature, read after ``now_ns``, may stand for
+    the manifest's bytes from now on: both stamps finer than a second and
+    the newer :data:`_SETTLED_NS` old.  A file system that stamps whole
+    seconds (ext3, ext4 with 128-byte inodes, HFS+) or two (FAT) leaves
+    a zero sub-second part, and its manifests are never trusted."""
+    stamps = (st.st_mtime_ns, st.st_ctime_ns)
+    return all(ns % 1_000_000_000 for ns in stamps) and (
+        now_ns - max(stamps) >= _SETTLED_NS
+    )
 
 
 class _Entry:
@@ -71,19 +112,52 @@ class IndexCache:
         self._key_of_path: dict[Path, tuple] = {}
         # Entries displaced while pinned by a lease; closed on release.
         self._retired: set[_Entry] = set()
+        # Path as given -> (settled manifest signature, resolved path, key).
+        self._signed: dict[str, tuple[tuple, Path, tuple]] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    @staticmethod
-    def _key(path: Path) -> tuple:
+    def _lookup(self, path: str | Path) -> tuple[Path, tuple]:
+        """(resolved path, identity key) of the index ``path`` names now:
+        one ``os.stat`` while its settled manifest is unchanged, else a
+        resolve and a manifest read."""
+        given = os.fspath(path)
+        signed = self._still_signed(given)
+        if signed is not None:
+            return signed[1], signed[2]
+        resolved = Path(given).resolve()
+        now_ns = time.time_ns()
         try:
-            manifest = json.loads((path / "INDEX.json").read_text())
+            # Signature and bytes from one open file: a rename between a
+            # stat and a read would pair one manifest's signature with
+            # another's identity.
+            with open(resolved / _MANIFEST, "rb") as fh:
+                st = os.fstat(fh.fileno())
+                manifest = json.loads(fh.read())
         except (OSError, json.JSONDecodeError) as exc:
             raise FrozenIndexError(
-                f"unreadable index manifest under {path}: {exc}"
+                f"unreadable index manifest under {resolved}: {exc}"
             ) from exc
-        return IndexCache._manifest_key(manifest, path)
+        key = self._manifest_key(manifest, resolved)
+        if _settled(st, now_ns):
+            with self._lock:
+                if len(self._signed) >= _SIGNATURES:
+                    self._signed.pop(next(iter(self._signed)))
+                self._signed[given] = (_signature(st), resolved, key)
+        return resolved, key
+
+    def _still_signed(self, given: str) -> tuple[tuple, Path, tuple] | None:
+        """The remembered entry for ``given`` if the manifest it reaches
+        still carries the remembered signature."""
+        signed = self._signed.get(given)
+        if signed is None:
+            return None
+        try:
+            st = os.stat(os.path.join(given, _MANIFEST))
+        except OSError:
+            return None
+        return signed if _signature(st) == signed[0] else None
 
     @staticmethod
     def _manifest_key(manifest: dict, path: Path) -> tuple:
@@ -137,12 +211,20 @@ class IndexCache:
     def identity(self, path: str | Path) -> tuple:
         """The identity key the cache would use for ``path`` right now.
 
-        A fresh read of the tiny manifest JSON — no entry is created or
-        touched.  The front end folds this into its coalescing key so
-        identical queries only share an execution when they target the
-        same on-disk index identity, not merely the same path.
+        Checked against the manifest on disk (one ``os.stat`` while it is
+        settled and unchanged) — no entry is created or touched.  The
+        front end folds this into its coalescing key so identical queries
+        only share an execution when they target the same on-disk index
+        identity, not merely the same path; the router picks replicas
+        by it.
         """
-        return self._key(Path(path).resolve())
+        return self._lookup(path)[1]
+
+    def resolve(self, path: str | Path) -> Path:
+        """``path`` resolved, as ``Path.resolve`` would: one ``os.stat``
+        while the settled manifest it reaches is unchanged."""
+        signed = self._still_signed(os.fspath(path))
+        return signed[1] if signed is not None else Path(path).resolve()
 
     def pin(self, engine: InfluenceQueryEngine):
         """Refcount-pin the entry owning ``engine``; returns a release
@@ -174,7 +256,7 @@ class IndexCache:
     def invalidate(self, path: str | Path) -> None:
         """Drop the entry for ``path`` (hot re-open: the next request
         reopens from disk).  Pinned entries are retired, not closed."""
-        path = Path(path).resolve()
+        path = self.resolve(path)
         with self._lock:
             key = self._key_of_path.pop(path, None)
             if key is None:
@@ -186,8 +268,7 @@ class IndexCache:
     # -- internals (caller holds the lock) ---------------------------------
 
     def _get(self, path: str | Path, graph) -> _Entry:
-        path = Path(path).resolve()
-        key = self._key(path)
+        path, key = self._lookup(path)
         stale = self._key_of_path.get(path)
         if stale is not None and stale != key:
             # The manifest changed since this path was cached.  If it
@@ -266,3 +347,4 @@ class IndexCache:
             self._entries.clear()
             self._retired.clear()
             self._key_of_path.clear()
+            self._signed.clear()

@@ -51,19 +51,16 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import os
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 from ..mpi.faults import FaultPlan
 from .cache import IndexCache
 from .errors import AdmissionRejected, ClusterUnavailable, ServingFrontendError
 from .frontend import CircuitBreaker, ServingFrontend, ewma_update
-from .frozen import _MANIFEST
 from .query import MarginalGains, ServingResult
 
 __all__ = [
@@ -71,6 +68,19 @@ __all__ = [
     "ClusterStats",
     "ReplicaUnreachableError",
 ]
+
+
+def _p99(window) -> float:
+    """The 99th percentile of ``window`` as ``np.percentile`` computes
+    it (linear interpolation, the same rounding), without NumPy."""
+    ordered = sorted(window)
+    pos = (len(ordered) - 1) * 0.99
+    lo = math.floor(pos)
+    if lo >= len(ordered) - 1:
+        return float(ordered[-1])
+    a, b = ordered[lo], ordered[lo + 1]
+    t = pos - lo
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
 class ReplicaUnreachableError(ServingFrontendError):
@@ -188,12 +198,10 @@ class ClusterRouter:
             )
             for i in range(num_replicas)
         ]
-        # The router's own small cache: identity reads for routing, and
-        # the stale-local-prefix fallback when every replica is down.
+        # The router's own small cache: path resolves and identity reads
+        # for routing, and the stale-local-prefix fallback when every
+        # replica is down.
         self._local = IndexCache(capacity=max(2, capacity))
-        # Routing-order memo, invalidated by the manifest's stat
-        # signature (republish replaces it by atomic rename).
-        self._order_cache: dict[Path, tuple[tuple, list[_Replica]]] = {}
         self._lats: deque[float] = deque(maxlen=64)
         self._p99_ewma: float | None = None
         self._qseq = 0
@@ -212,7 +220,7 @@ class ClusterRouter:
         graph=None,
         deadline: float | None = None,
     ) -> ServingResult:
-        path = Path(path).resolve()
+        path = self._local.resolve(path)
         if graph is not None:
             # Extension-capable: single-writer traffic, never hedged.
             return await self._write(
@@ -233,7 +241,7 @@ class ClusterRouter:
         graph=None,
         deadline: float | None = None,
     ) -> ServingResult:
-        path = Path(path).resolve()
+        path = self._local.resolve(path)
         return await self._read(
             "what_if", path, (k,),
             {"forced": forced, "excluded": excluded, "graph": graph,
@@ -250,7 +258,7 @@ class ClusterRouter:
         graph=None,
         deadline: float | None = None,
     ) -> MarginalGains:
-        path = Path(path).resolve()
+        path = self._local.resolve(path)
         return await self._read(
             "marginal_gain", path, (seed_set, candidates),
             {"graph": graph, "deadline": deadline},
@@ -265,7 +273,7 @@ class ClusterRouter:
         graph=None,
         deadline: float | None = None,
     ) -> ServingResult:
-        path = Path(path).resolve()
+        path = self._local.resolve(path)
         return await self._write(
             "tighten", path, (eps,), {"k": k, "deadline": deadline},
             graph=graph, k=k, eps=eps,
@@ -277,7 +285,7 @@ class ClusterRouter:
         """One cheap probe query per replica; returns ``idx -> "ok"`` or
         the failure type name.  Successes close the replica breaker, so
         probing accelerates recovery of healed replicas."""
-        path = Path(path).resolve()
+        path = self._local.resolve(path)
         out: dict[int, str] = {}
         for rep in self._replicas:
             qid = self._admit()
@@ -342,23 +350,10 @@ class ClusterRouter:
         always elects the same primary (= writer) and the same failover
         sequence, no matter which router computes it.
 
-        The identity itself is a manifest read; paying a JSON parse per
-        routed query would be most of the routing tax.  Since a
-        republish replaces the manifest by atomic rename, its stat
-        signature ``(inode, mtime_ns, size)`` is a faithful proxy for
-        "identity unchanged", and the computed order is memoized
-        against it.
+        The identity comes from the router's cache: one ``os.stat``
+        while the manifest is settled and unchanged.
         """
-        resolved = Path(path).resolve()
-        try:
-            st = os.stat(resolved / _MANIFEST)
-            stamp = (st.st_ino, st.st_mtime_ns, st.st_size)
-        except OSError:
-            stamp = None
-        hit = self._order_cache.get(resolved)
-        if hit is not None and stamp is not None and hit[0] == stamp:
-            return hit[1]
-        ident = repr(self._local.identity(resolved))
+        ident = repr(self._local.identity(path))
 
         def score(rep: _Replica) -> int:
             digest = hashlib.blake2b(
@@ -366,12 +361,7 @@ class ClusterRouter:
             ).digest()
             return int.from_bytes(digest, "big")
 
-        order = sorted(self._replicas, key=score, reverse=True)
-        if stamp is not None:
-            if len(self._order_cache) >= 64:
-                self._order_cache.pop(next(iter(self._order_cache)))
-            self._order_cache[resolved] = (stamp, order)
-        return order
+        return sorted(self._replicas, key=score, reverse=True)
 
     def _hedge_delay(self) -> float:
         if self.hedge_after is not None:
@@ -382,8 +372,7 @@ class ClusterRouter:
 
     def _observe(self, lat: float) -> None:
         self._lats.append(lat)
-        p99 = float(np.percentile(self._lats, 99))
-        self._p99_ewma = ewma_update(self._p99_ewma, p99)
+        self._p99_ewma = ewma_update(self._p99_ewma, _p99(self._lats))
 
     def _backoff(self, attempt: int) -> float:
         return min(self.backoff_cap, self.backoff_base * (2 ** max(attempt, 0)))

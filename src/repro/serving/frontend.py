@@ -15,6 +15,13 @@ deadline expires while still queued is shed with
 :class:`~repro.serving.errors.QueryDeadlineExceeded` rather than run for
 nobody.
 
+**Remembered answers take no worker thread.**  Every query holds one of
+``concurrency`` worker slots while it runs, so queueing, deadlines and
+injected stragglers treat all reads alike.  A ``top_k`` whose replay
+rounds and final pick the engine already remembers is a lookup: in its
+slot it is answered on the event loop, without a thread hop.  Any other
+read, and a ``top_k`` the memo cannot finish, runs in a worker thread.
+
 **Coalescing + single-writer discipline.**  Identical in-prefix queries
 (same index identity, same arguments) batch onto one execution — one
 kernel run, every waiter gets the same answer.  In-prefix reads run
@@ -93,6 +100,7 @@ class FrontendStats:
     deadline_shed: int = 0
     coalesced: int = 0
     completed: int = 0
+    remembered: int = 0
     degraded: int = 0
     republishes: int = 0
     extension_attempts: int = 0
@@ -163,10 +171,12 @@ class ServingFrontend:
 
     Queries are submitted with an index ``path``; engines are leased
     from the cache (refcounted, so eviction can never unmap an index
-    mid-query) and CPU-bound work runs in worker threads, at most
-    ``concurrency`` at a time.  ``max_pending`` bounds total in-flight
-    queries (executing + queued); ``default_deadline`` applies to
-    queries submitted without one (``None`` = no deadline).
+    mid-query).  At most ``concurrency`` queries run at a time, each in
+    a worker slot: CPU-bound work runs in a worker thread, and a
+    remembered ``top_k`` is answered on the event loop without one.
+    ``max_pending`` bounds total in-flight queries (executing + queued);
+    ``default_deadline`` applies to queries submitted without one
+    (``None`` = no deadline).
 
     The ``_mutate_*`` flags are test hooks for the mutation suite: they
     re-introduce, deliberately, the dishonest-degradation and
@@ -233,12 +243,13 @@ class ServingFrontend:
         """``k`` best seeds — bit-identical to fresh ``imm`` when the
         answer fits the index (or the extension runs), typed-degraded
         otherwise."""
-        path = Path(path).resolve()
+        path = self.cache.resolve(path)
         return await self._submit(
             path, graph, deadline,
             ckey=("top_k", path, k, eps),
             call=lambda eng: eng.top_k(k, eps, allow_extend=False),
             extend=lambda eng: eng.top_k(k, eps, allow_extend=True),
+            recall=lambda eng: eng.top_k(k, eps, remembered=True),
             k=k, eps=eps,
         )
 
@@ -253,7 +264,7 @@ class ServingFrontend:
         deadline: float | None = None,
     ) -> ServingResult:
         """Constrained selection — a pure index read, never extends."""
-        path = Path(path).resolve()
+        path = self.cache.resolve(path)
         f = tuple(forced)
         x = tuple(excluded)
         return await self._submit(
@@ -273,7 +284,7 @@ class ServingFrontend:
         deadline: float | None = None,
     ) -> MarginalGains:
         """Spread + per-vertex marginals — a pure index read."""
-        path = Path(path).resolve()
+        path = self.cache.resolve(path)
         s = tuple(seed_set)
         c = None if candidates is None else tuple(candidates)
         return await self._submit(
@@ -300,7 +311,7 @@ class ServingFrontend:
         coalesced).  When the extension cannot run, the answer degrades
         from the prefix and the manifest is *not* amended.
         """
-        path = Path(path).resolve()
+        path = self.cache.resolve(path)
         return await self._submit(
             path, graph, deadline,
             ckey=None,
@@ -368,7 +379,8 @@ class ServingFrontend:
     # -- submission / coalescing -------------------------------------------
 
     async def _submit(
-        self, path, graph, deadline, *, ckey, call, extend, k=None, eps=None
+        self, path, graph, deadline, *, ckey, call, extend, recall=None,
+        k=None, eps=None,
     ):
         qid = self._admit()
         started = time.perf_counter()
@@ -415,7 +427,8 @@ class ServingFrontend:
                             raise  # our own cancellation, owner lives on
                         pass  # owner was cancelled: owner-specific too
                     result = await self._execute(
-                        qid, path, graph, expires, dl, call, extend, k, eps
+                        qid, path, graph, expires, dl, call, extend, recall,
+                        k, eps,
                     )
                     self.stats.completed += 1
                     return result
@@ -423,7 +436,8 @@ class ServingFrontend:
                 self._coalesced[ckey] = fut
                 try:
                     result = await self._execute(
-                        qid, path, graph, expires, dl, call, extend, k, eps
+                        qid, path, graph, expires, dl, call, extend, recall,
+                        k, eps,
                     )
                 except BaseException as exc:
                     if not fut.done():
@@ -439,7 +453,7 @@ class ServingFrontend:
                     if self._coalesced.get(ckey) is fut:
                         del self._coalesced[ckey]
             result = await self._execute(
-                qid, path, graph, expires, dl, call, extend, k, eps
+                qid, path, graph, expires, dl, call, extend, recall, k, eps
             )
             self.stats.completed += 1
             return result
@@ -448,7 +462,9 @@ class ServingFrontend:
 
     # -- execution ---------------------------------------------------------
 
-    async def _execute(self, qid, path, graph, expires, dl, call, extend, k, eps):
+    async def _execute(
+        self, qid, path, graph, expires, dl, call, extend, recall, k, eps
+    ):
         async with self._sem:
             loop = asyncio.get_running_loop()
             if expires is not None and loop.time() > expires:
@@ -472,6 +488,13 @@ class ServingFrontend:
                             return await self._extended(
                                 path, eng, expires, extend, k, eps, None
                             )
+                        if recall is not None:
+                            # A remembered answer is a lookup: answered
+                            # here, on the event loop, with no thread hop.
+                            result = recall(eng)
+                            if result is not None:
+                                self.stats.remembered += 1
+                                return result
                         try:
                             return await asyncio.to_thread(call, eng)
                         except StaleIndexError:
@@ -502,7 +525,7 @@ class ServingFrontend:
         return lock
 
     def breaker(self, path: str | Path) -> CircuitBreaker:
-        path = Path(path).resolve()
+        path = self.cache.resolve(path)
         brk = self._breakers.get(path)
         if brk is None:
             brk = self._breakers[path] = CircuitBreaker(

@@ -513,6 +513,15 @@ class FrozenRRRIndex:
             rows = self._rows = (self._decode_flat(rows[1]), rows[1])
         return rows
 
+    def mapped_samples(self) -> int:
+        """Samples the published rows hold, read without decoding a
+        compressed index: ``num_samples``, or fewer while an extension's
+        remap has not landed yet."""
+        rows = self._rows
+        if rows is None:
+            raise FrozenIndexError("index is closed")
+        return len(rows[1]) - 1
+
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(flat, indptr, sample_of)``: :meth:`rows` plus each entry's
         owning sample, built on every call and never kept (the query

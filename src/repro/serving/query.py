@@ -38,8 +38,10 @@ extension only appends past it, ``amend`` edits facts, not samples, and
 a republish retires the engine.  So each engine remembers its
 unconstrained greedy answers per ``(prefix length, k)`` — the replay
 rounds, the final pick and ``degraded`` — and a repeated ``top_k`` costs
-the θ-search arithmetic plus one lookup per round.  ``what_if`` and
-``marginal_gain`` are computed every time.
+the θ-search arithmetic plus one lookup per round.  ``top_k(...,
+remembered=True)`` runs that search over the memo alone and gives up at
+the first miss, reading no rows: the front end answers such reads on its
+event loop.  ``what_if`` and ``marginal_gain`` are computed every time.
 """
 
 from __future__ import annotations
@@ -70,6 +72,10 @@ __all__ = [
 #: entry holds ``k`` seed ids, and a ``top_k`` pair needs one per replay
 #: round plus the final pick.
 _MEMO_ENTRIES = 128
+
+
+class _Forgotten(Exception):
+    """A ``remembered=True`` read reached a selection the memo lacks."""
 
 
 @dataclass
@@ -286,19 +292,27 @@ class InfluenceQueryEngine:
             self.index.n, flat, indptr, num_samples=num_samples, by_vertex=cache
         )
 
-    def _select(self, num_samples: int, k: int) -> tuple[np.ndarray, int]:
-        """(seeds, covered samples) of unconstrained greedy over a sample
-        prefix, remembered per (clamped prefix length, k)."""
-        view = self._prefix(num_samples)
-        key = (view.num_samples, k)
+    def _recall(self, num_samples: int, k: int) -> tuple[np.ndarray, int] | None:
+        """The remembered (seeds, covered) over a sample prefix, or
+        ``None``.  The prefix is clamped to the mapped rows as
+        :class:`FlatView` clamps it, read without touching the rows."""
+        key = (min(num_samples, self.index.mapped_samples()), k)
         with self._memo_lock:
             hit = self._memo.get(key)
             if hit is not None:
                 self._memo.move_to_end(key)
-                return hit[0].copy(), hit[1]
+        return hit
+
+    def _select(self, num_samples: int, k: int) -> tuple[np.ndarray, int]:
+        """(seeds, covered samples) of unconstrained greedy over a sample
+        prefix, remembered per (clamped prefix length, k)."""
+        hit = self._recall(num_samples, k)
+        if hit is not None:
+            return hit[0].copy(), hit[1]
+        view = self._prefix(num_samples)
         seeds, state = drive(greedy_cover(view, k))
         with self._memo_lock:
-            self._memo[key] = (seeds.copy(), state.covered)
+            self._memo[(view.num_samples, k)] = (seeds.copy(), state.covered)
             if len(self._memo) > _MEMO_ENTRIES:
                 self._memo.popitem(last=False)
         return seeds, state.covered
@@ -350,7 +364,8 @@ class InfluenceQueryEngine:
         eps: float | None = None,
         *,
         allow_extend: bool | None = None,
-    ) -> ServingResult:
+        remembered: bool = False,
+    ) -> ServingResult | None:
         """The ``k`` best seeds, bit-identical to ``imm(graph, k, eps)``.
 
         Defaults to the frozen ``(k, eps)``; any other pair replays the
@@ -360,6 +375,11 @@ class InfluenceQueryEngine:
         attached — the front end uses it to keep in-prefix queries out of
         the single-writer bulkhead; an out-of-prefix query then raises
         :class:`FrozenIndexError` with ``needed``/``have`` attributes.
+
+        ``remembered=True`` answers from the memo alone: it returns
+        ``None`` at the first round or final pick the memo lacks, or
+        whose θ lies past the sealed prefix, and never runs the kernel,
+        builds the hit index or decodes a compressed index.
         """
         t0 = time.perf_counter()
         idx = self.index
@@ -372,25 +392,31 @@ class InfluenceQueryEngine:
         check_instance(idx.n, k, eps)
         added = edges = 0
 
-        def ensure(target: int) -> None:
+        def select(num_samples: int) -> tuple[np.ndarray, int]:
             nonlocal added, edges
-            a, e = self._ensure_samples(target, allow_extend)
+            if remembered:
+                hit = self._recall(num_samples, k) if num_samples <= before else None
+                if hit is None:
+                    raise _Forgotten
+                return hit
+            a, e = self._ensure_samples(num_samples, allow_extend)
             added += a
             edges += e
+            return self._select(num_samples, k)
 
-        def cover(theta_x: int) -> float:
-            ensure(theta_x)
-            return self._select(theta_x, k)[1] / max(theta_x, 1)
-
-        theta, lb, history = drive(
-            doubling_search(idx.n, k, eps, float(mf["l"]), theta_cap=mf.get("theta_cap")),
-            cover,
-        )
-        # imm() tops the collection up to θ; its final selection sees
-        # every sample the estimation rounds drew, θ or more.
-        num_used = max(history[-1][0], theta)
-        ensure(num_used)
-        seeds, covered = self._select(num_used, k)
+        try:
+            theta, lb, history = drive(
+                doubling_search(idx.n, k, eps, float(mf["l"]), theta_cap=mf.get("theta_cap")),
+                lambda theta_x: select(theta_x)[1] / max(theta_x, 1),
+            )
+            # imm() tops the collection up to θ; its final selection sees
+            # every sample the estimation rounds drew, θ or more.
+            num_used = max(history[-1][0], theta)
+            seeds, covered = select(num_used)
+        except _Forgotten:
+            return None
+        if remembered:
+            seeds = seeds.copy()
         return ServingResult(
             seeds=seeds,
             k=k,

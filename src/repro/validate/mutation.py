@@ -39,6 +39,7 @@ counting skips cont. byte   ``collection.compressed-counters`` invariant
 stale served as fresh       ``cluster.unavailable-honesty``
 failover hedges a write     ``cluster.single-writer``
 memo survives republish     ``frontend.republish-fresh``
+identity memo by path only  ``frontend.republish-fresh``
 ==========================  ==========================================
 
 The corruption is applied *behind* the append-time validation (directly
@@ -850,6 +851,45 @@ def _mutant_memo_per_path(seed: int) -> MutantResult:
     )
 
 
+def _mutant_identity_memo_per_path(seed: int) -> MutantResult:
+    """Index identities remembered per path alone.
+
+    The cache answers ``identity`` and ``lease`` from what it read the
+    first time a path came by, never checking the manifest's stat
+    signature again, so a re-freeze over the path keeps the old identity
+    key and the lease hands out the old engine, with the answers it
+    remembers.  Every answer is plausible and untyped; only
+    ``frontend.republish-fresh``, which compares the answer after the
+    re-freeze with a fresh ``imm()`` at the new seed, can see it.
+    """
+    import os
+
+    from ..serving import IndexCache
+
+    lookup = IndexCache._lookup
+
+    def per_path(self, path):
+        seen = self.__dict__.setdefault("_seen", {})
+        given = os.fspath(path)
+        if given not in seen:
+            seen[given] = lookup(self, path)
+        return seen[given]
+
+    IndexCache._lookup = per_path
+    try:
+        detected, evidence = _frontend_mutant(
+            seed, None, "frontend.republish-fresh"
+        )
+    finally:
+        IndexCache._lookup = lookup
+    return MutantResult(
+        "identity-memo-ignores-republish",
+        "identity memo keyed by path alone, so a re-freeze serves the old engine",
+        detected,
+        evidence,
+    )
+
+
 def _cluster_mutant(seed: int, hook: str, check_name: str):
     """Run the cluster oracle axis with one deliberate-bug flag set."""
     from ..datasets import load as load_graph
@@ -930,6 +970,7 @@ _MUTANTS = {
     "degraded-result-reports-full-epsilon": _mutant_dishonest_degrade,
     "breaker-open-still-extends": _mutant_breaker_bypass,
     "memo-survives-republish": _mutant_memo_per_path,
+    "identity-memo-ignores-republish": _mutant_identity_memo_per_path,
     "cluster-unavailable-served-as-fresh": _mutant_stale_as_fresh,
     "failover-double-dispatches-extension": _mutant_hedge_writes,
     "compressed-rank-permutation-not-inverted-on-decode": _mutant_compressed_identity,

@@ -220,6 +220,15 @@ class TestNewSubcommands:
         with pytest.raises(SystemExit):
             main(["validate", "--quick", "--shard", "nope"])
 
+    def test_serve_summary_counts_remembered_reads(self, ba_graph, tmp_path, capsys):
+        from repro.serving import freeze_index
+
+        out = tmp_path / "index"
+        freeze_index(ba_graph, 5, 0.5, "IC", 3, theta_cap=300, out_dir=out)[0].close()
+        assert main(["serve", "--index", str(out), "--requests", "5"]) == 0
+        text = capsys.readouterr().out
+        assert "served 5/5 (coalesced 1, remembered 0, degraded 0," in text
+
     def test_dist_fault_plan_and_policy(self, capsys):
         code = main(
             ["dist", "--dataset", "cit-HepTh", "--k", "3", "--theta-cap",

@@ -40,6 +40,7 @@ from repro.serving import (
     freeze_index,
     shrink_epsilon,
 )
+from repro.serving.cluster import _p99
 
 K = 5
 EPS = 0.5
@@ -372,6 +373,26 @@ class TestHedging:
         assert stats.hedges >= 1
         assert stats.hedge_wins >= 1
         assert dt < 0.3  # the straggler's sleep never reached the caller
+
+    def test_hedge_delay_is_numpy_p99_of_the_window(self):
+        # The router keeps the last 64 latencies; the hedge delay is the
+        # EWMA of their p99, computed without NumPy but equal to it.
+        rng = np.random.default_rng(7)
+        cr = ClusterRouter(num_replicas=2)
+        want = None
+        for i in range(300):
+            # A small pool makes ties common, as repeated reads give.
+            lat = float(rng.choice(rng.exponential(2e-3, 5)) if i % 2
+                        else rng.exponential(2e-3))
+            cr._observe(lat)
+            window = list(cr._lats)
+            want = ewma_update(want, float(np.percentile(window, 99)))
+            assert cr._hedge_delay() == max(want, 1e-4)
+        for n in (1, 2, 3, 63, 64, 101):
+            ties = rng.choice(rng.exponential(1e-3, 3), n).tolist()
+            free = rng.exponential(1e-3, n).tolist()
+            for window in (ties, free):
+                assert _p99(window) == float(np.percentile(window, 99))
 
     def test_hedging_can_be_disabled(self, frozen):
         out, res = frozen

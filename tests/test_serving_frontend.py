@@ -9,12 +9,17 @@ the bottom throws all of those at one front end at once.
 """
 
 import asyncio
+import dataclasses
+import os
 import shutil
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
+import repro.serving.cache as cache_module
 from repro.imm import imm
 from repro.mpi.faults import FaultPlan
 from repro.serving import (
@@ -512,7 +517,276 @@ class TestTighten:
         assert misses == 1 and hits >= 1
 
 
+def _fields(res) -> dict:
+    """Every ServingResult field but the wall-clock ``seconds``."""
+    return {
+        f.name: np.asarray(getattr(res, f.name)).tolist()
+        for f in dataclasses.fields(res)
+        if f.name != "seconds"
+    }
+
+
+class TestRemembered:
+    """A ``top_k`` the engine remembers is answered on the event loop,
+    without a worker thread; anything else runs on a worker as before."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """(thread, remembered?) of each engine top_k, and each worker hop."""
+        calls, hops = [], []
+        top_k = InfluenceQueryEngine.top_k
+
+        def traced(self, *args, **kwargs):
+            calls.append((threading.get_ident(), kwargs.get("remembered", False)))
+            return top_k(self, *args, **kwargs)
+
+        to_thread = asyncio.to_thread
+
+        async def hop(fn, *args, **kwargs):
+            hops.append(fn)
+            return await to_thread(fn, *args, **kwargs)
+
+        monkeypatch.setattr(InfluenceQueryEngine, "top_k", traced)
+        monkeypatch.setattr(asyncio, "to_thread", hop)
+        return calls, hops
+
+    def test_remembered_top_k_runs_on_the_loop(self, frozen, monkeypatch):
+        out, _ = frozen
+        calls, hops = self._spy(monkeypatch)
+
+        async def body():
+            async with ServingFrontend(concurrency=1) as fe:
+                first = await fe.top_k(out, 2)  # computed on a worker
+                hopped = len(hops)
+                again = await fe.top_k(out, 2)
+                return first, again, hopped, threading.get_ident(), fe.stats
+
+        first, again, hopped, loop_thread, stats = run(body())
+        assert hopped == len(hops) == 1  # the repeat started no worker
+        assert calls[-1] == (loop_thread, True)
+        assert stats.remembered == 1 and stats.completed == 2
+        with FrozenRRRIndex.open(out) as index:
+            fresh = InfluenceQueryEngine(index).top_k(2)
+        assert _fields(again) == _fields(first) == _fields(fresh)
+
+    def test_cold_pair_hops_to_a_worker(self, frozen, monkeypatch):
+        out, _ = frozen
+        calls, hops = self._spy(monkeypatch)
+
+        async def body():
+            async with ServingFrontend() as fe:
+                await fe.top_k(out, 2)
+                hopped = len(hops)
+                cold = await fe.top_k(out, 3)
+                return cold, hopped, threading.get_ident(), fe.stats
+
+        cold, hopped, loop_thread, stats = run(body())
+        assert len(hops) == hopped + 1
+        # The loop's lookup misses; the worker computes.
+        (t_loop, r_loop), (t_work, r_work) = calls[-2:]
+        assert (t_loop, r_loop, r_work) == (loop_thread, True, False)
+        assert t_work != loop_thread
+        assert stats.remembered == 0
+        with FrozenRRRIndex.open(out) as index:
+            assert _fields(cold) == _fields(InfluenceQueryEngine(index).top_k(3))
+
+    def test_cold_compressed_index_decodes_on_a_worker(
+        self, ba_graph, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "compressed"
+        freeze_index(
+            ba_graph, K, EPS, "IC", SEED, theta_cap=CAP, out_dir=path,
+            compress=True,
+        )[0].close()
+        decoders = []
+        decode = FrozenRRRIndex._decode_flat
+
+        def traced(self, indptr):
+            decoders.append(threading.get_ident())
+            return decode(self, indptr)
+
+        monkeypatch.setattr(FrozenRRRIndex, "_decode_flat", traced)
+
+        async def body():
+            async with ServingFrontend() as fe:
+                first = await fe.top_k(path)
+                again = await fe.top_k(path)
+                return first, again, threading.get_ident(), fe.stats
+
+        first, again, loop_thread, stats = run(body())
+        assert len(decoders) == 1 and decoders[0] != loop_thread
+        assert stats.remembered == 1
+        assert _fields(again) == _fields(first)
+
+    def test_faults_fire_on_the_same_query_ids(self, frozen):
+        out, res = frozen
+
+        async def body():
+            plan = "slowquery:1x0.2;stale:@2"
+            async with ServingFrontend(fault_plan=plan) as fe:
+                await fe.top_k(out)  # qid 0: computed
+                t0 = time.perf_counter()
+                slow = await fe.top_k(out)  # qid 1: remembered, straggles
+                waited = time.perf_counter() - t0
+                remembered, misses = fe.stats.remembered, fe.cache.misses
+                stale = await fe.top_k(out)  # qid 2: republished under it
+                return (slow, waited, remembered, misses, stale, fe.stats,
+                        fe.cache.misses)
+
+        slow, waited, remembered, misses, stale, stats, misses_after = run(body())
+        assert waited >= 0.2 and remembered == 1
+        # The republish re-opened the index and re-dispatched once, on a
+        # worker: the reopened engine remembers nothing.
+        assert stats.republishes == 1 and stats.remembered == 1
+        assert misses_after == misses + 1
+        for r in (slow, stale):
+            assert not r.degraded
+            assert np.array_equal(r.seeds, res.seeds)
+
+    def test_remembered_read_holds_its_worker_slot(self, frozen):
+        # Reads queue behind a straggling remembered read as behind any
+        # other: with one slot, a read whose deadline passes while it
+        # waits is shed.
+        out, res = frozen
+
+        async def body():
+            plan = "slowquery:1x0.3"
+            async with ServingFrontend(concurrency=1, fault_plan=plan) as fe:
+                await fe.top_k(out)  # qid 0: computed
+                slow = asyncio.ensure_future(fe.top_k(out))  # qid 1
+                await asyncio.sleep(0)  # qid 1 takes the slot, straggles
+                with pytest.raises(QueryDeadlineExceeded):
+                    await fe.marginal_gain(out, [0], deadline=0.1)  # qid 2
+                return await slow, fe.stats
+
+        slow, stats = run(body())
+        assert stats.remembered == 1 and stats.deadline_shed == 1
+        assert np.array_equal(slow.seeds, res.seeds)
+
+
 class TestIndexCache:
+    def test_amend_and_refreeze_rekey_a_settled_identity(
+        self, ba_graph, uncapped, monkeypatch
+    ):
+        # Trust every signature at once, so each step below is served
+        # from the signature memo unless the manifest really changed.
+        monkeypatch.setattr(cache_module, "_SETTLED_NS", 0)
+        path, _, _ = uncapped
+        cache = IndexCache()
+        try:
+            first = cache.identity(path)
+            assert cache.identity(path) == first
+            with FrozenRRRIndex.open(path) as idx:
+                idx.amend(theta_cap=CAP)
+            amended = cache.identity(path)
+            assert amended[-1] == CAP and amended != first
+            freeze_index(
+                ba_graph, K, EPS, "IC", SEED + 1, theta_cap=CAP, out_dir=path
+            )[0].close()
+            refrozen = cache.identity(path)
+            assert refrozen[2] == SEED + 1 and refrozen != amended
+            with cache.lease(path) as eng:
+                assert eng.index.seed == SEED + 1
+        finally:
+            cache.close()
+
+    def test_repointed_symlink_is_followed(self, frozen, uncapped, tmp_path,
+                                           monkeypatch):
+        monkeypatch.setattr(cache_module, "_SETTLED_NS", 0)
+        capped, _ = frozen
+        path, _, _ = uncapped
+        link = tmp_path / "served"
+        link.symlink_to(capped)
+        cache = IndexCache()
+        try:
+            assert cache.resolve(link) == capped.resolve()
+            before = cache.identity(link)
+            tmp = tmp_path / "served.new"
+            tmp.symlink_to(path)
+            os.replace(tmp, link)
+            assert cache.resolve(link) == path.resolve()
+            assert cache.identity(link) != before
+            assert cache.identity(link) == cache.identity(path)
+            with cache.lease(link) as eng:
+                assert eng.index.path == path.resolve()
+        finally:
+            cache.close()
+
+    def test_young_signature_is_reread(self, uncapped, monkeypatch):
+        # Give every manifest the same signature, as a rewrite onto a
+        # reused inode within one timestamp tick could.  While the
+        # manifest is young it is read on every call, so the rewrite
+        # shows; a settled signature would be trusted (the control).
+        monkeypatch.setattr(cache_module, "_signature", lambda st: "one")
+        path, _, _ = uncapped
+        for settled_ns, follows in ((10**18, True), (0, False)):
+            monkeypatch.setattr(cache_module, "_SETTLED_NS", settled_ns)
+            cache = IndexCache()
+            try:
+                before = cache.identity(path)
+                with FrozenRRRIndex.open(path) as idx:
+                    idx.amend(theta_cap=None if before[-1] else CAP)
+                assert (cache.identity(path) != before) == follows
+            finally:
+                cache.close()
+
+    def test_whole_second_stamps_are_never_trusted(self, uncapped, monkeypatch):
+        # A file system that stamps whole seconds can repeat a signature
+        # across rewrites however old the stamp looks.  With every
+        # signature forced equal and every age settled, a manifest whose
+        # mtime is a whole second is still read, so its rewrite shows.
+        monkeypatch.setattr(cache_module, "_signature", lambda st: "one")
+        monkeypatch.setattr(cache_module, "_SETTLED_NS", 0)
+        path, _, _ = uncapped
+        whole = (time.time_ns() // 10**9 - 5) * 10**9
+        os.utime(path / "INDEX.json", ns=(whole, whole))
+        cache = IndexCache()
+        try:
+            before = cache.identity(path)
+            with FrozenRRRIndex.open(path) as idx:
+                idx.amend(theta_cap=CAP)
+            assert before[-1] is None and cache.identity(path)[-1] == CAP
+        finally:
+            cache.close()
+
+    def test_identity_under_racing_rewrites(self, uncapped, monkeypatch):
+        # Readers on several threads while the manifest is rewritten:
+        # each sees an identity the manifest held, and all see the last
+        # one once the writer stops.  The caps differ in printed length
+        # from each other and from "null", so two manifests that could
+        # share a signature (a reused inode within one tick) hold the
+        # same bytes even with every signature trusted at once.
+        monkeypatch.setattr(cache_module, "_SETTLED_NS", 0)
+        path, _, _ = uncapped
+        caps = (CAP, 100 * CAP)
+        cache = IndexCache()
+        seen, stop = [], threading.Event()
+
+        def read():
+            while not stop.is_set():
+                seen.append(cache.identity(path)[-1])
+
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in readers:
+                t.start()
+            with FrozenRRRIndex.open(path) as idx:
+                for i in range(40):
+                    idx.amend(theta_cap=caps[i % 2])
+        finally:
+            stop.set()
+            for t in readers:
+                t.join(timeout=30)
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(t.is_alive() for t in readers)
+            assert seen and set(seen) <= {None, *caps}
+            assert cache.identity(path)[-1] == caps[1]
+        finally:
+            cache.close()
+
     def test_lease_pins_against_eviction(self, frozen, uncapped):
         path_a, _ = frozen
         path_b, _, _ = uncapped

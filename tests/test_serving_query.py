@@ -403,6 +403,41 @@ class TestGreedyMemo:
             deg = eng.degraded(K, EPS, "test")
             assert _fields(eng.degraded(K, EPS, "test")) == _fields(deg)
 
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_remembered_top_k_reads_only_the_memo(
+        self, ba_graph, tmp_path, monkeypatch, compress
+    ):
+        from repro.serving import query
+
+        path = tmp_path / "i"
+        freeze_index(
+            ba_graph, K, EPS, "IC", SEED, out_dir=path, compress=compress
+        )[0].close()
+        with FrozenRRRIndex.open(path) as index:
+            eng = InfluenceQueryEngine(index)
+            # Cold: nothing remembered, and nothing built or decoded.
+            assert eng.top_k(remembered=True) is None
+            assert eng._vert_cache is None
+            assert (index._rows[0] is None) == compress
+            computed = eng.top_k()
+            assert eng.top_k(2, remembered=True) is None  # another k
+            # Past the sealed prefix a computed read raises (no graph to
+            # extend with) after remembering the rounds inside it; a
+            # remembered read walks those rounds, then gives up.
+            with pytest.raises(FrozenIndexError):
+                eng.top_k(K, 0.3)
+            assert eng.top_k(K, 0.3, remembered=True) is None
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("a remembered read touched the rows")
+
+            monkeypatch.setattr(index, "rows", refuse)
+            monkeypatch.setattr(query, "greedy_cover", refuse)
+            monkeypatch.setattr(query, "vertex_index", refuse)
+            again = eng.top_k(remembered=True)
+            again.seeds[:] = -1  # the caller owns its copy
+            assert _fields(eng.top_k(remembered=True)) == _fields(computed)
+
     def test_caller_mutation_does_not_leak(self, frozen):
         out, fres = frozen
         with FrozenRRRIndex.open(out) as index:

@@ -37,6 +37,7 @@ EXPECTED_MUTANTS = {
     "degraded-result-reports-full-epsilon",
     "breaker-open-still-extends",
     "memo-survives-republish",
+    "identity-memo-ignores-republish",
     "compressed-rank-permutation-not-inverted-on-decode",
     "compressed-counting-skips-continuation-byte",
     "cluster-unavailable-served-as-fresh",
