@@ -20,30 +20,21 @@ Runs a fixed micro-suite and writes commit-stamped numbers to
   *stamp* its worker-scaling record over a gate-ready baseline one
   (``gate_ready`` in the record) — a cramped runner must never bury
   the numbers a capable runner measured.
-* **Memory** — the compressed layout's resident-byte promise on the two
-  largest registry graphs: modeled resident RRR bytes and bytes per
-  sample for the flat and compressed layouts (each measured in a fresh
-  subprocess so its peak RSS is honest, not inherited from earlier
+* **Memory** — the flat layout on the two largest registry graphs:
+  modeled resident RRR bytes and bytes per sample, the bytes of every
+  buffer the collection holds (at full allocation, growth slack
+  included) next to that model, and the peak RSS (each measured in a
+  fresh subprocess so it is honest, not inherited from earlier
   benches, and sampled after one ``select_seeds``, where a solve
-  peaks), the bytes of every buffer the collection holds (at full
-  allocation, growth slack included) next to that model, plus
-  selection wall time off each layout on the identical sample set.
-  Three gates: compressed resident bytes must stay at or under
-  ``MEMORY_RATIO_GATE`` (0.6×) of flat, compressed selection must
-  finish within ``SELECTION_RATIO_GATE`` (1.5×) of the flat kernel,
-  and the flat collection's held buffers must stay within
-  ``COLLECTION_BYTES_RATIO_GATE`` (2.0×, the doubling bound) of its
-  model.  The first two are
-  record-only on workloads whose flat layout is smaller than
-  ``MEMORY_GATE_FLOOR_BYTES`` — ratios over a few hundred kilobytes of
-  fixed per-layout overhead measure the overhead, not the coding.
-* **Served-index footprint** — the bytes each serving engine holds
+  peaks), plus selection wall time on the identical sample set.  One
+  gate: the held buffers must stay within
+  ``COLLECTION_BYTES_RATIO_GATE`` (2.0×, the doubling bound) of the
+  model.
+* **Served-index footprint** — the bytes a serving engine holds
   privately (every non-mapped array the engine and its index hold:
-  the hit index and group offsets, the per-sample ``indptr``, and a
-  compressed index's decoded flat copy) over the index's data-file
-  bytes, on a cit-HepTh (k=50, eps=0.3) index of each layout.  The
-  flat index is gated at ``FOOTPRINT_RATIO_GATE`` (1.0×); the
-  compressed one is record-only.
+  the hit index and group offsets and the per-sample ``indptr``) over
+  the index's data-file bytes, on a cit-HepTh (k=50, eps=0.3) index,
+  gated at ``FOOTPRINT_RATIO_GATE`` (1.0×).
 * **End-to-end ``imm()``** — total seconds, θ, and the selected seed set
   on two registry graphs (cit-HepTh IC, com-YouTube LT).
 * **Start-up** — what a process pays before its first query: seconds
@@ -233,18 +224,7 @@ CLUSTER_HEDGE_QUERIES = 6
 ROUTED_REPEAT_READS = 25
 ROUTED_REPEAT_GAP_S = (0.05, 0.25)
 
-#: Memory gate: compressed resident RRR bytes must be ≤ this fraction of
-#: the flat layout's on the two largest registry graphs (the ≥40 %
-#: reduction the HBMax-style coding promises).
-MEMORY_RATIO_GATE = 0.6
-#: Flat resident bytes below this floor make both memory gates
-#: record-only: on a sample set this small the layouts' fixed per-vertex
-#: overheads dominate the coded stream and the ratio stops measuring
-#: the coding.
-MEMORY_GATE_FLOOR_BYTES = 256 * 1024
-#: Selection off the coded stream may cost at most this much over the
-#: flat kernel on the identical sample set.
-SELECTION_RATIO_GATE = 1.5
+#: Selection timings per memory workload (the best one is recorded).
 SELECTION_REPS = 5
 #: The flat collection's held buffers over its 4-bytes-per-incidence
 #: ``nbytes_model()``.  Amortized doubling leaves each growable buffer
@@ -260,25 +240,20 @@ FOOTPRINT_RATIO_GATE = 1.0
 #: The served-index footprint workload: (dataset, model, k, eps, seed).
 FOOTPRINT_WORKLOAD = ("cit-HepTh", "IC", 50, 0.3, 1)
 
-#: Runs in a fresh interpreter per (workload, layout) so the reported
-#: peak RSS belongs to that layout alone — an in-process high-water mark
-#: after the throughput benches would be whichever bench peaked first.
+#: Runs in a fresh interpreter per workload so the reported peak RSS
+#: belongs to that workload alone — an in-process high-water mark after
+#: the throughput benches would be whichever bench peaked first.
 _MEMORY_PROBE = """\
 import json, resource, sys
 import numpy as np
-sys.path.insert(0, sys.argv[5])
+sys.path.insert(0, sys.argv[4])
 from repro.datasets import load
 from repro.imm.select import select_seeds
-from repro.sampling import (
-    CompressedRRRCollection, SortedRRRCollection, sample_batch,
-)
-name, model, theta, layout = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
+from repro.sampling import SortedRRRCollection, sample_batch
+name, model, theta = sys.argv[1], sys.argv[2], int(sys.argv[3])
 graph = load(name, model)
-cls = CompressedRRRCollection if layout == "compressed" else SortedRRRCollection
-coll = cls(graph.n)
+coll = SortedRRRCollection(graph.n)
 sample_batch(graph, model, coll, theta, %d)
-if layout == "compressed":
-    coll.freeze_permutation()  # the final remap selection reads through
 # Every buffer the collection holds, at its full allocation.
 live = sum(a.nbytes for a in vars(coll).values() if isinstance(a, np.ndarray))
 select_seeds(coll, graph.n, %d)  # a solve's peak is its selection
@@ -1129,95 +1104,54 @@ def cluster_gate(cl: dict) -> list[str]:
 
 
 def bench_memory() -> dict:
-    """Resident bytes + selection time, flat vs compressed layout.
+    """Resident bytes, held buffers, peak RSS and selection time of the
+    flat layout.
 
-    Each (workload, layout) pair samples the full θ set in a fresh
-    subprocess (:data:`_MEMORY_PROBE`) and reports the layout's modeled
-    resident bytes and the subprocess's honest peak RSS.  Selection is
-    then timed in-process off both layouts on the identical sample set,
-    interleaved best-of-``SELECTION_REPS``, with the compressed layout's
-    one-time final remap paid *before* the timing (in a real ``imm()``
-    run it amortizes across the θ-doubling rounds) but recorded
-    alongside so nothing hides.
+    Each workload samples the full θ set in a fresh subprocess
+    (:data:`_MEMORY_PROBE`) and reports the layout's modeled resident
+    bytes, the bytes its buffers hold and the subprocess's honest peak
+    RSS.  Selection is then timed in-process on the identical sample
+    set, best-of-``SELECTION_REPS``.
     """
     from repro.imm.select import select_seeds
-    from repro.sampling import CompressedRRRCollection
 
-    out: dict = {
-        "ratio_gate": MEMORY_RATIO_GATE,
-        "gate_floor_bytes": MEMORY_GATE_FLOOR_BYTES,
-        "selection_gate": SELECTION_RATIO_GATE,
-        "collection_bytes_gate": COLLECTION_BYTES_RATIO_GATE,
-    }
+    out: dict = {"collection_bytes_gate": COLLECTION_BYTES_RATIO_GATE}
     for name, model, theta in WORKER_SCALING_DATASETS:
-        rec: dict = {"theta": theta}
-        for layout in ("flat", "compressed"):
-            res = subprocess.run(
-                [
-                    sys.executable, "-c", _MEMORY_PROBE,
-                    name, model, str(theta), layout, str(ROOT / "src"),
-                ],
-                capture_output=True, text=True, check=True,
-            )
-            probe = json.loads(res.stdout)
-            rec[layout] = {
-                "resident_bytes": int(probe["resident_bytes"]),
-                "bytes_per_sample": round(probe["resident_bytes"] / theta, 1),
-                "live_bytes": int(probe["live_bytes"]),
-                "live_ratio": round(probe["live_bytes"] / probe["resident_bytes"], 4),
-                "peak_rss_kb": int(probe["maxrss_kb"]),
-            }
-            entries = int(probe["entries"])
-        rec["entries"] = entries
-        rec["resident_ratio"] = round(
-            rec["compressed"]["resident_bytes"] / rec["flat"]["resident_bytes"], 4
+        res = subprocess.run(
+            [sys.executable, "-c", _MEMORY_PROBE, name, model, str(theta), str(ROOT / "src")],
+            capture_output=True, text=True, check=True,
         )
-        rec["gated"] = bool(
-            rec["flat"]["resident_bytes"] >= MEMORY_GATE_FLOOR_BYTES
-        )
-
+        probe = json.loads(res.stdout)
+        flat = {
+            "resident_bytes": int(probe["resident_bytes"]),
+            "bytes_per_sample": round(probe["resident_bytes"] / theta, 1),
+            "live_bytes": int(probe["live_bytes"]),
+            "live_ratio": round(probe["live_bytes"] / probe["resident_bytes"], 4),
+            "peak_rss_kb": int(probe["maxrss_kb"]),
+        }
         graph = load(name, model)
-        flat_coll = SortedRRRCollection(graph.n)
-        comp_coll = CompressedRRRCollection(graph.n)
-        sample_batch(graph, model, flat_coll, theta, SAMPLING_SEED)
-        sample_batch(graph, model, comp_coll, theta, SAMPLING_SEED)
-        t0 = time.perf_counter()
-        comp_coll.freeze_permutation()
-        remap_s = time.perf_counter() - t0
-        flat_times, comp_times, seeds_match = [], [], True
+        coll = SortedRRRCollection(graph.n)
+        sample_batch(graph, model, coll, theta, SAMPLING_SEED)
+        times = []
         for _ in range(SELECTION_REPS):
             t0 = time.perf_counter()
-            a = select_seeds(flat_coll, graph.n, SAMPLING_K)
-            flat_times.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            b = select_seeds(comp_coll, graph.n, SAMPLING_K)
-            comp_times.append(time.perf_counter() - t0)
-            seeds_match &= bool(np.array_equal(a.seeds, b.seeds))
-        rec["flat"]["select_s"] = round(min(flat_times), 4)
-        rec["compressed"]["select_s"] = round(min(comp_times), 4)
-        rec["compressed"]["final_remap_s"] = round(remap_s, 4)
-        rec["selection_ratio"] = round(min(comp_times) / min(flat_times), 2)
-        rec["seeds_match"] = seeds_match
-        out[f"{name}/{model}"] = rec
+            select_seeds(coll, graph.n, SAMPLING_K)
+            times.append(time.perf_counter() - t0)
+        flat["select_s"] = round(min(times), 4)
+        out[f"{name}/{model}"] = {
+            "theta": theta, "entries": int(probe["entries"]), "flat": flat,
+        }
     return out
 
 
 def memory_gate(mem: dict) -> list[str]:
-    """The compressed layout's two promises: ≤0.6× resident bytes and
-    ≤1.5× selection time, gated only above the size floor.  Seed-set
-    parity between the layouts and the flat collection's held bytes
-    (within ``COLLECTION_BYTES_RATIO_GATE`` of its model) are gated
-    unconditionally — a divergence is a correctness bug at any size,
-    and the byte ratio is a byte count, not a timing."""
+    """The flat collection's held bytes stay within
+    ``COLLECTION_BYTES_RATIO_GATE`` of its model on every workload: a
+    byte count, not a timing, so it is gated at any size."""
     failures: list[str] = []
     for wl, rec in mem.items():
-        if not isinstance(rec, dict) or "resident_ratio" not in rec:
+        if not isinstance(rec, dict):
             continue
-        if not rec["seeds_match"]:
-            failures.append(
-                f"MEMORY {wl}: compressed-layout selection diverges from the "
-                "flat layout on the identical sample set — bit-parity broken"
-            )
         if rec["flat"]["live_ratio"] > COLLECTION_BYTES_RATIO_GATE:
             failures.append(
                 f"MEMORY {wl}: the flat collection's buffers hold "
@@ -1225,30 +1159,6 @@ def memory_gate(mem: dict) -> list[str]:
                 f"its modeled {rec['flat']['resident_bytes']:,} B — above the "
                 f"{COLLECTION_BYTES_RATIO_GATE}x doubling bound (a per-entry "
                 "array beyond the int32 ids?)"
-            )
-        if not rec["gated"]:
-            print(
-                f"  memory gate record-only for {wl}: flat resident "
-                f"{rec['flat']['resident_bytes']:,} B is below the "
-                f"{MEMORY_GATE_FLOOR_BYTES:,} B floor"
-            )
-            continue
-        if rec["resident_ratio"] > MEMORY_RATIO_GATE:
-            failures.append(
-                f"MEMORY {wl}: compressed resident bytes are "
-                f"{rec['resident_ratio']:.2f}x of flat "
-                f"({rec['compressed']['resident_bytes']:,} vs "
-                f"{rec['flat']['resident_bytes']:,} B) — the "
-                f"{MEMORY_RATIO_GATE}x gate demands a ≥"
-                f"{1 - MEMORY_RATIO_GATE:.0%} reduction"
-            )
-        if rec["selection_ratio"] > SELECTION_RATIO_GATE:
-            failures.append(
-                f"SELECTION {wl}: coded-stream selection is "
-                f"{rec['selection_ratio']}x of the flat kernel "
-                f"({rec['compressed']['select_s']}s vs "
-                f"{rec['flat']['select_s']}s) — above the "
-                f"{SELECTION_RATIO_GATE}x budget"
             )
     return failures
 
@@ -1271,14 +1181,13 @@ def _private_bytes(*objs) -> int:
 
 
 def bench_footprint() -> dict:
-    """Per-engine private bytes over the index's data-file bytes.
+    """An engine's private bytes over its index's data-file bytes.
 
-    One engine per layout opens a frozen :data:`FOOTPRINT_WORKLOAD`
-    index and answers the router's probe read plus a ``top_k``, which
-    builds its hit index.  Private: :func:`_private_bytes` of the
-    engine and its index (the hit index and its group offsets, the
-    per-sample ``indptr``, and a compressed index's decoded flat copy);
-    the mapped files are shared page cache.
+    The engine opens a frozen :data:`FOOTPRINT_WORKLOAD` index and
+    answers the router's probe read plus a ``top_k``, which builds its
+    hit index.  Private: :func:`_private_bytes` of the engine and its
+    index (the hit index and its group offsets and the per-sample
+    ``indptr``); the mapped files are shared page cache.
     """
     import tempfile
 
@@ -1289,35 +1198,29 @@ def bench_footprint() -> dict:
     out: dict = {"dataset": name, "model": model, "k": k, "eps": eps, "seed": seed,
                  "gate": FOOTPRINT_RATIO_GATE}
     with tempfile.TemporaryDirectory(prefix="repro-bench-footprint-") as td:
-        for layout in ("flat", "compressed"):
-            path = Path(td) / layout
-            index, _ = freeze_index(
-                graph, k, eps, model, seed, out_dir=path,
-                compress=layout == "compressed",
-            )
-            index.close()
-            file_bytes = sum(
-                f.stat().st_size for f in path.iterdir() if f.suffix == ".bin"
-            )
-            with FrozenRRRIndex.open(path) as index:
-                engine = InfluenceQueryEngine(index)
-                engine.what_if(1)
-                engine.top_k()
-                private = _private_bytes(engine, index)
-                out[layout] = {
-                    "num_samples": index.num_samples,
-                    "entries": index.entries,
-                    "private_bytes": int(private),
-                    "file_bytes": int(file_bytes),
-                    "ratio": round(private / file_bytes, 4),
-                }
+        path = Path(td) / "flat"
+        freeze_index(graph, k, eps, model, seed, out_dir=path)[0].close()
+        file_bytes = sum(
+            f.stat().st_size for f in path.iterdir() if f.suffix == ".bin"
+        )
+        with FrozenRRRIndex.open(path) as index:
+            engine = InfluenceQueryEngine(index)
+            engine.what_if(1)
+            engine.top_k()
+            private = _private_bytes(engine, index)
+            out["flat"] = {
+                "num_samples": index.num_samples,
+                "entries": index.entries,
+                "private_bytes": int(private),
+                "file_bytes": int(file_bytes),
+                "ratio": round(private / file_bytes, 4),
+            }
     return out
 
 
 def footprint_gate(fp: dict) -> list[str]:
     """A flat-index engine holds no more private bytes than the index
-    files: 4 bytes per incidence, like the file.  Compressed is
-    record-only while its engines decode a flat copy."""
+    files: 4 bytes per incidence, like the file."""
     rec = fp["flat"]
     if rec["ratio"] <= FOOTPRINT_RATIO_GATE:
         return []
@@ -1552,35 +1455,27 @@ def main(argv: list[str] | None = None) -> int:
     )
     mem = fresh["memory"]
     for wl, r in mem.items():
-        if not isinstance(r, dict) or "resident_ratio" not in r:
+        if not isinstance(r, dict):
             continue
         print(
             f"  memory {wl} theta={r['theta']}: flat "
             f"{r['flat']['resident_bytes']:,} B "
-            f"({r['flat']['bytes_per_sample']} B/sample), compressed "
-            f"{r['compressed']['resident_bytes']:,} B "
-            f"({r['compressed']['bytes_per_sample']} B/sample), "
-            f"ratio {r['resident_ratio']}x; select "
-            f"{r['flat']['select_s']}s vs {r['compressed']['select_s']}s "
-            f"({r['selection_ratio']}x, remap {r['compressed']['final_remap_s']}s)"
+            f"({r['flat']['bytes_per_sample']} B/sample); select "
+            f"{r['flat']['select_s']}s"
         )
         print(
             f"    live buffers: flat {r['flat']['live_bytes']:,} B "
-            f"({r['flat']['live_ratio']}x model), compressed "
-            f"{r['compressed']['live_bytes']:,} B "
-            f"({r['compressed']['live_ratio']}x model); peak RSS after one "
-            f"select: flat {r['flat']['peak_rss_kb'] // 1024} MB, compressed "
-            f"{r['compressed']['peak_rss_kb'] // 1024} MB"
+            f"({r['flat']['live_ratio']}x model); peak RSS after one "
+            f"select: flat {r['flat']['peak_rss_kb'] // 1024} MB"
         )
     fp = fresh["footprint"]
-    for layout in ("flat", "compressed"):
-        r = fp[layout]
-        print(
-            f"  footprint {fp['dataset']}/{fp['model']} k={fp['k']} "
-            f"eps={fp['eps']} {layout} ({r['entries']:,} entries): engine "
-            f"private {r['private_bytes']:,} B over {r['file_bytes']:,} file B "
-            f"= {r['ratio']}x"
-        )
+    r = fp["flat"]
+    print(
+        f"  footprint {fp['dataset']}/{fp['model']} k={fp['k']} "
+        f"eps={fp['eps']} flat ({r['entries']:,} entries): engine "
+        f"private {r['private_bytes']:,} B over {r['file_bytes']:,} file B "
+        f"= {r['ratio']}x"
+    )
     for wl, r in fresh["imm"].items():
         print(f"  imm {wl}: theta={r['theta']} {r['seconds']}s")
     sv = fresh["serving"]

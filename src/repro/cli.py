@@ -313,23 +313,13 @@ def _cmd_freeze(args: argparse.Namespace) -> int:
     index, res = freeze_index(
         graph, args.k, args.eps, args.model, args.seed,
         theta_cap=args.theta_cap, out_dir=args.out,
-        compress=args.compress,
     )
     try:
         mf = index.manifest
-        if mf.get("layout") == "compressed":
-            nbytes = mf["coded_bytes"] + mf["num_samples"] * 24
-            flat_bytes = mf["entries"] * 4 + mf["num_samples"] * 16
-            extra = (
-                f", layout=compressed"
-                f" ({nbytes / max(flat_bytes, 1):.2f}x of flat)"
-            )
-        else:
-            nbytes = mf["entries"] * 4 + mf["num_samples"] * 16
-            extra = ""
+        nbytes = mf["entries"] * 4 + mf["num_samples"] * 16
         print(
             f"frozen: {mf['num_samples']} samples, {mf['entries']} entries "
-            f"({nbytes / 1e6:.2f} MB{extra}) -> {index.path}"
+            f"({nbytes / 1e6:.2f} MB) -> {index.path}"
         )
         print(
             f"  theta={res.theta} rounds={res.estimation_rounds}"
@@ -615,11 +605,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--variant", choices=("serial", "mt", "dist"), default="serial"
     )
     p_run.add_argument(
-        "--layout", choices=("sorted", "compressed", "hypergraph"),
+        "--layout", choices=("sorted", "hypergraph"),
         default="sorted",
-        help="RRR storage: 'sorted' (flat IMM-OPT buffers), 'compressed' "
-        "(frequency-ranked delta+varint coding, selection off the coded "
-        "stream), or 'hypergraph' (reference); seeds are bit-identical",
+        help="RRR storage: 'sorted' (flat IMM-OPT buffers) or 'hypergraph' "
+        "(reference); seeds are bit-identical",
     )
     p_run.add_argument("--threads", type=int, default=20, help="mt threads")
     p_run.add_argument(
@@ -752,11 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fr.add_argument(
         "--out", required=True, metavar="DIR",
         help="directory to write the frozen index into",
-    )
-    p_fr.add_argument(
-        "--compress", action="store_true",
-        help="write the frequency-ranked delta+varint section instead of "
-        "the flat incidence file; served answers stay bit-identical",
     )
     p_fr.set_defaults(func=_cmd_freeze)
 

@@ -25,7 +25,6 @@ from ..perf.counters import WorkCounters
 from ..perf.timers import PhaseTimer
 from ..sampling import (
     BatchedRRRSampler,
-    CompressedRRRCollection,
     DeadlineExceededError,
     HypergraphRRRCollection,
     SortedRRRCollection,
@@ -72,11 +71,8 @@ def imm(
     seed:
         Master RNG seed; all randomness derives from it.
     layout:
-        ``"sorted"`` (IMM\\ :sup:`OPT`), ``"compressed"`` (frequency-
-        ranked delta+varint coding, selection straight off the coded
-        stream — see :mod:`repro.sampling.compressed`), or
-        ``"hypergraph"`` (reference).  All three produce bit-identical
-        seeds, θ, and coverage history.
+        ``"sorted"`` (IMM\\ :sup:`OPT`) or ``"hypergraph"`` (reference).
+        Both produce bit-identical seeds, θ, and coverage history.
     theta_cap:
         Optional ceiling on θ (at least 1) for bounded benchmark runs; a capped run
         reports ``extra["theta_capped"] = True`` and waives the formal
@@ -88,8 +84,7 @@ def imm(
         process pool (shared-memory CSR, ``start_method`` selects how
         workers are started).  Results are bit-identical to the serial
         run — same seeds, θ, and coverage history — only the wall clock
-        in ``breakdown`` changes.  Requires ``layout="sorted"`` or
-        ``"compressed"``.
+        in ``breakdown`` changes.  Requires ``layout="sorted"``.
     supervise, supervisor_opts:
         ``supervise=True`` runs on the self-healing
         :class:`~repro.sampling.supervisor.SupervisedSamplingEngine`
@@ -97,9 +92,9 @@ def imm(
         (bit-identical output), and ``supervisor_opts`` passes through
         any supervisor keyword — ``spares``, ``crash_budget``,
         ``deadline``, ``checkpoint_dir``/``resume_from``, ``fault_plan``,
-        straggler-speculation knobs (requires ``layout="sorted"`` or
-        ``"compressed"``).  A ``deadline`` that expires mid-θ
-        returns a :class:`~repro.imm.result.DegradedResult` (seeds
+        straggler-speculation knobs (requires ``layout="sorted"``).  A
+        ``deadline`` that expires mid-θ returns a
+        :class:`~repro.imm.result.DegradedResult` (seeds
         selected from the landed prefix, ``theta_effective``/
         ``epsilon_effective`` recomputed as the MPI shrink policy does)
         instead of raising.  ``supervise=True`` works for any worker
@@ -116,19 +111,15 @@ def imm(
         raise ValueError("need at least one worker")
     if layout == "sorted":
         collection = SortedRRRCollection(graph.n)
-    elif layout == "compressed":
-        collection = CompressedRRRCollection(graph.n)
     elif layout == "hypergraph":
         if workers > 1 or supervise:
             raise ValueError(
-                "workers > 1 / supervise=True require layout='sorted' "
-                "or 'compressed'"
+                "workers > 1 / supervise=True require layout='sorted'"
             )
         collection = HypergraphRRRCollection(graph.n)
     else:
         raise ValueError(
-            f"unknown layout {layout!r}; expected 'sorted', 'compressed', "
-            "or 'hypergraph'"
+            f"unknown layout {layout!r}; expected 'sorted' or 'hypergraph'"
         )
 
     timer = PhaseTimer()

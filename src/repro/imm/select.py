@@ -17,9 +17,6 @@ and the per-vertex counts over a set of killed samples
   or a sample prefix of it.  Hits come from a sample-keyed hit index
   (:func:`vertex_index`); the frozen serving index cuts its prefixes
   from one cached hit index instead of re-sorting per query.
-* :class:`CompressedView` — the frequency-ranked delta+varint layout
-  (HBMax-style), read off a single parse of the coded stream; counters
-  stay in original vertex-id space, so ties break exactly as above.
 * :class:`HypergraphView` — the bidirectional reference layout, using
   the vertex→samples inverted index the way Tang et al.'s code does.
 
@@ -44,7 +41,6 @@ from ..sampling.collection import (
     RRRCollection,
     SortedRRRCollection,
 )
-from ..sampling.compressed import CompressedRRRCollection
 
 __all__ = ["SelectionResult", "select_seeds"]
 
@@ -97,7 +93,7 @@ class SelectionResult:
 
 def vertex_index(ids: np.ndarray, indptr: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The sample-keyed hit index: the ids of the samples holding each
-    of ``n`` groups (vertex or rank), plus the group offsets.
+    of the ``n`` vertices, plus the per-vertex group offsets.
 
     ``ids[indptr[j]:indptr[j + 1]]`` are sample ``j``'s entries.  One
     unstable sort of the keys ``id·m + sample`` (``m`` samples; unique,
@@ -126,60 +122,7 @@ def vertex_index(ids: np.ndarray, indptr: np.ndarray, n: int) -> tuple[np.ndarra
 _TALLY_CHUNK = 1 << 16
 
 
-class _Rows:
-    """Per-sample entry ranges ``[indptr[j], indptr[j + 1])`` and the
-    gather of the ranges of many samples at once (the kill pass)."""
-
-    def __init__(self, indptr: np.ndarray) -> None:
-        self._indptr = indptr
-        # Gather scratch, grown to the largest run seen so far instead
-        # of re-allocating the index temporaries on every kill.
-        self._scratch = np.empty(0, dtype=np.intp)
-
-    def _positions(self, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-        """Entry positions of the ranges ``[starts[i], stops[i])`` (all
-        non-empty), concatenated."""
-        ends = np.cumsum(stops - starts)
-        total = int(ends[-1])
-        if len(self._scratch) < total:
-            self._scratch = np.empty(max(total, 2 * len(self._scratch)), dtype=np.intp)
-        # Concatenated ranges built in place: ones, with each range's
-        # first slot holding the jump from the previous range's last
-        # value, then one cumulative sum — repeat(starts) plus an
-        # intra-range iota without allocating either temporary.
-        idx = self._scratch[:total]
-        idx.fill(1)
-        idx[0] = starts[0]
-        idx[ends[:-1]] = starts[1:] - stops[:-1] + 1
-        np.cumsum(idx, out=idx)
-        return idx
-
-    def _tally(self, values: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        """Per-id counts of ``values`` over the entries of ``samples``
-        (all non-empty), gathered and counted a run of samples at a
-        time, each run about :data:`_TALLY_CHUNK` entries (a sample
-        holds at most ``n``, so no run is empty)."""
-        starts = self._indptr[samples]
-        stops = self._indptr[samples + 1]
-        ends = np.cumsum(stops - starts)
-        chunk = max(_TALLY_CHUNK, self.n)
-        cuts = np.searchsorted(ends, np.arange(chunk, int(ends[-1]), chunk), side="right")
-        bounds = [0, *cuts.tolist(), len(samples)]
-        counts = None
-        for lo, hi in zip(bounds, bounds[1:]):
-            idx = self._positions(starts[lo:hi], stops[lo:hi])
-            run = np.bincount(values[idx], minlength=self.n)
-            if counts is None:
-                counts = run
-            else:
-                counts += run
-        return counts
-
-    def sizes(self) -> np.ndarray:
-        return np.diff(self._indptr)
-
-
-class FlatView(_Rows):
+class FlatView:
     """The sorted flat layout, or its first ``num_samples`` samples.
 
     ``by_vertex`` may be a cached :func:`vertex_index` over a longer
@@ -205,7 +148,7 @@ class FlatView(_Rows):
         m = len(indptr) - 1
         if num_samples is not None:
             m = min(int(num_samples), m)
-        super().__init__(indptr[: m + 1])
+        self._indptr = indptr[: m + 1]
         self.n = n
         self.num_samples = m
         self.entries = int(indptr[m])
@@ -215,6 +158,9 @@ class FlatView(_Rows):
             by_vertex = vertex_index(self._flat, self._indptr, n)
         self._hits, self._vptr = by_vertex
         self._count_engine = count_engine
+        # Gather scratch, grown to the largest run seen so far instead
+        # of re-allocating the index temporaries on every kill.
+        self._scratch = np.empty(0, dtype=np.intp)
 
     def counts(self) -> np.ndarray:
         if self._count_engine is not None:
@@ -232,56 +178,46 @@ class FlatView(_Rows):
         return ids[: int(np.searchsorted(ids, self.num_samples))].astype(np.intp)
 
     def tally(self, samples: np.ndarray) -> np.ndarray:
-        return self._tally(self._flat, samples)
+        """Per-vertex counts over the entries of ``samples`` (all
+        non-empty), gathered and counted a run of samples at a time,
+        each run about :data:`_TALLY_CHUNK` entries (a sample holds at
+        most ``n``, so no run is empty)."""
+        starts = self._indptr[samples]
+        stops = self._indptr[samples + 1]
+        ends = np.cumsum(stops - starts)
+        chunk = max(_TALLY_CHUNK, self.n)
+        cuts = np.searchsorted(ends, np.arange(chunk, int(ends[-1]), chunk), side="right")
+        bounds = [0, *cuts.tolist(), len(samples)]
+        counts = None
+        for lo, hi in zip(bounds, bounds[1:]):
+            idx = self._positions(starts[lo:hi], stops[lo:hi])
+            run = np.bincount(self._flat[idx], minlength=self.n)
+            if counts is None:
+                counts = run
+            else:
+                counts += run
+        return counts
 
+    def _positions(self, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+        """Entry positions of the ranges ``[starts[i], stops[i])`` (all
+        non-empty), concatenated."""
+        ends = np.cumsum(stops - starts)
+        total = int(ends[-1])
+        if len(self._scratch) < total:
+            self._scratch = np.empty(max(total, 2 * len(self._scratch)), dtype=np.intp)
+        # Concatenated ranges built in place: ones, with each range's
+        # first slot holding the jump from the previous range's last
+        # value, then one cumulative sum — repeat(starts) plus an
+        # intra-range iota without allocating either temporary.
+        idx = self._scratch[:total]
+        idx.fill(1)
+        idx[0] = starts[0]
+        idx[ends[:-1]] = starts[1:] - stops[:-1] + 1
+        np.cumsum(idx, out=idx)
+        return idx
 
-class CompressedView(_Rows):
-    """Greedy view straight off the coded stream (HBMax-style).
-
-    The collection's flat int32 rows are never materialized: the stream
-    is parsed once (one vectorized varint pass), the hit lookup is the
-    same sample-keyed :func:`vertex_index`, built in rank space over the
-    parsed entries, and the kill pass tallies the killed samples'
-    entries from that single parse in rank space, then gathers the
-    tally to vertex ids.  Counts are kept in original vertex-id space
-    and equal the flat layout's bincount, so seeds, coverage and meters
-    are identical to :class:`FlatView`'s.  ``count_engine`` substitutes
-    the engine's fused per-worker histogram merge for the count when
-    its books balance.
-    """
-
-    def __init__(
-        self, collection: CompressedRRRCollection, n: int, count_engine=None
-    ) -> None:
-        collection._ensure_ranked()
-        m = len(collection)
-        ranks, sizes = collection.parse_stream()
-        # Per-sample entry ranges into the parse (stream order is sample
-        # order), so the kill pass is a pure gather.
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
-        super().__init__(indptr)
-        self.n = n
-        self.num_samples = m
-        self._collection = collection
-        self._ranks = ranks
-        self._count_engine = count_engine
-        self._rank_of = collection._rank_of
-        self._hit_samples, self._rptr = vertex_index(ranks, indptr, n)
-
-    def counts(self) -> np.ndarray:
-        if self._count_engine is not None:
-            return self._count_engine.count_collection(self._collection, self.n)
-        # A vertex occurs as often as its rank: per-rank counts, gathered.
-        return np.diff(self._rptr)[self._rank_of]
-
-    def hits(self, v: int) -> np.ndarray:
-        r = int(self._rank_of[v])
-        return self._hit_samples[self._rptr[r] : self._rptr[r + 1]].astype(np.intp)
-
-    def tally(self, samples: np.ndarray) -> np.ndarray:
-        # Counted in rank space, then gathered to vertex ids like counts().
-        return self._tally(self._ranks, samples)[self._rank_of]
+    def sizes(self) -> np.ndarray:
+        return np.diff(self._indptr)
 
 
 class HypergraphView:
@@ -450,17 +386,15 @@ def select_seeds(
 
     Every layout runs the same kernel (including tie breaking), so the
     chosen seeds depend only on the collection contents — a property the
-    test suite asserts.  ``count_engine`` applies to the sorted and
-    compressed layouts (the hypergraph layout reads its counters off the
-    inverted index, no counting pass exists), and so does ``num_ranks``:
-    the inverted index is charged to a single rank.
+    test suite asserts.  ``count_engine`` applies to the sorted layout
+    (the hypergraph layout reads its counters off the inverted index, no
+    counting pass exists), and so does ``num_ranks``: the inverted index
+    is charged to a single rank.
     """
     if num_ranks < 1:
         raise ValueError("need at least one rank")
     if isinstance(collection, SortedRRRCollection):
         view = FlatView(n, *collection.flattened(), count_engine=count_engine)
-    elif isinstance(collection, CompressedRRRCollection):
-        view = CompressedView(collection, n, count_engine)
     elif isinstance(collection, HypergraphRRRCollection):
         view = HypergraphView(collection, n)
     else:

@@ -26,25 +26,11 @@ contribution of Section 3.1:
   al.'s implementation: every (sample, vertex) incidence stored twice
   (hyperedge list + per-vertex membership index), faster for seed
   removal but ~2x the memory (the Table 2 comparison).
-
-* :class:`CompressedRRRCollection` — the HBMax direction (arXiv
-  2208.00613): vertex ids remapped by global RRR-frequency rank, each
-  sample delta+varint coded into one byte stream, and seed selection
-  counting straight off the coded bytes — bit-identical seeds at a
-  fraction of the resident memory.
 """
 
 from .batched import BatchedRRRSampler
 from .checkpoint import BlockCheckpointSink, CheckpointError
 from .collection import HypergraphRRRCollection, RRRCollection, SortedRRRCollection
-from .compressed import (
-    CodedStreamError,
-    CompressedRRRCollection,
-    CorruptCodedStreamError,
-    TruncatedCodedStreamError,
-    decode_varints,
-    encode_varints,
-)
 from .parallel_engine import (
     EngineProtocolError,
     EngineStats,
@@ -79,12 +65,6 @@ __all__ = [
     "RRRCollection",
     "SortedRRRCollection",
     "HypergraphRRRCollection",
-    "CompressedRRRCollection",
-    "CodedStreamError",
-    "TruncatedCodedStreamError",
-    "CorruptCodedStreamError",
-    "encode_varints",
-    "decode_varints",
     "sample_batch",
     "SampleBatch",
     "in_edge_cumweights",

@@ -1123,34 +1123,3 @@ class ParallelSamplingEngine:
             )
             return np.bincount(flat, minlength=minlength)
         return total
-
-    def count_collection(self, collection, minlength: int) -> np.ndarray:
-        """Counting kernel for coded layouts: fused-histogram merge.
-
-        The fused per-worker counter rows riding the descriptor protocol
-        already *are* the global frequency histogram of every landed
-        incidence, so when the books balance (same conditions as
-        :meth:`count_partitioned` path 1, with the incidence total read
-        off the collection instead of a flat array) the compressed
-        layout's counting pass is one column sum — no decode, no flat
-        bytes.  Otherwise the collection counts off its own coded
-        stream; both paths are exact integer counts, bit-identical to a
-        serial bincount of the original ids.
-        """
-        self._require_open()
-        if (
-            self._pool is not None
-            and self._fused_valid
-            and self._counter_matrix is not None
-            and minlength == self.graph.n
-            and collection.total_entries == self._fused_incidences
-            and not self._inflight
-        ):
-            t0 = time.perf_counter()
-            total = self._counter_matrix.sum(axis=0)
-            if self._fused_parent is not None:
-                total = total + self._fused_parent
-            self.stats.count_merge_seconds += time.perf_counter() - t0
-            self.stats.fused_count_merges += 1
-            return total
-        return collection.counters()

@@ -43,7 +43,6 @@ from .errors import (
 from ..imm.theta import shrink_epsilon
 from .frontend import CircuitBreaker, FrontendStats, ServingFrontend, ewma_update
 from .frozen import (
-    COMPRESSED_ENCODING_VERSION,
     FrozenCollectionView,
     FrozenIndexError,
     FrozenRRRIndex,
@@ -65,7 +64,6 @@ __all__ = [
     "FrozenIndexError",
     "StaleIndexError",
     "UnknownLayoutError",
-    "COMPRESSED_ENCODING_VERSION",
     "graph_fingerprint",
     "InfluenceQueryEngine",
     "ServingResult",

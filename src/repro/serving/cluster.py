@@ -54,7 +54,7 @@ import hashlib
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..mpi.faults import FaultPlan
@@ -133,12 +133,6 @@ class ClusterRouter:
     (``top_k`` / ``what_if`` / ``marginal_gain`` / ``tighten``), so a
     caller — or the ``repro-imm serve`` driver — swaps one for the other
     without changing call sites.
-
-    ``_mutate_*`` flags are deliberate-bug hooks for the mutation suite:
-    ``_mutate_stale_as_fresh`` makes the all-replicas-down fallback claim
-    full fidelity instead of degrading, ``_mutate_hedge_writes`` makes
-    write traffic double-dispatch (two writers).  Both must be killed by
-    the cluster oracle axis.
     """
 
     def __init__(
@@ -160,8 +154,6 @@ class ClusterRouter:
         hedge_after: float | None = None,
         degrade_on_unavailable: bool = True,
         fault_plan: FaultPlan | str | None = None,
-        _mutate_stale_as_fresh: bool = False,
-        _mutate_hedge_writes: bool = False,
     ) -> None:
         if num_replicas < 1:
             raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
@@ -206,8 +198,6 @@ class ClusterRouter:
         self._p99_ewma: float | None = None
         self._qseq = 0
         self._closed = False
-        self._mutate_stale_as_fresh = _mutate_stale_as_fresh
-        self._mutate_hedge_writes = _mutate_hedge_writes
 
     # -- public queries (mirror ServingFrontend) ---------------------------
 
@@ -491,25 +481,6 @@ class ClusterRouter:
         self.stats.routed += 1
         order = self._order(path)
         writer = order[0]
-        if self._mutate_hedge_writes and len(order) > 1:
-            # Deliberate bug (mutation suite): duplicate-dispatch the
-            # write to two replicas — two writers on one index.
-            self.stats.hedges += 1
-            tasks = [
-                asyncio.ensure_future(
-                    self._dispatch(r, qid, op, path, *args, graph=graph,
-                                   **kwargs)
-                )
-                for r in order[:2]
-            ]
-            done, pending = await asyncio.wait(
-                tasks, return_when=asyncio.FIRST_COMPLETED
-            )
-            for loser in pending:
-                loser.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-            return next(iter(done)).result()
         for attempt in range(self.failover_retries + 1):
             if attempt:
                 self.stats.write_retries += 1
@@ -561,12 +532,6 @@ class ClusterRouter:
         with self._local.lease(path) as eng:
             result = await asyncio.to_thread(
                 eng.degraded, k, eps, "cluster-unavailable"
-            )
-        if self._mutate_stale_as_fresh:
-            # Deliberate bug (mutation suite): the stale prefix served as
-            # a full-fidelity, untyped answer.
-            result = ServingResult(
-                **{f.name: getattr(result, f.name) for f in fields(ServingResult)}
             )
         self.stats.degraded_local += 1
         return result

@@ -177,10 +177,6 @@ class ServingFrontend:
     ``max_pending`` bounds total in-flight queries (executing + queued);
     ``default_deadline`` applies to queries submitted without one
     (``None`` = no deadline).
-
-    The ``_mutate_*`` flags are test hooks for the mutation suite: they
-    re-introduce, deliberately, the dishonest-degradation and
-    breaker-bypass bugs the frontend oracle axis must detect.
     """
 
     def __init__(
@@ -194,8 +190,6 @@ class ServingFrontend:
         breaker_threshold: int = 3,
         breaker_cooldown: float = 30.0,
         fault_plan: FaultPlan | str | None = None,
-        _mutate_dishonest_degrade: bool = False,
-        _mutate_breaker_bypass: bool = False,
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
@@ -226,8 +220,6 @@ class ServingFrontend:
         self._breakers: dict[Path, CircuitBreaker] = {}
         self._lat_ewma: float | None = None
         self._ext_ewma: float | None = None
-        self._mutate_dishonest_degrade = _mutate_dishonest_degrade
-        self._mutate_breaker_bypass = _mutate_breaker_bypass
 
     # -- public queries ----------------------------------------------------
 
@@ -534,8 +526,7 @@ class ServingFrontend:
         return brk
 
     def _breaker_allows(self, brk: CircuitBreaker) -> bool:
-        # Mutation hook: the bulkhead-bypass bug ignores the breaker.
-        return brk.allow() or self._mutate_breaker_bypass
+        return brk.allow()
 
     async def _extended(self, path, eng, expires, extend, k, eps, needed):
         """Run the single-writer extension path, or degrade honestly."""
@@ -643,8 +634,5 @@ class ServingFrontend:
     ) -> DegradedServingResult:
         """Answer from the frozen prefix with honest accounting."""
         result = await asyncio.to_thread(eng.degraded, k, eps, reason, needed)
-        if self._mutate_dishonest_degrade:
-            # Mutation hook: report the requested ε as achieved.
-            result.epsilon_effective = result.epsilon
         self.stats.degraded += 1
         return result

@@ -21,16 +21,10 @@ engine needs to serve without resampling:
         Identical to the checkpoint spill: concatenated sorted vertex
         lists, per-sample lengths, per-sample examined-edge meters.
 
-A ``layout="compressed"`` index replaces ``flat.i32.bin`` with the
-frequency-ranked delta+varint section of
-:mod:`repro.sampling.compressed` — ``coded.u8.bin`` (the coded byte
-stream), ``offsets.i64.bin`` (per-sample end offsets) and
-``perm.i64.bin`` (the pinned rank→vertex permutation) — typically a
-small fraction of the flat bytes.  The manifest records the layout and
-its encoding version explicitly, so an old reader meeting a newer
-section fails loud with :class:`UnknownLayoutError` instead of
-misdecoding; extension encodes only the appended samples under the
-pinned permutation (the sealed bytes are never rewritten).
+This is the one storage layout; the manifest names it (``"layout":
+"flat"``), and a manifest naming any other — a newer section, or the
+frequency-ranked coded section earlier versions could write — fails
+loud with :class:`UnknownLayoutError` instead of being misread.
 
 :meth:`FrozenRRRIndex.open` maps the buffers zero-copy via
 ``np.memmap`` — no read-then-copy — and verifies the seal: the fold of
@@ -73,7 +67,6 @@ import numpy as np
 from ..rng.streams import stream_seeds_array
 from ..sampling.checkpoint import BlockCheckpointSink, _fsync_dir
 from ..sampling.collection import SortedRRRCollection
-from ..sampling.compressed import CompressedRRRCollection
 
 __all__ = [
     "FrozenRRRIndex",
@@ -83,22 +76,14 @@ __all__ = [
     "FrozenCollectionView",
     "graph_fingerprint",
     "INDEX_FORMAT_VERSION",
-    "COMPRESSED_ENCODING_VERSION",
 ]
 
 INDEX_FORMAT_VERSION = 1
-#: Version of the compressed section's wire encoding (rank permutation +
-#: delta/varint framing).  Bumped whenever decoded bytes would change
-#: meaning; readers refuse unknown versions instead of misdecoding.
-COMPRESSED_ENCODING_VERSION = 1
-_KNOWN_LAYOUTS = ("flat", "compressed")
+_LAYOUT = "flat"
 _MANIFEST = "INDEX.json"
 _FLAT = "flat.i32.bin"
 _SIZES = "sizes.i64.bin"
 _EDGES = "edges.i64.bin"
-_CODED = "coded.u8.bin"
-_OFFSETS = "offsets.i64.bin"
-_PERM = "perm.i64.bin"
 
 
 class FrozenIndexError(RuntimeError):
@@ -111,10 +96,11 @@ class StaleIndexError(FrozenIndexError):
 
 
 class UnknownLayoutError(FrozenIndexError):
-    """The index declares a storage layout or encoding version this
-    reader does not implement — decoding would produce garbage, so the
-    reader fails loud.  Distinct from :class:`StaleIndexError`: the
-    index may be perfectly healthy, just newer than the code."""
+    """The index declares a storage layout other than ``"flat"`` —
+    reading it as flat would produce garbage, so the reader fails loud.
+    Distinct from :class:`StaleIndexError`: the index may be perfectly
+    healthy, just written by other code; re-freezing it writes the flat
+    layout."""
 
 
 def graph_fingerprint(graph) -> str:
@@ -176,14 +162,10 @@ class FrozenRRRIndex:
         self.manifest = manifest
         # ``(flat, indptr)`` as ONE attribute, assigned last by _map():
         # reads on other threads see the rows of one mapping, never a
-        # remapped flat with the previous indptr.  A compressed index
-        # holds ``(None, indptr)`` until rows() decodes its flat copy.
-        self._rows: tuple[np.ndarray | None, np.ndarray] | None = None
+        # remapped flat with the previous indptr.
+        self._rows: tuple[np.ndarray, np.ndarray] | None = None
         self._sizes: np.ndarray | None = None
         self._edges: np.ndarray | None = None
-        self._coded: np.ndarray | None = None
-        self._offsets: np.ndarray | None = None
-        self._perm: np.ndarray | None = None
 
     # -- identity / facts --------------------------------------------------
 
@@ -207,12 +189,6 @@ class FrozenRRRIndex:
     def entries(self) -> int:
         return int(self.manifest["entries"])
 
-    @property
-    def layout(self) -> str:
-        """Storage layout — ``"flat"`` (pre-layout manifests default to
-        it) or ``"compressed"``."""
-        return str(self.manifest.get("layout", "flat"))
-
     # -- freezing ----------------------------------------------------------
 
     @classmethod
@@ -234,33 +210,26 @@ class FrozenRRRIndex:
         coverage_history: list | None = None,
         estimation_rounds: int | None = None,
         edges: np.ndarray | None = None,
-        layout: str = "flat",
     ) -> "FrozenRRRIndex":
         """Write a frozen index from a collection or a checkpoint run dir.
 
-        ``source`` is either a sampled collection
-        (:class:`SortedRRRCollection` or
-        :class:`~repro.sampling.compressed.CompressedRRRCollection`;
-        ``edges`` must then carry the per-sample examined-edge meters)
+        ``source`` is either a sampled :class:`SortedRRRCollection`
+        (``edges`` must then carry the per-sample examined-edge meters)
         or a path to a :class:`~repro.sampling.checkpoint
         .BlockCheckpointSink` run directory, whose *certified* prefix is
         promoted — torn tail bytes beyond the cursor are ignored, and the
         reload goes through ``load_range``'s exact-length validation.
 
-        ``layout="compressed"`` writes the frequency-ranked delta+varint
-        section instead of ``flat.i32.bin``: the permutation is ranked
-        over the full frozen sample set and pinned, so later extensions
-        encode only their appended samples.
+        The data writes and renames and the manifest install hold the
+        directory's writer lock, so over an existing index an extension
+        through an older handle waits for the new manifest and then
+        refuses instead of appending to half-replaced files.
 
         The algorithm facts (``k``, ``eps``, ``theta``…) describe the run
         that produced the samples; the query engine replays the
         estimation control flow from them, so they must be the values the
         freezing run actually used.
         """
-        if layout not in _KNOWN_LAYOUTS:
-            raise UnknownLayoutError(
-                f"cannot freeze layout {layout!r}; known: {_KNOWN_LAYOUTS}"
-            )
         out_dir = Path(out_dir)
         if isinstance(source, (str, Path)):
             if n is None:
@@ -278,23 +247,10 @@ class FrozenRRRIndex:
             finally:
                 sink.close()
         else:
-            coll = source
-            n = coll.n
-            if isinstance(coll, CompressedRRRCollection):
-                # Normalize to the flat form first (id-sorted within each
-                # sample, exactly the bytes a flat freeze would write);
-                # the compressed writer below re-encodes from it.
-                verts, sizes = coll.decode_samples(
-                    np.arange(len(coll), dtype=np.int64)
-                )
-                local = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-                keys = local * max(n, 1) + verts
-                keys.sort()
-                flat32 = np.ascontiguousarray(keys % max(n, 1), dtype=np.int32)
-            else:
-                flat, indptr = coll.flattened()
-                sizes = np.diff(indptr).astype(np.int64)
-                flat32 = np.ascontiguousarray(flat, dtype=np.int32)
+            n = source.n
+            flat, indptr = source.flattened()
+            sizes = np.diff(indptr).astype(np.int64)
+            flat32 = np.ascontiguousarray(flat, dtype=np.int32)
             if edges is None:
                 raise ValueError(
                     "freezing from a collection needs the per-sample "
@@ -312,33 +268,6 @@ class FrozenRRRIndex:
                 f"graph has {graph.n} vertices, collection was sampled on {n}"
             )
 
-        out_dir.mkdir(parents=True, exist_ok=True)
-        coded_bytes = None
-        if layout == "compressed":
-            packer = CompressedRRRCollection(int(n))
-            if num_samples:
-                packer.append_batch(
-                    flat32.astype(np.int64), sizes, total=len(flat32)
-                )
-            packer.freeze_permutation()
-            coded, ends, vertex_of = packer.stream()
-            coded_bytes = int(packer.coded_bytes)
-            files = (
-                (_CODED, coded),
-                (_OFFSETS, ends),
-                (_PERM, vertex_of),
-                (_SIZES, sizes),
-                (_EDGES, per_edges),
-            )
-        else:
-            files = ((_FLAT, flat32), (_SIZES, sizes), (_EDGES, per_edges))
-        for name, arr in files:
-            tmp = out_dir / (name + ".tmp")
-            with open(tmp, "wb") as fh:
-                fh.write(np.ascontiguousarray(arr).tobytes())
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, out_dir / name)
         manifest = {
             "format": "repro-frozen-rrr-index",
             "version": INDEX_FORMAT_VERSION,
@@ -357,18 +286,23 @@ class FrozenRRRIndex:
             ],
             "num_samples": int(num_samples),
             "entries": int(len(flat32)),
-            "layout": layout,
-            "encoding_version": (
-                COMPRESSED_ENCODING_VERSION if layout == "compressed" else None
-            ),
-            "coded_bytes": coded_bytes,
+            "layout": _LAYOUT,
             "stream_fold": _fold_range(seed, num_samples),
             "graph_fingerprint": (
                 graph_fingerprint(graph) if graph is not None else None
             ),
             "created_unix": time.time(),
         }
-        _write_manifest(out_dir, manifest)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with _writer_lock(out_dir):
+            for name, arr in ((_FLAT, flat32), (_SIZES, sizes), (_EDGES, per_edges)):
+                tmp = out_dir / (name + ".tmp")
+                with open(tmp, "wb") as fh:
+                    fh.write(np.ascontiguousarray(arr).tobytes())
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                os.replace(tmp, out_dir / name)
+            _write_manifest(out_dir, manifest)
         index = cls(out_dir, manifest)
         index._map()
         return index
@@ -394,19 +328,13 @@ class FrozenRRRIndex:
                 f"index format v{manifest.get('version')} != "
                 f"supported v{INDEX_FORMAT_VERSION}"
             )
-        layout = manifest.get("layout", "flat")
-        if layout not in _KNOWN_LAYOUTS:
+        layout = manifest.get("layout", _LAYOUT)
+        if layout != _LAYOUT:
             raise UnknownLayoutError(
-                f"index {path} uses layout {layout!r}; this reader knows "
-                f"{_KNOWN_LAYOUTS} — refusing to misdecode a newer section"
+                f"index {path} uses layout {layout!r}; this reader serves "
+                f"only the {_LAYOUT!r} layout — re-freeze the index to "
+                "serve it"
             )
-        if layout == "compressed":
-            enc = manifest.get("encoding_version")
-            if enc != COMPRESSED_ENCODING_VERSION:
-                raise UnknownLayoutError(
-                    f"compressed section encoding v{enc} != supported "
-                    f"v{COMPRESSED_ENCODING_VERSION} — refusing to misdecode"
-                )
         index = cls(path, manifest)
         index._verify_seal()
         index._map()
@@ -448,33 +376,7 @@ class FrozenRRRIndex:
 
     def _map(self) -> None:
         num, entries = self.num_samples, self.entries
-        if self.layout == "compressed":
-            coded_bytes = int(self.manifest["coded_bytes"])
-            if coded_bytes:
-                self._coded = np.memmap(
-                    self.path / _CODED, dtype=np.uint8, mode="r",
-                    shape=(coded_bytes,),
-                )
-            else:
-                self._coded = np.empty(0, dtype=np.uint8)
-            if num:
-                self._offsets = np.memmap(
-                    self.path / _OFFSETS, dtype=np.int64, mode="r",
-                    shape=(num,),
-                )
-            else:
-                self._offsets = np.empty(0, dtype=np.int64)
-            if self.n:
-                self._perm = np.memmap(
-                    self.path / _PERM, dtype=np.int64, mode="r",
-                    shape=(self.n,),
-                )
-            else:
-                self._perm = np.empty(0, dtype=np.int64)
-            # The flat incidence array is decoded lazily on first read
-            # (rows()); resident until then: just the coded section.
-            flat = None
-        elif entries:
+        if entries:
             flat = np.memmap(
                 self.path / _FLAT, dtype=np.int32, mode="r", shape=(entries,)
             )
@@ -502,21 +404,16 @@ class FrozenRRRIndex:
     # -- reads -------------------------------------------------------------
 
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(flat, indptr)`` — flat is the raw int32 memmap for a flat
-        index; a compressed index decodes its coded section into an
-        identical int32 array once, lazily, and caches it (the query
-        engine on top is therefore layout-blind and bit-identical)."""
+        """``(flat, indptr)``: the raw int32 memmap of the incidence
+        file and the derived per-sample offsets, from one mapping."""
         rows = self._rows
         if rows is None:
             raise FrozenIndexError("index is closed")
-        if rows[0] is None:
-            rows = self._rows = (self._decode_flat(rows[1]), rows[1])
         return rows
 
     def mapped_samples(self) -> int:
-        """Samples the published rows hold, read without decoding a
-        compressed index: ``num_samples``, or fewer while an extension's
-        remap has not landed yet."""
+        """Samples the published rows hold: ``num_samples``, or fewer
+        while an extension's remap has not landed yet."""
         rows = self._rows
         if rows is None:
             raise FrozenIndexError("index is closed")
@@ -527,34 +424,8 @@ class FrozenRRRIndex:
         owning sample, built on every call and never kept (the query
         engine reads :meth:`rows`)."""
         flat, indptr = self.rows()
-        return flat, indptr, _owners(indptr)
-
-    def _decode_flat(self, indptr: np.ndarray) -> np.ndarray:
-        """Decode the compressed section to the exact bytes the flat
-        layout would have written: int32, id-sorted within each sample.
-        Only the samples ``indptr`` bounds are decoded: the coded files
-        are append-only, so a remap racing this read leaves that prefix
-        as it was."""
-        num = len(indptr) - 1
-        if num == 0:
-            return np.empty(0, dtype=np.int32)
-        coll = CompressedRRRCollection.from_stream(
-            self.n,
-            self._coded,
-            self._offsets[:num],
-            np.asarray(self._perm),
-            entries=int(indptr[-1]),
-        )
-        ranks, counts = coll.parse_stream()
-        if not np.array_equal(counts, np.diff(indptr)):
-            raise FrozenIndexError(
-                "compressed section decodes to per-sample counts that "
-                "disagree with sizes.i64.bin — index is torn or corrupt"
-            )
-        keys = _owners(indptr) * max(self.n, 1)
-        keys += np.asarray(self._perm)[ranks]
-        keys.sort()
-        return np.ascontiguousarray(keys % max(self.n, 1), dtype=np.int32)
+        owners = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
+        return flat, indptr, owners
 
     def per_sample_edges(self) -> np.ndarray:
         if self._edges is None:
@@ -592,11 +463,13 @@ class FrozenRRRIndex:
         crashed or failed extension left; the next manifest is built as
         a copy and installed only once it is durable, so a failure at
         any step leaves this object and the directory at the old sealed
-        state.  A handle whose manifest is older than the one on disk
-        refuses to extend instead of truncating sealed samples; the
-        check and the writes hold the directory's writer lock, so of two
-        racing writers the second waits and then refuses.  One writer per
-        index remains the caller's rule.
+        state.  A handle whose manifest is older than the one on disk —
+        extended, or re-frozen (even to the same byte sizes under another
+        seed) — refuses to extend instead of truncating sealed samples or
+        mixing two seeds' streams; the check and the writes hold the
+        directory's writer lock, so of two racing writers the second
+        waits and then refuses.  One writer per index remains the
+        caller's rule.
         """
         if self._rows is None:
             raise FrozenIndexError("index is closed")
@@ -614,39 +487,27 @@ class FrozenRRRIndex:
             raise FrozenIndexError(
                 "extension payload is inconsistent (sizes vs flat/edges)"
             )
-        manifest = dict(self.manifest)
-        if self.layout == "compressed":
-            # Re-encode only the appended samples under the pinned
-            # permutation; the sealed coded bytes are never rewritten.
-            packer = CompressedRRRCollection(self.n)
-            packer.adopt_permutation(np.asarray(self._perm))
-            packer.append_batch(
-                flat32.astype(np.int64), sizes, total=len(flat32)
-            )
-            coded, ends, _ = packer.stream()
-            base = int(self.manifest["coded_bytes"])
-            files = (
-                (_CODED, np.ascontiguousarray(coded)),
-                (_OFFSETS, ends + base),
-                (_SIZES, sizes),
-                (_EDGES, edges64),
-            )
-            manifest["coded_bytes"] = base + int(packer.coded_bytes)
-        else:
-            files = ((_FLAT, flat32), (_SIZES, sizes), (_EDGES, edges64))
+        files = ((_FLAT, flat32), (_SIZES, sizes), (_EDGES, edges64))
         certified = _certified_bytes(self.manifest)
         num = self.num_samples + len(sizes)
+        manifest = dict(self.manifest)
         manifest["num_samples"] = num
         manifest["entries"] = self.entries + len(flat32)
         manifest["stream_fold"] = _fold_range(self.seed, num)
         with _writer_lock(self.path):
-            if _certified_bytes(_read_manifest(self.path)) != certified:
+            on_disk = _read_manifest(self.path)
+            if (
+                _certified_bytes(on_disk) != certified
+                or on_disk.get("stream_fold") != self.manifest["stream_fold"]
+            ):
                 # Truncating through a stale handle would cut samples
                 # another writer sealed (and pages its handle has mapped:
-                # reading them would raise SIGBUS).
+                # reading them would raise SIGBUS); appending this
+                # handle's seed to a re-freeze under another seed would
+                # seal a mix of two seeds' samples.
                 raise FrozenIndexError(
-                    f"index {self.path} was extended behind this handle — "
-                    "reopen it before extending"
+                    f"index {self.path} was extended or re-frozen behind "
+                    "this handle — reopen it before extending"
                 )
             for name, arr in files:
                 with open(self.path / name, "r+b") as fh:
@@ -682,10 +543,7 @@ class FrozenRRRIndex:
 
     def close(self) -> None:
         """Drop the memmaps (idempotent); the on-disk index survives."""
-        for name in (
-            "_rows", "_sizes", "_edges", "_coded", "_offsets", "_perm",
-        ):
-            setattr(self, name, None)
+        self._rows = self._sizes = self._edges = None
 
     def __enter__(self) -> "FrozenRRRIndex":
         return self
@@ -694,22 +552,9 @@ class FrozenRRRIndex:
         self.close()
 
 
-def _owners(indptr: np.ndarray) -> np.ndarray:
-    """The owning sample of every entry of the rows ``indptr`` bounds."""
-    return np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
-
-
 def _certified_bytes(manifest: dict) -> dict[str, int]:
     """Byte size of each data file ``manifest`` certifies."""
     num = int(manifest["num_samples"])
-    if manifest.get("layout", "flat") == "compressed":
-        return {
-            _CODED: int(manifest["coded_bytes"]),
-            _OFFSETS: num * 8,
-            _PERM: int(manifest["n"]) * 8,
-            _SIZES: num * 8,
-            _EDGES: num * 8,
-        }
     return {_FLAT: int(manifest["entries"]) * 4, _SIZES: num * 8, _EDGES: num * 8}
 
 
@@ -725,10 +570,13 @@ def _read_manifest(path: Path) -> dict:
 def _writer_lock(path: Path):
     """Hold an exclusive ``flock`` on the index directory.
 
-    Every manifest write, and an extension from its stale-handle check
-    through its appends to the new manifest, runs under it: a second
-    writer waits, then finds the manifest moved and refuses, instead of
-    truncating bytes the first writer has sealed and mapped.
+    Every manifest write runs under it: a freeze from its first data
+    rename through its manifest install, an extension from its
+    stale-handle check through its appends to the new manifest, and an
+    amend.  A second writer waits, then finds the manifest moved and
+    refuses, instead of truncating bytes the first writer has sealed
+    and mapped.  Never nest it: ``flock`` on a second descriptor blocks
+    even in the process that holds the first.
     """
     fd = os.open(path, os.O_RDONLY)
     try:

@@ -159,7 +159,6 @@ def freeze_index(
     *,
     theta_cap: int | None = None,
     out_dir: str | Path,
-    compress: bool = False,
 ) -> tuple[FrozenRRRIndex, ServingResult]:
     """Sample once (Algorithm 1's exact control flow) and freeze.
 
@@ -167,9 +166,7 @@ def freeze_index(
     model, seed, k, eps, l, theta_cap)`` plus the derived ``(theta, lb,
     coverage_history)`` — and the per-sample examined-edge meters ride
     along so serving-time extensions account work the same way fresh
-    sampling does.  ``compress=True`` writes the frequency-ranked
-    delta+varint section instead of the flat incidence file (see
-    :mod:`repro.serving.frozen`); served answers are bit-identical.
+    sampling does.
     """
     model = DiffusionModel.parse(model)
     t0 = time.perf_counter()
@@ -199,7 +196,6 @@ def freeze_index(
         coverage_history=est.coverage_history,
         estimation_rounds=est.rounds,
         edges=per_edges,
-        layout="compressed" if compress else "flat",
     )
     res = ServingResult(
         seeds=sel.seeds,
@@ -256,8 +252,7 @@ class InfluenceQueryEngine:
         queries work without it.
     """
 
-    def __init__(self, index: FrozenRRRIndex, graph=None, *, verify: bool = True,
-                 _mutate_stream_restart: bool = False) -> None:
+    def __init__(self, index: FrozenRRRIndex, graph=None, *, verify: bool = True) -> None:
         if graph is not None and verify:
             index.verify_graph(graph)
         self.index = index
@@ -273,9 +268,6 @@ class InfluenceQueryEngine:
         self._memo_lock = threading.Lock()
         #: cumulative edges examined by serving-time extensions.
         self.edges_examined = 0
-        # Test hook for the tighten-reuses-wrong-stream-offset mutant:
-        # extension draws streams [0, count) instead of [start, target).
-        self._mutate_stream_restart = _mutate_stream_restart
 
     # -- coverage structures ----------------------------------------------
 
@@ -343,10 +335,7 @@ class InfluenceQueryEngine:
         if self._sampler is None:
             self._sampler = BatchedRRRSampler(self.graph, idx.model)
         coll = SortedRRRCollection(idx.n)
-        if self._mutate_stream_restart:
-            indices = np.arange(0, target - start, dtype=np.int64)
-        else:
-            indices = np.arange(start, target, dtype=np.int64)
+        indices = np.arange(start, target, dtype=np.int64)
         per_sample = self._sampler.sample_into(coll, indices, idx.seed)
         flat, indptr = coll.flattened()
         idx.extend(
@@ -378,8 +367,8 @@ class InfluenceQueryEngine:
 
         ``remembered=True`` answers from the memo alone: it returns
         ``None`` at the first round or final pick the memo lacks, or
-        whose θ lies past the sealed prefix, and never runs the kernel,
-        builds the hit index or decodes a compressed index.
+        whose θ lies past the sealed prefix, and never runs the kernel
+        or builds the hit index.
         """
         t0 = time.perf_counter()
         idx = self.index

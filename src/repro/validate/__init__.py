@@ -8,12 +8,11 @@ points, mirrored by the ``repro-imm validate`` CLI subcommand:
   ``benchmarks/regress.py`` so equivalence regressions fail the same
   gate as throughput regressions.
 * :func:`validate_full` — the acceptance sweep: every registry graph ×
-  {IC, LT} × {``imm``, ``imm_mt``, ``imm_dist``} × all three storage
+  {IC, LT} × {``imm``, ``imm_mt``, ``imm_dist``} × both storage
   layouts × cohort sizes {1, 7, 64, θ} × rank counts {1, 2, 5} × both
   RNG schemes, plus structural invariants and work-meter conservation.
-  The compressed layout and the replicated serving cluster each run as
-  their own sharded subject bucket, so ``--full-shard i/m`` distributes
-  them across CI jobs.
+  The replicated serving cluster runs as its own sharded subject
+  bucket, so ``--shard i/m`` distributes it across CI jobs.
 * :func:`run_mutation_suite` — injects one deliberate fault per known
   failure class and demands the oracle kill each mutant.
 
@@ -28,14 +27,12 @@ from .engine import check_engine_sampling
 from .frontend import check_frontend_equivalence
 from .invariants import (
     check_collection,
-    check_compressed_collection,
     check_hypergraph_collection,
     check_sorted_collection,
 )
 from .mutation import SMOKE_MUTANTS, MutantResult, run_mutation_suite
 from .oracle import (
     OracleConfig,
-    check_compressed_layout,
     check_graph_equivalence,
     check_selection_meters,
     full_config,
@@ -52,7 +49,6 @@ from .recovery import (
 from .report import ValidationReport, Violation
 from .rnglaws import check_counter_streams, check_leapfrog_tiling, check_rng_laws
 from .serving import (
-    check_compressed_serving,
     check_index_bitwise,
     check_index_graph_binding,
     check_serving_equivalence,
@@ -65,7 +61,6 @@ __all__ = [
     "check_collection",
     "check_sorted_collection",
     "check_hypergraph_collection",
-    "check_compressed_collection",
     "check_leapfrog_tiling",
     "check_counter_streams",
     "check_rng_laws",
@@ -73,7 +68,6 @@ __all__ = [
     "quick_config",
     "full_config",
     "check_graph_equivalence",
-    "check_compressed_layout",
     "check_engine_sampling",
     "check_selection_meters",
     "run_oracle",
@@ -85,7 +79,6 @@ __all__ = [
     "check_supervised_equivalence",
     "check_supervised_sampling",
     "check_serving_equivalence",
-    "check_compressed_serving",
     "check_index_graph_binding",
     "check_index_bitwise",
     "check_frontend_equivalence",

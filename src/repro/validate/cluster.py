@@ -57,27 +57,8 @@ __all__ = ["check_cluster_equivalence"]
 _REPLICAS = 3
 
 
-def _router(cl_kwargs: dict | None, **kwargs) -> ClusterRouter:
-    """Build a router, letting mutation hooks override kwargs."""
-    merged = dict(kwargs)
-    merged.update(cl_kwargs or {})
-    return ClusterRouter(**merged)
-
-
-def check_cluster_equivalence(
-    graph,
-    model: str,
-    cfg,
-    subject: str,
-    *,
-    _cluster_kwargs: dict | None = None,
-) -> ValidationReport:
-    """Run every cluster robustness axis on one graph × model.
-
-    ``_cluster_kwargs`` is the mutation-suite hook: it forwards the
-    deliberate-bug flags (``_mutate_stale_as_fresh``,
-    ``_mutate_hedge_writes``) into every router this checker builds.
-    """
+def check_cluster_equivalence(graph, model: str, cfg, subject: str) -> ValidationReport:
+    """Run every cluster robustness axis on one graph × model."""
     rep = ValidationReport()
     k, eps, seed, cap = cfg.k, cfg.eps, cfg.seed, cfg.theta_cap
     fresh = imm(graph, k, eps, model, seed=seed, layout="sorted", theta_cap=cap)
@@ -91,15 +72,13 @@ def check_cluster_equivalence(
         index.close()
         asyncio.run(
             _run_axes(
-                rep, graph, model, cfg, subject, td, fresh, frozen_m,
-                _cluster_kwargs,
+                rep, graph, model, cfg, subject, td, fresh, frozen_m
             )
         )
     return rep
 
 
-async def _run_axes(rep, graph, model, cfg, subject, td, fresh, frozen_m,
-                    cl_kwargs):
+async def _run_axes(rep, graph, model, cfg, subject, td, fresh, frozen_m):
     k, eps, seed, cap = cfg.k, cfg.eps, cfg.seed, cfg.theta_cap
     n = graph.n
     path = td / "index"
@@ -110,7 +89,7 @@ async def _run_axes(rep, graph, model, cfg, subject, td, fresh, frozen_m,
     # drop to ~ms once the first fast query lands, while later queries
     # sit queued behind the replica's concurrency limit) would dispatch
     # a duplicate to a secondary.  Hedging has its own axis below.
-    cr = _router(cl_kwargs, num_replicas=_REPLICAS, hedge=False)
+    cr = ClusterRouter(num_replicas=_REPLICAS, hedge=False)
     primary = cr._order(path)[0].idx
     k2 = max(1, k // 2)
     fresh2 = imm(graph, k2, eps, model, seed=seed, layout="sorted", theta_cap=cap)
@@ -149,8 +128,8 @@ async def _run_axes(rep, graph, model, cfg, subject, td, fresh, frozen_m,
     await cr.close()
 
     # -- failover: crashed primary ----------------------------------------
-    cr = _router(
-        cl_kwargs, num_replicas=_REPLICAS,
+    cr = ClusterRouter(
+        num_replicas=_REPLICAS,
         fault_plan=f"replicacrash:{primary}@0",
     )
     r = await cr.top_k(path)
@@ -169,8 +148,8 @@ async def _run_axes(rep, graph, model, cfg, subject, td, fresh, frozen_m,
     await cr.close()
 
     # -- hedge: straggling primary, fast replica wins ---------------------
-    cr = _router(
-        cl_kwargs, num_replicas=_REPLICAS,
+    cr = ClusterRouter(
+        num_replicas=_REPLICAS,
         fault_plan=f"replicaslow:{primary}x0.25", hedge_after=0.02,
     )
     r = await cr.top_k(path)
@@ -191,8 +170,8 @@ async def _run_axes(rep, graph, model, cfg, subject, td, fresh, frozen_m,
     # Hedging off here as well: a hedge racing the healed primary's
     # probe dispatch can cancel it mid-flight, leaving the breaker
     # half-open and the dispatch unaccounted — a race, not a heal bug.
-    cr = _router(
-        cl_kwargs, num_replicas=_REPLICAS, hedge=False,
+    cr = ClusterRouter(
+        num_replicas=_REPLICAS, hedge=False,
         fault_plan=f"partition:{primary}@0",
         replica_breaker_threshold=1, replica_breaker_cooldown=0.05,
     )
@@ -222,8 +201,8 @@ async def _run_axes(rep, graph, model, cfg, subject, td, fresh, frozen_m,
     l = float(idx.manifest["l"])
     idx.close()
     plan = ";".join(f"replicacrash:{i}@0" for i in range(_REPLICAS))
-    cr = _router(
-        cl_kwargs, num_replicas=_REPLICAS, fault_plan=plan,
+    cr = ClusterRouter(
+        num_replicas=_REPLICAS, fault_plan=plan,
         replica_breaker_threshold=1,
     )
     deg = await cr.top_k(path)
@@ -270,7 +249,7 @@ async def _run_axes(rep, graph, model, cfg, subject, td, fresh, frozen_m,
     widx.close()
     tight = eps * 0.9
     fresh_tight = imm(graph, k, tight, model, seed=seed, layout="sorted")
-    cr = _router(cl_kwargs, num_replicas=_REPLICAS)
+    cr = ClusterRouter(num_replicas=_REPLICAS)
     try:
         tr = await cr.tighten(writable, tight, graph=graph)
         tightened_ok = (

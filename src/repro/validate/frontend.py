@@ -60,28 +60,8 @@ from .report import ValidationReport
 __all__ = ["check_frontend_equivalence"]
 
 
-def _frontend(fe_kwargs: dict | None, **kwargs) -> ServingFrontend:
-    """Build a front end, letting mutation hooks override kwargs."""
-    merged = dict(kwargs)
-    merged.update(fe_kwargs or {})
-    return ServingFrontend(**merged)
-
-
-def check_frontend_equivalence(
-    graph,
-    model: str,
-    cfg,
-    subject: str,
-    *,
-    _frontend_kwargs: dict | None = None,
-) -> ValidationReport:
-    """Run every front-end robustness axis on one graph × model.
-
-    ``_frontend_kwargs`` is the mutation-suite hook: it forwards the
-    deliberate-bug flags (``_mutate_dishonest_degrade``,
-    ``_mutate_breaker_bypass``) into every front end this checker
-    builds, so the suite can prove the checks below kill those faults.
-    """
+def check_frontend_equivalence(graph, model: str, cfg, subject: str) -> ValidationReport:
+    """Run every front-end robustness axis on one graph × model."""
     rep = ValidationReport()
     k, eps, seed, cap = cfg.k, cfg.eps, cfg.seed, cfg.theta_cap
     fresh = imm(graph, k, eps, model, seed=seed, layout="sorted", theta_cap=cap)
@@ -95,21 +75,18 @@ def check_frontend_equivalence(
         index.close()
         asyncio.run(
             _run_axes(
-                rep, graph, model, cfg, subject, td / "index", fresh,
-                frozen_m, _frontend_kwargs,
+                rep, graph, model, cfg, subject, td / "index", fresh, frozen_m
             )
         )
     return rep
 
 
-async def _run_axes(
-    rep, graph, model, cfg, subject, path, fresh, frozen_m, fe_kwargs
-):
+async def _run_axes(rep, graph, model, cfg, subject, path, fresh, frozen_m):
     k, eps, seed, cap = cfg.k, cfg.eps, cfg.seed, cfg.theta_cap
     n = graph.n
 
     # -- bit-identity + coalescing under concurrency ---------------------
-    fe = _frontend(fe_kwargs, concurrency=3, max_pending=64)
+    fe = ServingFrontend(concurrency=3, max_pending=64)
     k2 = max(1, k // 2)
     fresh2 = imm(graph, k2, eps, model, seed=seed, layout="sorted", theta_cap=cap)
     dup = 4
@@ -154,9 +131,7 @@ async def _run_axes(
 
     # -- admission: bounded queue + typed shedding -----------------------
     plan = ";".join(f"slowquery:{i}x0.05" for i in range(3))
-    fe = _frontend(
-        fe_kwargs, concurrency=1, max_pending=3, fault_plan=plan
-    )
+    fe = ServingFrontend(concurrency=1, max_pending=3, fault_plan=plan)
     burst = 9
     results = await asyncio.gather(
         *[fe.top_k(path) for _ in range(burst)], return_exceptions=True
@@ -199,7 +174,7 @@ async def _run_axes(
     idx.amend(theta_cap=None)
     idx.close()
     tight = eps * 0.5
-    fe = _frontend(fe_kwargs, concurrency=2)
+    fe = ServingFrontend(concurrency=2)
     deg = await fe.top_k(uncapped, eps=tight)
     direct = await fe.what_if(uncapped, k)  # full-prefix selection reference
     expected_eps = shrink_epsilon(n, k, l, frozen_m, lb)
@@ -226,8 +201,7 @@ async def _run_axes(
 
     # -- breaker-discipline: crashes trip it, open means no extension ----
     threshold = 2
-    fe = _frontend(
-        fe_kwargs,
+    fe = ServingFrontend(
         fault_plan="extendfail:@0x8",
         breaker_threshold=threshold,
         breaker_cooldown=600.0,
@@ -253,7 +227,7 @@ async def _run_axes(
     await fe.close()
 
     # -- republish-redispatch: stale observed mid-flight -----------------
-    fe = _frontend(fe_kwargs, fault_plan="stale:@0;stale:@1")
+    fe = ServingFrontend(fault_plan="stale:@0;stale:@1")
     r0, r1 = await asyncio.gather(fe.top_k(path, k), fe.what_if(path, k))
     rep.check(
         bool(np.array_equal(r0.seeds, r1.seeds))
@@ -271,7 +245,7 @@ async def _run_axes(
     # -- republish-fresh: a re-frozen index is served, not remembered ----
     repub = path.parent / "republish"
     shutil.copytree(path, repub)
-    fe = _frontend(fe_kwargs, concurrency=2)
+    fe = ServingFrontend(concurrency=2)
     warm = await fe.top_k(repub)
     seed2 = seed + 1
     freeze_index(graph, k, eps, model, seed2, theta_cap=cap, out_dir=repub)[0].close()

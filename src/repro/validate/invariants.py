@@ -28,25 +28,6 @@ Checked for :class:`~repro.sampling.collection.HypergraphRRRCollection`:
   insertion order);
 * ``total_entries`` equals the summed forward-list lengths;
 * ``nbytes_model()`` equals its closed form.
-
-Checked for :class:`~repro.sampling.compressed.CompressedRRRCollection`:
-
-* the per-sample offset index is strictly increasing and lands exactly
-  on the coded byte count;
-* every decoded sample is sorted, duplicate-free, and within ``[0, n)``
-  — i.e. the rank permutation inverts correctly on decode;
-* a decode of the whole stream reproduces the append-time frequency
-  histogram (the ground truth the permutation ranks by);
-* ``counters()`` (the bulk counting parse) equals an independent
-  per-sample decode — one varint mis-framed in the counting pass breaks
-  this even when individual sample reads look fine;
-* ``nbytes_model()`` equals its closed form.
-
-A coded stream that *raises* a typed
-:class:`~repro.sampling.compressed.CodedStreamError` during any of these
-reads is reported as a violation of that check, not an abort: a mutated
-decoder may either return garbage or trip its own validation, and the
-oracle must kill it either way.
 """
 
 from __future__ import annotations
@@ -62,14 +43,12 @@ from ..sampling.collection import (
     RRRCollection,
     SortedRRRCollection,
 )
-from ..sampling.compressed import CodedStreamError, CompressedRRRCollection
 from .report import ValidationReport
 
 __all__ = [
     "check_collection",
     "check_sorted_collection",
     "check_hypergraph_collection",
-    "check_compressed_collection",
 ]
 
 
@@ -250,153 +229,10 @@ def check_hypergraph_collection(
     return rep
 
 
-def check_compressed_collection(
-    coll: CompressedRRRCollection, subject: str = "CompressedRRRCollection"
-) -> ValidationReport:
-    """Verify the coded-stream invariants of the compressed layout.
-
-    Every decoding section converts a typed
-    :class:`~repro.sampling.compressed.CodedStreamError` into a failed
-    check instead of aborting: a broken decoder may raise its own
-    validation error rather than return garbage, and both count as the
-    invariant being violated.
-    """
-    rep = ValidationReport()
-    try:
-        coll._ensure_ranked()
-    except CodedStreamError as exc:
-        rep.check(
-            False,
-            "collection.compressed-decode",
-            subject,
-            f"re-rank decode raised {type(exc).__name__}: {exc}",
-        )
-        return rep
-    num, entries, n = len(coll), coll.total_entries, coll.n
-    coded, ends, vertex_of = coll.stream()
-
-    rep.check(
-        num == 0
-        or (
-            int(ends[-1]) == coll.coded_bytes
-            and int(ends[0]) > 0
-            and (num == 1 or bool((np.diff(ends) > 0).all()))
-        ),
-        "collection.offset-index",
-        subject,
-        f"per-sample end offsets must be strictly increasing and land on "
-        f"the coded byte count {coll.coded_bytes}",
-    )
-    rep.check(
-        bool(
-            np.array_equal(
-                np.sort(np.asarray(vertex_of)), np.arange(n, dtype=np.int64)
-            )
-        ),
-        "collection.permutation",
-        subject,
-        f"rank->vertex permutation is not a bijection on [0, {n})",
-    )
-
-    # Per-sample reads: sorted, duplicate-free, in range, and the entry
-    # counts must balance the running total.
-    try:
-        decoded_entries = 0
-        sorted_ok = True
-        range_ok = True
-        for i in range(num):
-            v = coll[i]
-            decoded_entries += len(v)
-            if len(v) == 0 or (len(v) > 1 and bool((np.diff(v) <= 0).any())):
-                sorted_ok = False
-            if len(v) and (int(v.min()) < 0 or int(v.max()) >= n):
-                range_ok = False
-        rep.check(
-            sorted_ok,
-            "collection.sortedness",
-            subject,
-            "a decoded sample is empty or not strictly increasing",
-        )
-        rep.check(
-            range_ok, "collection.vertex-range", subject, f"ids outside [0, {n})"
-        )
-        rep.check(
-            decoded_entries == entries,
-            "collection.flat-length",
-            subject,
-            f"decoded entry count {decoded_entries} != total_entries {entries}",
-        )
-    except CodedStreamError as exc:
-        rep.check(
-            False,
-            "collection.sortedness",
-            subject,
-            f"per-sample decode raised {type(exc).__name__}: {exc}",
-        )
-
-    # Whole-stream decode must reproduce the append-time frequency
-    # histogram: a decoder that skips the rank-permutation inversion
-    # returns rank-space ids whose histogram disagrees with it.
-    ref_counts: np.ndarray | None = None
-    try:
-        verts, _ = coll.decode_samples(np.arange(num, dtype=np.int64))
-        ref_counts = np.bincount(verts, minlength=n).astype(np.int64)
-        rep.check(
-            bool(np.array_equal(ref_counts, coll._freq)),
-            "collection.compressed-decode",
-            subject,
-            "decoded vertex histogram != append-time frequency histogram "
-            "(rank permutation not inverted on decode?)",
-        )
-    except CodedStreamError as exc:
-        rep.check(
-            False,
-            "collection.compressed-decode",
-            subject,
-            f"stream decode raised {type(exc).__name__}: {exc}",
-        )
-
-    # The bulk counting parse (selection's substrate) must agree with an
-    # independent per-sample decode: one mis-framed varint in the
-    # counting pass breaks this even when sample reads look fine.
-    if ref_counts is not None:
-        try:
-            rep.check(
-                bool(np.array_equal(coll.counters(), ref_counts)),
-                "collection.compressed-counters",
-                subject,
-                "bulk counting parse != per-sample decode "
-                "(varint framing broken in the counting pass?)",
-            )
-        except CodedStreamError as exc:
-            rep.check(
-                False,
-                "collection.compressed-counters",
-                subject,
-                f"counting parse raised {type(exc).__name__}: {exc}",
-            )
-
-    expected_bytes = (
-        2 * VECTOR_HEADER_BYTES
-        + coll.coded_bytes
-        + num * SAMPLE_ID_BYTES
-        + n * (2 * VERTEX_ID_BYTES + SAMPLE_ID_BYTES)
-    )
-    rep.check(
-        coll.nbytes_model() == expected_bytes,
-        "collection.byte-model",
-        subject,
-        f"nbytes_model()={coll.nbytes_model()} != closed form {expected_bytes}",
-    )
-    return rep
-
-
 def check_collection(coll: RRRCollection, subject: str | None = None) -> ValidationReport:
     """Dispatch to the layout-appropriate invariant checker."""
     if isinstance(coll, SortedRRRCollection):
         return check_sorted_collection(coll, subject or "SortedRRRCollection")
-    if isinstance(coll, CompressedRRRCollection):
-        return check_compressed_collection(coll, subject or "CompressedRRRCollection")
     if isinstance(coll, HypergraphRRRCollection):
         return check_hypergraph_collection(coll, subject or "HypergraphRRRCollection")
     raise TypeError(f"unsupported collection type {type(coll).__name__}")

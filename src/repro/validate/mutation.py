@@ -34,8 +34,8 @@ resume skips the cursor     ``supervised.collection-bitwise``
 speculation lands reordered ``supervised.collection-bitwise``
 stale index after change    ``serving.graph-binding``
 tighten wrong stream offset ``serving.extension-bitwise``
-rank perm not inverted      ``collection.compressed-decode`` invariant
-counting skips cont. byte   ``collection.compressed-counters`` invariant
+dishonest degradation       ``frontend.degraded-honesty``
+breaker bypassed            ``frontend.breaker-discipline``
 stale served as fresh       ``cluster.unavailable-honesty``
 failover hedges a write     ``cluster.single-writer``
 memo survives republish     ``frontend.republish-fresh``
@@ -45,11 +45,14 @@ identity memo by path only  ``frontend.republish-fresh``
 The corruption is applied *behind* the append-time validation (directly
 to the flat buffers, or to a sampler's acceptance thresholds), modeling
 bugs that slip in after construction — the only kind the runtime
-invariants exist to catch.
+invariants exist to catch.  The serving mutants patch a small private
+seam of a serving class (:func:`_patched`) for the length of their run,
+so the shipping constructors carry no mutation flags.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +63,6 @@ from ..mpi import imm_dist, rebuild_partition
 from ..mpi.comm import Allreduce
 from ..sampling import (
     BatchedRRRSampler,
-    CompressedRRRCollection,
     HypergraphRRRCollection,
     SortedRRRCollection,
     sample_batch,
@@ -68,11 +70,7 @@ from ..sampling import (
 from ..sampling.parallel_engine import ParallelSamplingEngine
 from ..sampling.supervisor import SupervisedSamplingEngine
 from .engine import check_engine_sampling, serial_sample_batch
-from .invariants import (
-    check_compressed_collection,
-    check_hypergraph_collection,
-    check_sorted_collection,
-)
+from .invariants import check_hypergraph_collection, check_sorted_collection
 from .recovery import check_degraded_accounting, check_rebuild_fidelity
 from .serving import check_index_bitwise, check_index_graph_binding
 from .supervision import check_supervised_sampling
@@ -113,6 +111,17 @@ def _violated(report, check_name: str) -> tuple[bool, str]:
         f"{check_name} stayed green ({report.checks_run} checks, "
         f"{len(report.violations)} unrelated violations)"
     )
+
+
+@contextmanager
+def _patched(owner, name: str, value):
+    """``owner.name`` replaced by ``value`` for the length of the block."""
+    real = getattr(owner, name)
+    setattr(owner, name, value)
+    try:
+        yield
+    finally:
+        setattr(owner, name, real)
 
 
 def _mutant_unsorted(seed: int) -> MutantResult:
@@ -654,6 +663,15 @@ def _mutant_stale_index(seed: int) -> MutantResult:
     )
 
 
+class _RestartingSampler(BatchedRRRSampler):
+    """Draws the streams of ``[0, count)`` whatever indices it is asked
+    for — an extension that lost its stream offset."""
+
+    def sample_into(self, collection, sample_indices, seed, **kwargs):
+        restarted = sample_indices - sample_indices[0]
+        return super().sample_into(collection, restarted, seed, **kwargs)
+
+
 def _mutant_tighten_offset(seed: int) -> MutantResult:
     """Index extension that restarts the sample streams from zero.
 
@@ -679,9 +697,8 @@ def _mutant_tighten_offset(seed: int) -> MutantResult:
             theta_cap=_MUTATION_THETA, edges=batch.per_sample_edges,
         )
         try:
-            eng = InfluenceQueryEngine(
-                index, graph=graph, _mutate_stream_restart=True
-            )
+            eng = InfluenceQueryEngine(index, graph=graph)
+            eng._sampler = _RestartingSampler(graph, "IC")
             res = eng.top_k()  # forces the (mutated) extension past `half`
             assert res.samples_added > 0, "mutant needs a genuine extension"
             detected, evidence = _violated(
@@ -698,80 +715,13 @@ def _mutant_tighten_offset(seed: int) -> MutantResult:
     )
 
 
-def _sample_compressed(seed: int) -> CompressedRRRCollection:
-    """A healthy compressed collection over the real workload, ranked
-    (the frequency permutation is final, and on this skewed graph it is
-    far from the identity)."""
-    graph = load(_MUTATION_DATASET, "IC")
-    coll = CompressedRRRCollection(graph.n)
-    sample_batch(graph, "IC", coll, _MUTATION_THETA, seed)
-    coll._ensure_ranked()
-    return coll
-
-
-def _mutant_compressed_identity(seed: int) -> MutantResult:
-    """A decoder that returns frequency ranks as if they were vertex ids.
-
-    The classic lost-permutation bug: selection counters, seed picks,
-    and served answers all silently describe the wrong vertices while
-    every *structural* property still holds — each decoded sample is
-    sorted, duplicate-free, in range, with the right entry counts.  Only
-    the histogram comparison against the append-time frequency ground
-    truth (``collection.compressed-decode``) can see that the ids came
-    back un-inverted.
-    """
-    coll = _sample_compressed(seed)
-    coll._mutate_identity_decode = True
-    detected, evidence = _violated(
-        check_compressed_collection(coll, "mutant"),
-        "collection.compressed-decode",
-    )
-    return MutantResult(
-        "compressed-rank-permutation-not-inverted-on-decode",
-        "decode returns frequency ranks instead of original vertex ids",
-        detected,
-        evidence,
-    )
-
-
-def _mutant_compressed_continuation(seed: int) -> MutantResult:
-    """A bulk counting parse that treats every byte as a varint terminal.
-
-    The classic varint mis-framing bug, injected only into the counting
-    pass's terminal mask: per-sample reads still decode perfectly, so
-    the corruption is invisible to everything except the comparison of
-    ``counters()`` against an independent per-sample decode
-    (``collection.compressed-counters``).  A mis-framed parse may also
-    trip the stream's own validation and raise a typed
-    ``CodedStreamError`` — the checker counts that as the same kill.
-    """
-    coll = _sample_compressed(seed)
-    coll._mutate_skip_continuation = True
-    detected, evidence = _violated(
-        check_compressed_collection(coll, "mutant"),
-        "collection.compressed-counters",
-    )
-    return MutantResult(
-        "compressed-counting-skips-continuation-byte",
-        "counting parse splits multi-byte varints at every byte",
-        detected,
-        evidence,
-    )
-
-
-def _frontend_mutant(seed: int, hook: str | None, check_name: str):
-    """Run the front-end oracle axis with one deliberate-bug flag set
-    (or none, for a mutant patched in by its caller)."""
-    from ..datasets import load as load_graph
+def _frontend_mutant(check_name: str):
+    """Run the front-end oracle axis (with the caller's seam patched in)."""
     from .frontend import check_frontend_equivalence
     from .oracle import quick_config
 
-    cfg = quick_config()
-    graph = load_graph(_MUTATION_DATASET, "IC")
-    report = check_frontend_equivalence(
-        graph, "IC", cfg, "mutant",
-        _frontend_kwargs={hook: True} if hook else None,
-    )
+    graph = load(_MUTATION_DATASET, "IC")
+    report = check_frontend_equivalence(graph, "IC", quick_config(), "mutant")
     return _violated(report, check_name)
 
 
@@ -784,9 +734,17 @@ def _mutant_dishonest_degrade(seed: int) -> MutantResult:
     shrink-arithmetic recomputation in ``frontend.degraded-honesty``
     can see that the certified guarantee is a lie.
     """
-    detected, evidence = _frontend_mutant(
-        seed, "_mutate_dishonest_degrade", "frontend.degraded-honesty"
-    )
+    from ..serving import ServingFrontend
+
+    honest = ServingFrontend._degrade
+
+    async def dishonest(self, *args, **kwargs):
+        result = await honest(self, *args, **kwargs)
+        result.epsilon_effective = result.epsilon
+        return result
+
+    with _patched(ServingFrontend, "_degrade", dishonest):
+        detected, evidence = _frontend_mutant("frontend.degraded-honesty")
     return MutantResult(
         "degraded-result-reports-full-epsilon",
         "degraded answer claims epsilon_effective == requested eps",
@@ -804,9 +762,14 @@ def _mutant_breaker_bypass(seed: int) -> MutantResult:
     and only the attempt accounting in ``frontend.breaker-discipline``
     catches it.
     """
-    detected, evidence = _frontend_mutant(
-        seed, "_mutate_breaker_bypass", "frontend.breaker-discipline"
-    )
+    from ..serving import ServingFrontend
+
+    def bypass(self, brk):
+        brk.allow()  # asked, as the healthy gate asks, then ignored
+        return True
+
+    with _patched(ServingFrontend, "_breaker_allows", bypass):
+        detected, evidence = _frontend_mutant("frontend.breaker-discipline")
     return MutantResult(
         "breaker-open-still-extends",
         "extension bulkhead entered while the circuit breaker is open",
@@ -836,13 +799,8 @@ def _mutant_memo_per_path(seed: int) -> MutantResult:
         real_init(self, index, *args, **kwargs)
         self._memo = tables.setdefault(Path(index.path).resolve(), self._memo)
 
-    InfluenceQueryEngine.__init__ = shared_init
-    try:
-        detected, evidence = _frontend_mutant(
-            seed, None, "frontend.republish-fresh"
-        )
-    finally:
-        InfluenceQueryEngine.__init__ = real_init
+    with _patched(InfluenceQueryEngine, "__init__", shared_init):
+        detected, evidence = _frontend_mutant("frontend.republish-fresh")
     return MutantResult(
         "memo-survives-republish",
         "greedy memo kept per index path, so a republish reuses old answers",
@@ -875,13 +833,8 @@ def _mutant_identity_memo_per_path(seed: int) -> MutantResult:
             seen[given] = lookup(self, path)
         return seen[given]
 
-    IndexCache._lookup = per_path
-    try:
-        detected, evidence = _frontend_mutant(
-            seed, None, "frontend.republish-fresh"
-        )
-    finally:
-        IndexCache._lookup = lookup
+    with _patched(IndexCache, "_lookup", per_path):
+        detected, evidence = _frontend_mutant("frontend.republish-fresh")
     return MutantResult(
         "identity-memo-ignores-republish",
         "identity memo keyed by path alone, so a re-freeze serves the old engine",
@@ -890,17 +843,13 @@ def _mutant_identity_memo_per_path(seed: int) -> MutantResult:
     )
 
 
-def _cluster_mutant(seed: int, hook: str, check_name: str):
-    """Run the cluster oracle axis with one deliberate-bug flag set."""
-    from ..datasets import load as load_graph
+def _cluster_mutant(check_name: str):
+    """Run the cluster oracle axis (with the caller's seam patched in)."""
     from .cluster import check_cluster_equivalence
     from .oracle import quick_config
 
-    cfg = quick_config()
-    graph = load_graph(_MUTATION_DATASET, "IC")
-    report = check_cluster_equivalence(
-        graph, "IC", cfg, "mutant", _cluster_kwargs={hook: True}
-    )
+    graph = load(_MUTATION_DATASET, "IC")
+    report = check_cluster_equivalence(graph, "IC", quick_config(), "mutant")
     return _violated(report, check_name)
 
 
@@ -913,9 +862,20 @@ def _mutant_stale_as_fresh(seed: int) -> MutantResult:
     Only the typed-result + shrink-arithmetic recomputation in
     ``cluster.unavailable-honesty`` can see the lie.
     """
-    detected, evidence = _cluster_mutant(
-        seed, "_mutate_stale_as_fresh", "cluster.unavailable-honesty"
-    )
+    from dataclasses import fields
+
+    from ..serving import ClusterRouter, ServingResult
+
+    typed = ClusterRouter._degrade_local
+
+    async def untyped(self, *args, **kwargs):
+        result = await typed(self, *args, **kwargs)
+        return ServingResult(
+            **{f.name: getattr(result, f.name) for f in fields(ServingResult)}
+        )
+
+    with _patched(ClusterRouter, "_degrade_local", untyped):
+        detected, evidence = _cluster_mutant("cluster.unavailable-honesty")
     return MutantResult(
         "cluster-unavailable-served-as-fresh",
         "all-replicas-down fallback answers as a plain (non-degraded) result",
@@ -934,9 +894,29 @@ def _mutant_hedge_writes(seed: int) -> MutantResult:
     a torn index raising out of the routed tighten counts as the same
     kill.
     """
-    detected, evidence = _cluster_mutant(
-        seed, "_mutate_hedge_writes", "cluster.single-writer"
-    )
+    import asyncio
+
+    from ..serving import ClusterRouter
+
+    async def hedged(self, op, path, args, kwargs, *, graph, k=None, eps=None):
+        qid = self._admit()
+        self.stats.routed += 1
+        self.stats.hedges += 1
+        tasks = [
+            asyncio.ensure_future(
+                self._dispatch(r, qid, op, path, *args, graph=graph, **kwargs)
+            )
+            for r in self._order(path)[:2]
+        ]
+        done, pending = await asyncio.wait(tasks, return_when=asyncio.FIRST_COMPLETED)
+        for loser in pending:
+            loser.cancel()
+        if pending:
+            await asyncio.gather(*pending, return_exceptions=True)
+        return next(iter(done)).result()
+
+    with _patched(ClusterRouter, "_write", hedged):
+        detected, evidence = _cluster_mutant("cluster.single-writer")
     return MutantResult(
         "failover-double-dispatches-extension",
         "router hedges a tighten onto two replicas (two writers, one index)",
@@ -973,8 +953,6 @@ _MUTANTS = {
     "identity-memo-ignores-republish": _mutant_identity_memo_per_path,
     "cluster-unavailable-served-as-fresh": _mutant_stale_as_fresh,
     "failover-double-dispatches-extension": _mutant_hedge_writes,
-    "compressed-rank-permutation-not-inverted-on-decode": _mutant_compressed_identity,
-    "compressed-counting-skips-continuation-byte": _mutant_compressed_continuation,
 }
 
 #: The cheap subset tier-1 CI runs on every commit (sub-second each):

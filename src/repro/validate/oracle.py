@@ -9,7 +9,7 @@ dataset registry, across every axis the codebase can vary:
 axis                      values exercised
 ========================  =============================================
 driver                    ``imm`` / ``imm_mt`` / ``imm_dist`` (per-sample)
-storage layout            ``sorted`` / ``compressed`` / ``hypergraph``
+storage layout            ``sorted`` / ``hypergraph``
 sampler engine            serial / batched cohort / process-pool
 cohort size               {1, 7, 64, θ} (or the configured subset)
 rank / thread count       {1, 2, 5} (or the configured subset)
@@ -46,7 +46,6 @@ from ..mpi import imm_dist
 from ..parallel import PUMA, imm_mt
 from ..sampling import (
     BatchedRRRSampler,
-    CompressedRRRCollection,
     HypergraphRRRCollection,
     SortedRRRCollection,
     sample_batch,
@@ -62,7 +61,7 @@ from .report import ValidationReport
 from .rnglaws import check_rng_laws
 from .cluster import check_cluster_equivalence
 from .frontend import check_frontend_equivalence
-from .serving import check_compressed_serving, check_serving_equivalence
+from .serving import check_serving_equivalence
 from .supervision import check_supervised_equivalence
 
 __all__ = [
@@ -71,7 +70,6 @@ __all__ = [
     "full_config",
     "check_graph_equivalence",
     "check_dist_equivalence",
-    "check_compressed_layout",
     "check_selection_meters",
     "run_oracle",
 ]
@@ -453,118 +451,6 @@ def check_graph_equivalence(
     return rep
 
 
-def check_compressed_layout(
-    graph, model: str, cfg: OracleConfig, subject: str
-) -> ValidationReport:
-    """The compressed-layout axis, run as its own sharded oracle subject.
-
-    The compressed collection is a *full subject*, not a spot check:
-    serial, pooled, and supervised execution must reproduce the sorted
-    layout's seeds, θ, and coverage history bit for bit; the batched
-    engine must land identical samples into it; its structural
-    invariants must hold; and (when serving is enabled) a
-    ``compress=True`` frozen index must serve/tighten/re-seal
-    bit-identically while raising typed errors on unknown sections.
-    """
-    rep = ValidationReport()
-    k, eps, seed, cap = cfg.k, cfg.eps, cfg.seed, cfg.theta_cap
-
-    ref = imm(graph, k, eps, model, seed=seed, layout="sorted", theta_cap=cap)
-
-    # -- serial driver -----------------------------------------------------
-    comp = imm(graph, k, eps, model, seed=seed, layout="compressed", theta_cap=cap)
-    sub = f"{subject} imm[compressed]"
-    rep.check(
-        bool(np.array_equal(ref.seeds, comp.seeds)) and ref.theta == comp.theta,
-        "oracle.seed-set",
-        sub,
-        _seed_mismatch(ref.seeds, comp.seeds)
-        + f"; theta {ref.theta} vs {comp.theta}",
-    )
-    rep.check(
-        comp.extra["coverage_history"] == ref.extra["coverage_history"],
-        "oracle.coverage-history",
-        sub,
-        f"per-round (theta_x, frac) diverges: "
-        f"{comp.extra['coverage_history']} vs {ref.extra['coverage_history']}",
-    )
-    rep.check(
-        comp.memory_bytes > 0 and comp.memory_bytes != ref.memory_bytes,
-        "oracle.layout-memory-model",
-        sub,
-        "compressed layout reports the flat layout's byte model — the "
-        "Table 2-style comparison would silently lie",
-    )
-
-    # -- pooled driver -----------------------------------------------------
-    if cfg.check_engine:
-        for w in cfg.engine_workers:
-            if w <= 1:
-                continue
-            par = imm(
-                graph, k, eps, model, seed=seed, layout="compressed",
-                theta_cap=cap, workers=w,
-            )
-            subw = f"{subject} imm[compressed, workers={w}]"
-            rep.check(
-                bool(np.array_equal(ref.seeds, par.seeds))
-                and ref.theta == par.theta
-                and par.extra["coverage_history"] == ref.extra["coverage_history"],
-                "oracle.engine-seed-set",
-                subw,
-                _seed_mismatch(ref.seeds, par.seeds)
-                + f"; theta {ref.theta} vs {par.theta}",
-            )
-
-    # -- supervised driver -------------------------------------------------
-    if cfg.check_supervised:
-        sup = imm(
-            graph, k, eps, model, seed=seed, layout="compressed",
-            theta_cap=cap, workers=cfg.supervised_workers, supervise=True,
-        )
-        subs = f"{subject} imm[compressed, supervised]"
-        rep.check(
-            bool(np.array_equal(ref.seeds, sup.seeds))
-            and ref.theta == sup.theta
-            and sup.extra["coverage_history"] == ref.extra["coverage_history"],
-            "oracle.supervised-seed-set",
-            subs,
-            _seed_mismatch(ref.seeds, sup.seeds)
-            + f"; theta {ref.theta} vs {sup.theta}",
-        )
-
-    # -- batched landing, invariants, and layout-selection parity ----------
-    ref_coll = SortedRRRCollection(graph.n)
-    sample_batch(graph, model, ref_coll, ref.theta, cfg.seed)
-    comp_coll = CompressedRRRCollection(graph.n)
-    sample_batch(graph, model, comp_coll, ref.theta, cfg.seed)
-    rep.merge(check_collection(comp_coll, f"{subject} layout=compressed"))
-    same_lists = len(comp_coll) == len(ref_coll) and all(
-        np.array_equal(a, b) for a, b in zip(comp_coll, ref_coll)
-    )
-    rep.check(
-        same_lists,
-        "oracle.layout-contents",
-        subject,
-        "compressed layout holds different samples than the sorted layout",
-    )
-    sel_sorted = select_seeds(ref_coll, graph.n, cfg.k)
-    sel_comp = select_seeds(comp_coll, graph.n, cfg.k)
-    rep.check(
-        bool(np.array_equal(sel_sorted.seeds, sel_comp.seeds))
-        and sel_sorted.covered_samples == sel_comp.covered_samples
-        and sel_sorted.counter_updates == sel_comp.counter_updates,
-        "oracle.layout-selection",
-        subject,
-        _seed_mismatch(sel_sorted.seeds, sel_comp.seeds),
-    )
-
-    # -- frozen serving with the compressed section ------------------------
-    if cfg.check_serving:
-        rep.merge(check_compressed_serving(graph, model, cfg, subject))
-    return rep
-
-
 def run_oracle(
     cfg: OracleConfig, *, progress=None, shard: tuple[int, int] | None = None
 ) -> ValidationReport:
@@ -576,17 +462,16 @@ def run_oracle(
     ``shard=(i, m)`` (1-based) runs only every ``m``-th subject starting
     at the ``i``-th — the CI path for keeping ``--full`` under its time
     budget: the union of the ``m`` shards is exactly the unsharded
-    sweep.  The subject list is ``dataset × model × layout-axis``, where
-    the layout axis has three buckets per ``dataset × model`` — the core
-    driver/engine sweep (:func:`check_graph_equivalence`), the
-    compressed-layout subject (:func:`check_compressed_layout`), and the
+    sweep.  The subject list is ``dataset × model × axis``, where the
+    axis has two buckets per ``dataset × model`` — the core
+    driver/engine sweep (:func:`check_graph_equivalence`) and the
     replicated-cluster subject (:func:`check_cluster_equivalence`) — so
     sharding *distributes* those axes across jobs instead of inflating
     every job with them.  The (cheap, graph-independent) RNG laws run on
     shard 1 only.
     """
     rep = ValidationReport()
-    axes = ("core", "compressed") + (("cluster",) if cfg.check_cluster else ())
+    axes = ("core",) + (("cluster",) if cfg.check_cluster else ())
     subjects = [
         (name, model, axis)
         for name in cfg.datasets
@@ -609,8 +494,6 @@ def run_oracle(
         graph = load(name, model)
         if axis == "core":
             graph_rep = check_graph_equivalence(graph, model, cfg, subject)
-        elif axis == "compressed":
-            graph_rep = check_compressed_layout(graph, model, cfg, subject)
         else:
             graph_rep = check_cluster_equivalence(graph, model, cfg, subject)
         if progress is not None:

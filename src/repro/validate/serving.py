@@ -28,16 +28,15 @@ Axes, one per checked claim:
   :class:`~repro.serving.frozen.StaleIndexError`.
 * **cache** — the per-``(graph, model, eps)`` LRU actually bounds open
   indices and serves hits.
-* **compressed** (:func:`check_compressed_serving`, its own sharded
-  oracle subject) — a ``compress=True`` index holds no flat incidence
-  file yet serves, tightens, and re-seals bit-identically to the flat
-  index; the manifest records layout + encoding version, and a doctored
-  manifest raises :class:`~repro.serving.frozen.UnknownLayoutError`
-  (typed, distinct from stale-graph refusal).
+* **layout** — a manifest naming any layout but ``"flat"`` (one from
+  the future, or the retired ``"compressed"`` section) raises
+  :class:`~repro.serving.frozen.UnknownLayoutError` at open (typed,
+  distinct from stale-graph refusal), never a misread.
 """
 
 from __future__ import annotations
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -47,7 +46,6 @@ from ..graph import CSRGraph
 from ..imm import imm
 from ..sampling import BlockCheckpointSink, SortedRRRCollection, sample_batch
 from ..serving import (
-    COMPRESSED_ENCODING_VERSION,
     FrozenRRRIndex,
     IndexCache,
     InfluenceQueryEngine,
@@ -61,7 +59,6 @@ from .report import ValidationReport
 
 __all__ = [
     "check_serving_equivalence",
-    "check_compressed_serving",
     "check_index_graph_binding",
     "check_index_bitwise",
 ]
@@ -134,8 +131,8 @@ def _seed_mismatch(a, b) -> str:
 def check_serving_equivalence(
     graph, model: str, cfg, subject: str
 ) -> ValidationReport:
-    """Freeze / serve / tighten / promote / binding / cache on one
-    graph × model."""
+    """Freeze / serve / tighten / promote / binding / cache / layout on
+    one graph × model."""
     rep = ValidationReport()
     k, eps, seed, cap = cfg.k, cfg.eps, cfg.seed, cfg.theta_cap
     fresh = imm(graph, k, eps, model, seed=seed, layout="sorted", theta_cap=cap)
@@ -333,159 +330,25 @@ def check_serving_equivalence(
             cache.close()
         index.close()
         pidx.close()
-    return rep
 
-
-def check_compressed_serving(
-    graph, model: str, cfg, subject: str
-) -> ValidationReport:
-    """A ``compress=True`` frozen index must serve bit-identically to
-    the flat one while holding only the coded section on disk."""
-    import json
-
-    rep = ValidationReport()
-    k, eps, seed, cap = cfg.k, cfg.eps, cfg.seed, cfg.theta_cap
-    fresh = imm(graph, k, eps, model, seed=seed, layout="sorted", theta_cap=cap)
-
-    with tempfile.TemporaryDirectory(prefix="repro-oracle-czip-") as td:
-        td = Path(td)
-        fdir, cdir = td / "flat", td / "comp"
-        fidx, _ = freeze_index(
-            graph, k, eps, model, seed, theta_cap=cap, out_dir=fdir
-        )
-        cidx, cres = freeze_index(
-            graph, k, eps, model, seed, theta_cap=cap, out_dir=cdir,
-            compress=True,
-        )
-        rep.check(
-            bool(np.array_equal(cres.seeds, fresh.seeds))
-            and cres.theta == fresh.theta
-            and cres.coverage_history == fresh.extra["coverage_history"],
-            "serving.compressed-freeze",
-            subject,
-            _seed_mismatch(cres.seeds, fresh.seeds)
-            + f"; theta {cres.theta} vs {fresh.theta}",
-        )
-        mf = cidx.manifest
-        rep.check(
-            not (cdir / "flat.i32.bin").exists()
-            and (cdir / "coded.u8.bin").exists()
-            and mf.get("layout") == "compressed"
-            and mf.get("encoding_version") == COMPRESSED_ENCODING_VERSION
-            and int(mf.get("coded_bytes") or 0)
-            == (cdir / "coded.u8.bin").stat().st_size,
-            "serving.compressed-files",
-            subject,
-            "compressed index must drop flat.i32.bin, write the coded "
-            "section, and record layout + encoding version in the manifest",
-        )
-        fidx.close()
-        cidx.close()
-
-        # -- reopen + serve: decoded arrays and answers bit-identical ----
-        fidx = FrozenRRRIndex.open(fdir, graph=graph)
-        cidx = FrozenRRRIndex.open(cdir, graph=graph)
-        fa = np.asarray(fidx.rows()[0])
-        ca = np.asarray(cidx.rows()[0])
-        rep.check(
-            bool(np.array_equal(fa, ca)),
-            "serving.compressed-bitwise",
-            subject,
-            "compressed section does not decode to the flat index's bytes",
-        )
-        ceng = InfluenceQueryEngine(cidx, graph=graph)
-        res = ceng.top_k()
-        sub = f"{subject} serve[k={k}]"
-        rep.check(
-            bool(np.array_equal(res.seeds, fresh.seeds))
-            and res.theta == fresh.theta
-            and res.coverage_history == fresh.extra["coverage_history"],
-            "serving.compressed-seed-set",
-            sub,
-            _seed_mismatch(res.seeds, fresh.seeds)
-            + f"; theta {res.theta} vs {fresh.theta}",
-        )
-        rep.check(
-            res.samples_added == 0 and res.edges_examined == 0,
-            "serving.no-resample",
-            sub,
-            f"in-index query resampled: {res.samples_added} samples added, "
-            f"{res.edges_examined} edges examined",
-        )
-
-        # -- tighten: extension re-encodes only appended samples ---------
-        eps2 = eps * 0.8
-        coded_before = (cdir / "coded.u8.bin").read_bytes()
-        fresh2 = imm(
-            graph, k, eps2, model, seed=seed, layout="sorted", theta_cap=cap
-        )
-        r2 = ceng.tighten(eps2)
-        sub2 = f"{subject} tighten[eps={eps2:g}]"
-        rep.check(
-            bool(np.array_equal(r2.seeds, fresh2.seeds))
-            and r2.theta == fresh2.theta,
-            "serving.compressed-tighten",
-            sub2,
-            _seed_mismatch(r2.seeds, fresh2.seeds)
-            + f"; theta {r2.theta} vs {fresh2.theta}",
-        )
-        coded_after = (cdir / "coded.u8.bin").read_bytes()
-        rep.check(
-            coded_after[: len(coded_before)] == coded_before,
-            "serving.compressed-prefix",
-            sub2,
-            "tighten rewrote sealed coded bytes (extension must append "
-            "under the pinned permutation)",
-        )
-        fidx.close()
-        cidx.close()
-
-        # -- re-open after extension: seal holds, still bit-identical ----
-        cidx = FrozenRRRIndex.open(cdir, graph=graph)
-        ref = SortedRRRCollection(graph.n)
-        serial_sample_batch(graph, model, ref, cidx.num_samples, seed)
-        ref_flat, _ = ref.flattened()
-        rep.check(
-            bool(np.array_equal(np.asarray(cidx.rows()[0]), ref_flat)),
-            "serving.compressed-reopen",
-            subject,
-            "re-opened extended compressed index diverges from the serial "
-            "reference over its full sample range",
-        )
-        cidx.close()
-
-        # -- unknown layout / encoding: typed refusal, not misdecoding ---
-        mpath = cdir / "INDEX.json"
+        # -- layout: any layout but flat is refused, typed ---------------
+        mpath = td / "index" / "INDEX.json"
         doctored = json.loads(mpath.read_text())
-        doctored["layout"] = "from-the-future"
-        mpath.write_text(json.dumps(doctored))
-        try:
-            FrozenRRRIndex.open(cdir)
-            raised = False
-        except UnknownLayoutError:
-            raised = True
-        except StaleIndexError:
-            raised = False
-        rep.check(
-            raised,
-            "serving.unknown-layout",
-            subject,
-            "open() of an unknown-layout index must raise "
-            "UnknownLayoutError (not StaleIndexError, not misdecode)",
-        )
-        doctored["layout"] = "compressed"
-        doctored["encoding_version"] = COMPRESSED_ENCODING_VERSION + 1
-        mpath.write_text(json.dumps(doctored))
-        try:
-            FrozenRRRIndex.open(cdir)
-            raised = False
-        except UnknownLayoutError:
-            raised = True
-        rep.check(
-            raised,
-            "serving.unknown-layout",
-            f"{subject} encoding",
-            "open() of a newer compressed encoding must raise "
-            "UnknownLayoutError",
-        )
+        for layout in ("from-the-future", "compressed"):
+            doctored["layout"] = layout
+            mpath.write_text(json.dumps(doctored))
+            try:
+                FrozenRRRIndex.open(td / "index")
+                raised = False
+            except UnknownLayoutError:
+                raised = True
+            except StaleIndexError:
+                raised = False
+            rep.check(
+                raised,
+                "serving.unknown-layout",
+                f"{subject} layout={layout}",
+                f"open() of a {layout!r}-layout index must raise "
+                "UnknownLayoutError (not StaleIndexError, not a misread)",
+            )
     return rep

@@ -4,7 +4,7 @@ pure-Python greedy max-cover.
 The reference below shares no code with :mod:`repro.imm.select`: it
 re-counts every vertex's alive samples each iteration and charges the
 work meters the way Algorithm 4 spends them, kill by kill.  Every view —
-sorted, compressed, hypergraph, and a frozen-style prefix cut from a
+sorted, hypergraph, and a frozen-style prefix cut from a
 hit index over a longer collection (with ``forced``/``excluded``) —
 must match it in seeds, covered count and every ``SelectionResult``
 meter.  The hit index under every view is checked on its own against
@@ -18,11 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.imm.select import FlatView, _metered, drive, greedy_cover, select_seeds, vertex_index
-from repro.sampling import (
-    CompressedRRRCollection,
-    HypergraphRRRCollection,
-    SortedRRRCollection,
-)
+from repro.sampling import HypergraphRRRCollection, SortedRRRCollection
 
 
 def naive_greedy(sets, n, k, num_ranks=1, forced=(), excluded=(), inverted=False):
@@ -123,11 +119,10 @@ def build(cls, sets, n):
 @settings(max_examples=60, deadline=None)
 def test_kernel_matches_naive_greedy_on_every_view(inst):
     n, sets, prefix, forced, excluded, k, ranks = inst
-    for cls in (SortedRRRCollection, CompressedRRRCollection):
-        sel = select_seeds(build(cls, sets, n), n, k, num_ranks=ranks)
-        assert observed(sel.seeds.tolist(), sel.covered_samples, sel) == (
-            naive_greedy(sets, n, k, ranks)
-        ), cls.__name__
+    sel = select_seeds(build(SortedRRRCollection, sets, n), n, k, num_ranks=ranks)
+    assert observed(sel.seeds.tolist(), sel.covered_samples, sel) == (
+        naive_greedy(sets, n, k, ranks)
+    )
     sel = select_seeds(build(HypergraphRRRCollection, sets, n), n, k, num_ranks=ranks)
     assert observed(sel.seeds.tolist(), sel.covered_samples, sel) == (
         naive_greedy(sets, n, k, inverted=True)
@@ -205,24 +200,20 @@ def test_kill_pass_in_runs_matches_one_bincount(monkeypatch):
     # equal one bincount over the killed rows.
     from repro.datasets import load
     from repro.imm import select
-    from repro.imm.select import CompressedView
     from repro.sampling import sample_batch
 
     graph = load("cit-HepTh", "IC")
-    flat_coll = SortedRRRCollection(graph.n)
-    comp_coll = CompressedRRRCollection(graph.n)
-    sample_batch(graph, "IC", flat_coll, 300, 5)
-    sample_batch(graph, "IC", comp_coll, 300, 5)
-    want = [select_seeds(c, graph.n, 10, num_ranks=3) for c in (flat_coll, comp_coll)]
+    coll = SortedRRRCollection(graph.n)
+    sample_batch(graph, "IC", coll, 300, 5)
+    want = select_seeds(coll, graph.n, 10, num_ranks=3)
     monkeypatch.setattr(select, "_TALLY_CHUNK", 1)
-    flat, indptr = flat_coll.flattened()
+    flat, indptr = coll.flattened()
     killed = np.arange(0, 300, 2)
     rows = np.concatenate([flat[indptr[j] : indptr[j + 1]] for j in killed])
     assert len(rows) > 3 * graph.n  # several runs
-    for view in (FlatView(graph.n, flat, indptr), CompressedView(comp_coll, graph.n)):
-        assert np.array_equal(view.tally(killed), np.bincount(rows, minlength=graph.n))
-    for coll, ref in zip((flat_coll, comp_coll), want):
-        got = select_seeds(coll, graph.n, 10, num_ranks=3)
-        assert observed(got.seeds, got.covered_samples, got) == observed(
-            ref.seeds, ref.covered_samples, ref
-        )
+    view = FlatView(graph.n, flat, indptr)
+    assert np.array_equal(view.tally(killed), np.bincount(rows, minlength=graph.n))
+    got = select_seeds(coll, graph.n, 10, num_ranks=3)
+    assert observed(got.seeds, got.covered_samples, got) == observed(
+        want.seeds, want.covered_samples, want
+    )

@@ -81,8 +81,11 @@ class TestIMMDriver:
         )
 
     def test_unknown_layout_rejected(self, ba_graph):
-        with pytest.raises(ValueError, match="layout"):
-            imm(ba_graph, k=5, eps=0.5, layout="funky")
+        # Only sorted and hypergraph exist: the retired "compressed" is
+        # refused like any unknown name, never silently mapped to sorted.
+        for layout in ("funky", "compressed"):
+            with pytest.raises(ValueError, match="layout"):
+                imm(ba_graph, k=5, eps=0.5, layout=layout)
 
     def test_invalid_model_rejected(self, ba_graph):
         with pytest.raises(ValueError):

@@ -21,6 +21,25 @@ class TestSortedCollection:
         assert coll.total_entries == 6
         assert [s.tolist() for s in coll] == [[0, 2, 5], [1], [2, 5]]
         assert coll[1].tolist() == [1]
+        assert coll[-1].tolist() == [2, 5]
+
+    def test_append_batch_matches_appends(self):
+        one_by_one = SortedRRRCollection(6)
+        one_by_one.extend(SETS)
+        bulk = SortedRRRCollection(6)
+        bulk.append_batch(
+            np.concatenate(SETS).astype(np.int64),
+            np.array([len(s) for s in SETS], np.int64),
+            total=6,
+        )
+        assert [s.tolist() for s in bulk] == [s.tolist() for s in one_by_one]
+        assert bulk.counters().tolist() == one_by_one.counters().tolist()
+
+    def test_declared_total_must_match_sizes(self):
+        coll = SortedRRRCollection(6)
+        with pytest.raises(ValueError, match="total"):
+            coll.append_batch(np.array([1], np.int64), np.array([1], np.int64), total=2)
+        assert len(coll) == 0
 
     def test_flattened_structure(self):
         coll = SortedRRRCollection(6)

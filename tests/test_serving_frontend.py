@@ -590,34 +590,6 @@ class TestRemembered:
         with FrozenRRRIndex.open(out) as index:
             assert _fields(cold) == _fields(InfluenceQueryEngine(index).top_k(3))
 
-    def test_cold_compressed_index_decodes_on_a_worker(
-        self, ba_graph, tmp_path, monkeypatch
-    ):
-        path = tmp_path / "compressed"
-        freeze_index(
-            ba_graph, K, EPS, "IC", SEED, theta_cap=CAP, out_dir=path,
-            compress=True,
-        )[0].close()
-        decoders = []
-        decode = FrozenRRRIndex._decode_flat
-
-        def traced(self, indptr):
-            decoders.append(threading.get_ident())
-            return decode(self, indptr)
-
-        monkeypatch.setattr(FrozenRRRIndex, "_decode_flat", traced)
-
-        async def body():
-            async with ServingFrontend() as fe:
-                first = await fe.top_k(path)
-                again = await fe.top_k(path)
-                return first, again, threading.get_ident(), fe.stats
-
-        first, again, loop_thread, stats = run(body())
-        assert len(decoders) == 1 and decoders[0] != loop_thread
-        assert stats.remembered == 1
-        assert _fields(again) == _fields(first)
-
     def test_faults_fire_on_the_same_query_ids(self, frozen):
         out, res = frozen
 

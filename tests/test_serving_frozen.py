@@ -1,11 +1,15 @@
 """Frozen index format tests (repro.serving.frozen).
 
 Freeze/open round trips, the integrity seal, the graph fingerprint
-binding, zero-copy prefix views, in-place extension, manifest
-amendment, and crash consistency of both write paths.
+binding, the refusal of any layout but flat, zero-copy prefix views,
+in-place extension and its writer lock, manifest amendment, and crash
+consistency of both write paths.
 """
 
+import json
+import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from repro.serving import (
     FrozenRRRIndex,
     InfluenceQueryEngine,
     StaleIndexError,
+    UnknownLayoutError,
     freeze_index,
     graph_fingerprint,
 )
@@ -38,9 +43,20 @@ def _sampled(graph, theta=THETA):
 
 def _freeze(graph, coll, batch, out_dir, **kw):
     kw.setdefault("graph", graph)
+    kw.setdefault("seed", SEED)
     return FrozenRRRIndex.freeze(
-        coll, out_dir, model="IC", seed=SEED, k=5, eps=0.5,
+        coll, out_dir, model="IC", k=5, eps=0.5,
         edges=batch.per_sample_edges, **kw,
+    )
+
+
+def _tail(graph, start, extra=20, seed=SEED):
+    """``extend`` arguments for samples ``[start, start + extra)``."""
+    full = SortedRRRCollection(graph.n)
+    batch = sample_batch(graph, "IC", full, start + extra, seed)
+    flat, indptr = full.flattened()
+    return (
+        flat[indptr[start]:], np.diff(indptr)[start:], batch.per_sample_edges[start:],
     )
 
 
@@ -104,8 +120,6 @@ class TestSeal:
             FrozenRRRIndex.open(tmp_path / "idx")
 
     def test_tampered_sample_count_fails_stream_fold(self, ba_graph, tmp_path):
-        import json
-
         coll, batch = _sampled(ba_graph)
         _freeze(ba_graph, coll, batch, tmp_path / "idx").close()
         mpath = tmp_path / "idx" / "INDEX.json"
@@ -124,6 +138,45 @@ class TestSeal:
             p.write_bytes(p.read_bytes()[:want])
         with pytest.raises(FrozenIndexError, match="stream fingerprint"):
             FrozenRRRIndex.open(tmp_path / "idx")
+
+
+class TestLayout:
+    def test_new_manifests_name_the_flat_layout(self, ba_graph, tmp_path):
+        coll, batch = _sampled(ba_graph)
+        _freeze(ba_graph, coll, batch, tmp_path / "idx").close()
+        manifest = json.loads((tmp_path / "idx" / "INDEX.json").read_text())
+        assert manifest["layout"] == "flat"
+
+    def test_compressed_layout_index_is_refused(self, tmp_path):
+        # Earlier versions could freeze a frequency-ranked delta+varint
+        # section in place of flat.i32.bin.  Written here by hand: three
+        # samples over four vertices under the identity rank
+        # permutation, each coded as its first rank then positive gaps,
+        # one LEB128 byte apiece.  This reader refuses it by name.
+        out = tmp_path / "idx"
+        out.mkdir()
+        files = {
+            "coded.u8.bin": np.asarray([0, 2, 1, 2, 1], dtype=np.uint8),  # [0,2] [1] [2,3]
+            "offsets.i64.bin": np.asarray([2, 3, 5], dtype=np.int64),
+            "perm.i64.bin": np.arange(4, dtype=np.int64),
+            "sizes.i64.bin": np.asarray([2, 1, 2], dtype=np.int64),
+            "edges.i64.bin": np.asarray([1, 0, 2], dtype=np.int64),
+        }
+        for name, arr in files.items():
+            arr.tofile(out / name)
+        manifest = {
+            "format": "repro-frozen-rrr-index", "version": 1,
+            "n": 4, "model": "IC", "seed": SEED, "k": 1, "eps": 0.5, "l": 1.0,
+            "theta": 3, "lb": None, "theta_cap": None,
+            "estimation_rounds": None, "coverage_history": [],
+            "num_samples": 3, "entries": 5,
+            "layout": "compressed", "encoding_version": 1, "coded_bytes": 5,
+            "stream_fold": frozen_mod._fold_range(SEED, 3),
+            "graph_fingerprint": None, "created_unix": 0.0,
+        }
+        (out / "INDEX.json").write_text(json.dumps(manifest))
+        with pytest.raises(UnknownLayoutError, match="'compressed'.*re-freeze"):
+            FrozenRRRIndex.open(out)
 
 
 class TestGraphBinding:
@@ -304,6 +357,71 @@ class TestExtend:
             assert back.num_samples == THETA + 20
             assert np.array_equal(np.asarray(back.arrays()[0]), f_flat)
 
+    def test_extend_waits_for_a_refreeze_then_refuses(self, ba_graph, tmp_path, monkeypatch):
+        # A re-freeze under the next seed stalls after its first data
+        # rename.  An extend through a handle opened before it must wait
+        # for the new manifest and then refuse: extending in that window
+        # would cut the new flat file to the old seal and append the old
+        # seed's samples to it.
+        out = tmp_path / "idx"
+        index, _ = freeze_index(ba_graph, 5, 0.5, "IC", SEED, out_dir=out)
+        tail = _tail(ba_graph, index.num_samples)
+        renamed, release = threading.Event(), threading.Event()
+        replace = os.replace
+
+        def stalled_replace(src, dst):
+            replace(src, dst)
+            if threading.current_thread().name == "refreeze" and Path(dst).name == "flat.i32.bin":
+                renamed.set()
+                release.wait(timeout=30)
+
+        outcome = {}
+
+        def extend():
+            try:
+                index.extend(*tail, start=index.num_samples)
+                outcome["extend"] = "extended"
+            except FrozenIndexError:
+                outcome["extend"] = "refused"
+
+        monkeypatch.setattr(frozen_mod.os, "replace", stalled_replace)
+        refreeze = threading.Thread(
+            target=lambda: freeze_index(ba_graph, 5, 0.5, "IC", SEED + 1, out_dir=out)[0].close(),
+            name="refreeze",
+        )
+        writer = threading.Thread(target=extend, name="extend")
+        try:
+            refreeze.start()
+            assert renamed.wait(timeout=30)
+            writer.start()
+            writer.join(timeout=0.5)
+            assert writer.is_alive()  # waiting for the re-freeze's lock
+        finally:
+            release.set()
+            refreeze.join(timeout=60)
+            writer.join(timeout=60)
+            index.close()
+        monkeypatch.undo()
+        assert not refreeze.is_alive() and not writer.is_alive()
+        assert outcome == {"extend": "refused"}
+        fresh = imm(ba_graph, 5, 0.5, "IC", seed=SEED + 1)
+        with FrozenRRRIndex.open(out, graph=ba_graph) as back:
+            served = InfluenceQueryEngine(back).top_k()
+        assert np.array_equal(served.seeds, fresh.seeds)
+        assert served.theta == fresh.theta
+
+    def test_equal_size_refreeze_under_another_seed_refuses_extend(self, ba_graph, tmp_path):
+        # The same samples frozen again under another seed label leave
+        # every certified byte size as it was; only the seal moves.
+        coll, batch = _sampled(ba_graph)
+        _freeze(ba_graph, coll, batch, tmp_path / "idx").close()
+        with FrozenRRRIndex.open(tmp_path / "idx") as stale:
+            _freeze(ba_graph, coll, batch, tmp_path / "idx", seed=SEED + 1).close()
+            with pytest.raises(FrozenIndexError, match="behind this handle"):
+                stale.extend(*_tail(ba_graph, THETA), start=THETA)
+        with FrozenRRRIndex.open(tmp_path / "idx") as back:
+            assert (back.seed, back.num_samples) == (SEED + 1, THETA)
+
     def test_extend_must_start_at_sealed_count(self, ba_graph, tmp_path):
         coll, batch = _sampled(ba_graph)
         index = _freeze(ba_graph, coll, batch, tmp_path / "idx")
@@ -361,11 +479,11 @@ def _fail_write(path, manifest):
 def _certified(manifest) -> dict:
     """Byte sizes of the appended data files that ``manifest`` seals."""
     num = manifest["num_samples"]
-    if manifest["layout"] == "compressed":
-        data = {"coded.u8.bin": manifest["coded_bytes"], "offsets.i64.bin": num * 8}
-    else:
-        data = {"flat.i32.bin": manifest["entries"] * 4}
-    return {**data, "sizes.i64.bin": num * 8, "edges.i64.bin": num * 8}
+    return {
+        "flat.i32.bin": manifest["entries"] * 4,
+        "sizes.i64.bin": num * 8,
+        "edges.i64.bin": num * 8,
+    }
 
 
 def _sizes(path, names) -> dict:
@@ -387,13 +505,10 @@ class TestCrashConsistency:
     appended and fsync'd, manifest not renamed — must leave the index
     openable and the live engine answering at the old sealed state."""
 
-    @pytest.mark.parametrize("compress", [False, True], ids=["flat", "compressed"])
-    def test_failed_tighten_keeps_old_state(self, compress, tmp_path, monkeypatch):
+    def test_failed_tighten_keeps_old_state(self, tmp_path, monkeypatch):
         graph = load("cit-HepTh", "IC")
         out = tmp_path / "idx"
-        index, _ = freeze_index(
-            graph, 10, 0.5, "IC", 0, out_dir=out, compress=compress
-        )
+        index, _ = freeze_index(graph, 10, 0.5, "IC", 0, out_dir=out)
         try:
             engine = InfluenceQueryEngine(index, graph=graph)
             sealed = dict(index.manifest)

@@ -403,22 +403,16 @@ class TestGreedyMemo:
             deg = eng.degraded(K, EPS, "test")
             assert _fields(eng.degraded(K, EPS, "test")) == _fields(deg)
 
-    @pytest.mark.parametrize("compress", [False, True])
-    def test_remembered_top_k_reads_only_the_memo(
-        self, ba_graph, tmp_path, monkeypatch, compress
-    ):
+    def test_remembered_top_k_reads_only_the_memo(self, ba_graph, tmp_path, monkeypatch):
         from repro.serving import query
 
         path = tmp_path / "i"
-        freeze_index(
-            ba_graph, K, EPS, "IC", SEED, out_dir=path, compress=compress
-        )[0].close()
+        freeze_index(ba_graph, K, EPS, "IC", SEED, out_dir=path)[0].close()
         with FrozenRRRIndex.open(path) as index:
             eng = InfluenceQueryEngine(index)
-            # Cold: nothing remembered, and nothing built or decoded.
+            # Cold: nothing remembered, and nothing built.
             assert eng.top_k(remembered=True) is None
             assert eng._vert_cache is None
-            assert (index._rows[0] is None) == compress
             computed = eng.top_k()
             assert eng.top_k(2, remembered=True) is None  # another k
             # Past the sealed prefix a computed read raises (no graph to
@@ -537,20 +531,14 @@ class TestGreedyMemo:
                 ("engine._vert_cache", "int32"), ("index._rows", "int32"),
             ]
 
-    @pytest.mark.parametrize("compress", [False, True])
-    def test_read_inside_remap_sees_one_mapping(
-        self, ba_graph, tmp_path, monkeypatch, compress
-    ):
+    def test_read_inside_remap_sees_one_mapping(self, ba_graph, tmp_path, monkeypatch):
         # The front end runs reads in worker threads while an extension
         # remaps the index.  Replay a first read at the point where the
         # extension's _map() has reopened the row data but not the
         # sizes yet: the read must see the rows of one mapping (here
-        # the old one; a compressed handle decodes them there) and
-        # answer as an engine over that mapping does.
+        # the old one) and answer as an engine over that mapping does.
         path = tmp_path / "i"
-        freeze_index(
-            ba_graph, K, 0.6, "IC", SEED, out_dir=path, compress=compress
-        )[0].close()
+        freeze_index(ba_graph, K, 0.6, "IC", SEED, out_dir=path)[0].close()
         with FrozenRRRIndex.open(path) as old:
             want = (
                 _fields(InfluenceQueryEngine(old).what_if(K)),

@@ -4,8 +4,12 @@ Every deliberately injected fault must be *killed* — a surviving mutant
 means the oracle would wave through the corresponding real bug.
 """
 
+from pathlib import Path
+
 import pytest
 
+import repro.serving
+from repro.serving import ClusterRouter, IndexCache, InfluenceQueryEngine, ServingFrontend
 from repro.validate import SMOKE_MUTANTS, MutantResult, run_mutation_suite
 
 # The two engine mutants spin real process pools; the conftest watchdog
@@ -38,18 +42,35 @@ EXPECTED_MUTANTS = {
     "breaker-open-still-extends",
     "memo-survives-republish",
     "identity-memo-ignores-republish",
-    "compressed-rank-permutation-not-inverted-on-decode",
-    "compressed-counting-skips-continuation-byte",
     "cluster-unavailable-served-as-fresh",
     "failover-double-dispatches-extension",
 }
 
 
+#: The private serving seams the mutants patch for the length of a run.
+SEAMS = (
+    (ServingFrontend, "_degrade"),
+    (ServingFrontend, "_breaker_allows"),
+    (ClusterRouter, "_degrade_local"),
+    (ClusterRouter, "_write"),
+    (InfluenceQueryEngine, "__init__"),
+    (IndexCache, "_lookup"),
+)
+
+
 class TestMutationSuite:
     def test_every_mutant_is_killed(self):
+        before = [getattr(owner, name) for owner, name in SEAMS]
         results = run_mutation_suite(seed=1)
         survivors = [r.name for r in results if not r.detected]
         assert survivors == [], f"oracle blind spots: {survivors}"
+        # Every patched seam is back to the shipping code afterwards.
+        assert [getattr(owner, name) for owner, name in SEAMS] == before
+
+    def test_serving_ships_no_mutation_hooks(self):
+        package = Path(repro.serving.__file__).parent
+        hooked = [p.name for p in package.glob("*.py") if "_mutate_" in p.read_text()]
+        assert hooked == []
 
     def test_all_fault_classes_covered(self):
         names = {r.name for r in run_mutation_suite(seed=1)}
