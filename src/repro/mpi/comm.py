@@ -25,8 +25,9 @@ crashes/OOM kills surface as typed errors
 (:class:`~repro.mpi.faults.RankFailedError`,
 :class:`~repro.mpi.faults.SimulatedOOMError`), transient collective
 failures as :class:`~repro.mpi.faults.TransientCommError`.  This
-runtime *aborts* on all of them — recovery policies live in
-:func:`repro.mpi.resilient.run_spmd_resilient`.
+runtime *aborts* on all of them: it is the ``"abort"`` policy of the one
+lockstep loop, :func:`repro.mpi.resilient.run_spmd_resilient`, where
+the recovery policies live.
 
 This mirrors the semantics of ``MPI_Allreduce`` et al. while staying a
 single deterministic process; it is the substitution DESIGN.md records
@@ -40,7 +41,7 @@ from typing import Any, Callable, Generator, NamedTuple
 
 import numpy as np
 
-from .faults import FaultInjector, FaultPlan, TransientCommError
+from .faults import FaultInjector, FaultPlan
 
 __all__ = [
     "Allreduce",
@@ -191,7 +192,7 @@ def _validate_step(ops: list[tuple[int, Any]], num_ranks: int) -> Any:
     """Check concurrently-issued ops agree; return the prototype op.
 
     ``ops`` is ``[(rank, op), ...]`` for the ranks participating in this
-    step.  Shared by :func:`run_spmd` and the resilient runtime.
+    step.
     """
     kinds = {type(op) for _, op in ops}
     if len(kinds) != 1:
@@ -245,6 +246,8 @@ def run_spmd(
     Returns ``(results, stats)`` where ``results[r]`` is rank ``r``'s
     generator return value.  All rank generators are closed on exit,
     normal or not — an aborted job leaves no suspended rank frames.
+    This is the ``"abort"`` policy of the one lockstep loop,
+    :func:`repro.mpi.resilient.run_spmd_resilient`.
 
     Raises
     ------
@@ -256,65 +259,10 @@ def run_spmd(
         If ``faults`` injects a failure; this runtime aborts on the
         first one (recovery lives in ``run_spmd_resilient``).
     """
-    if num_ranks < 1:
-        raise ValueError("need at least one rank")
-    if stats is None:
-        stats = CommStats()
-    injector = _as_injector(faults)
-    gens = [program(rank, num_ranks) for rank in range(num_ranks)]
-    results: list[Any] = [None] * num_ranks
-    done = [False] * num_ranks
-    send_values: list[Any] = [None] * num_ranks
-    first = True
-    try:
-        while not all(done):
-            ops: list[Any] = [None] * num_ranks
-            for r, gen in enumerate(gens):
-                if done[r]:
-                    continue
-                try:
-                    ops[r] = gen.send(None if first else send_values[r])
-                except StopIteration as stop:
-                    results[r] = stop.value
-                    done[r] = True
-                    continue
-                if injector is not None:
-                    injector.check_rank(r, phase=stats.phase)
-            first = False
-            active = [r for r in range(num_ranks) if not done[r]]
-            if not active:
-                break
-            if len(active) != num_ranks and any(done):
-                finished = [r for r in range(num_ranks) if done[r]]
-                raise CollectiveMismatchError(
-                    f"ranks {finished} returned while ranks {active} wait in a "
-                    "collective — a real MPI job would hang here"
-                )
-            proto = _validate_step([(r, ops[r]) for r in active], num_ranks)
-            if injector is not None and injector.transient_failure():
-                raise TransientCommError(injector.step, 1)
-            if isinstance(proto, Bcast):
-                value = ops[proto.root].data
-                stats.record("bcast", _nbytes(value))
-                for r in active:
-                    send_values[r] = value
-            elif isinstance(proto, Barrier):
-                stats.record("barrier", 0)
-                for r in active:
-                    send_values[r] = None
-            else:
-                buffers = [ops[r].data for r in active]
-                if injector is not None and isinstance(proto, Allreduce):
-                    buffers = [
-                        injector.corrupt_buffer(r, b) for r, b in zip(active, buffers)
-                    ]
-                combined = _combine(proto, buffers)
-                stats.record(type(proto).__name__.lower(), _nbytes(buffers[0]))
-                for r in active:
-                    send_values[r] = combined
-            if injector is not None:
-                injector.advance_step()
-    finally:
-        for gen in gens:
-            _close_quietly(gen)
+    # Imported here: the resilient loop builds on this module's helpers.
+    from .resilient import run_spmd_resilient
+
+    results, stats, _ = run_spmd_resilient(
+        num_ranks, program, policy="abort", faults=faults, stats=stats
+    )
     return results, stats

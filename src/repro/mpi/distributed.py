@@ -36,9 +36,9 @@ of the sample space:
   shrunk run is flagged ``degraded=True`` in ``extra`` with the
   effective θ and the ε its surviving sample budget still certifies.
 
-The collectives are executed for real (bit-exact sums) by
-:func:`repro.mpi.comm.run_spmd` /
-:func:`repro.mpi.resilient.run_spmd_resilient`; the phase times are
+The collectives are executed for real (bit-exact sums) by the one
+lockstep loop, :func:`repro.mpi.resilient.run_spmd_resilient`, under
+the job's policy; the phase times are
 modeled from per-rank work meters, intra-node OpenMP speedup, and the
 α–β collective costs.
 """
@@ -75,10 +75,10 @@ from .checkpoint import (
     owned_indices,
     shrink_deals,
 )
-from .comm import Allreduce, CommStats, run_spmd
+from .comm import Allreduce, CommStats
 from .costmodel import checkpoint_seconds, collective_seconds
 from .faults import FaultInjector, FaultPlan, SimulatedOOMError, _fmt_bytes
-from .resilient import POLICIES, RecoveryLog, run_spmd_resilient
+from .resilient import POLICIES, run_spmd_resilient
 
 __all__ = ["imm_dist", "SimulatedOOMError"]
 
@@ -353,8 +353,8 @@ def imm_dist(
         A :class:`~repro.mpi.faults.FaultPlan` (or its CLI spec string)
         injected into the SPMD run.
     policy:
-        ``"abort"`` (default: typed errors propagate, as before) or a
-        :data:`~repro.mpi.resilient.POLICIES` recovery policy.
+        One of :data:`~repro.mpi.resilient.POLICIES`: ``"abort"``
+        (default: typed errors propagate) or a recovery policy.
     max_retries:
         Transient-failure retry budget per collective (recovery
         policies only).
@@ -382,8 +382,8 @@ def imm_dist(
         raise ValueError("need at least one node")
     if rng_scheme not in ("per-sample", "leapfrog"):
         raise ValueError(f"unknown rng_scheme {rng_scheme!r}")
-    if policy not in ("abort",) + POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; expected abort or one of {POLICIES}")
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     if policy == "shrink" and rng_scheme == "leapfrog":
         raise ValueError(
             "shrink recovery requires the per-sample rng_scheme: leap-frog "
@@ -444,20 +444,16 @@ def imm_dist(
         state.resume = ck
 
     wall = PhaseTimer()
-    rlog: RecoveryLog | None = None
     with wall.phase("Other"):
-        if policy == "abort":
-            run_spmd(num_nodes, program, stats=comm_stats, faults=injector)
-        else:
-            _, _, rlog = run_spmd_resilient(
-                num_nodes,
-                program,
-                policy=policy,
-                faults=injector,
-                max_retries=max_retries,
-                stats=comm_stats,
-                on_shrink=on_shrink,
-            )
+        _, _, rlog = run_spmd_resilient(
+            num_nodes,
+            program,
+            policy=policy,
+            faults=injector,
+            max_retries=max_retries,
+            stats=comm_stats,
+            on_shrink=on_shrink,
+        )
 
     # ---- price the phases ----------------------------------------------
     n = graph.n
@@ -506,7 +502,7 @@ def imm_dist(
     # collectives, and the re-derivation sampling work (rebuilds after a
     # shrink restart; a respawned rank's full regenerated partition).
     recovery_seconds = 0.0
-    if rlog is not None and (rlog.retries or rlog.respawns or rlog.shrinks):
+    if rlog.retries or rlog.respawns or rlog.shrinks:
         rebuild_edges = sum(rec.rebuild_edges for rec in records)
         respawn_edges = sum(
             records[r].edges_total for r in set(rlog.respawned_ranks)
@@ -582,7 +578,7 @@ def imm_dist(
             "epsilon_effective": eps_eff,
             "alive_ranks": list(state.alive),
             "rng_cursor": rec0.cursor,
-            "recovery": rlog.as_dict() if rlog is not None else None,
+            "recovery": None if policy == "abort" else rlog.as_dict(),
             "recovery_seconds": recovery_seconds,
             "checkpoint_write_seconds": checkpoint_write_seconds,
             "fault_plan": fault_plan.describe() if fault_plan is not None else None,

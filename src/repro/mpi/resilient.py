@@ -1,8 +1,11 @@
-"""Recovery-enabled SPMD runtime: retry, respawn, and shrink policies.
+"""The SPMD runtime's one lockstep loop, with abort, retry, respawn and
+shrink policies.
 
-:func:`run_spmd_resilient` executes the same lockstep generator
-programs as :func:`repro.mpi.comm.run_spmd` but survives injected
-faults instead of aborting:
+:func:`run_spmd_resilient` advances every rank's generator program to
+its next collective, checks the ranks agree, combines the buffers and
+resumes them.  Under ``abort`` (what :func:`repro.mpi.comm.run_spmd`
+runs) the first injected fault propagates as its typed error; the other
+policies survive faults instead:
 
 * **retry** — a transiently failing collective is re-attempted in place
   with capped exponential backoff (the failed attempts are metered in
@@ -25,14 +28,15 @@ faults instead of aborting:
   an OOM kill) is dropped: every surviving generator is closed and
   restarted against the caller's shrunken world via the ``on_shrink``
   callback (``imm_dist`` uses it to re-deal the dead rank's sample
-  block and resume from its last checkpoint).  All transient failures
-  are retried under every recovery policy.
+  block and resume from its last checkpoint).  Transient failures are
+  retried under every policy but ``abort``.
 
 Policy × fault dispatch (anything unlisted propagates):
 
 ========== ==================== ==================== ==========
 policy     TransientCommError   RankFailedError      OOM kill
 ========== ==================== ==================== ==========
+abort      propagates           propagates           propagates
 retry      retried w/ backoff   propagates           propagates
 respawn    retried w/ backoff   replayed             propagates
 shrink     retried w/ backoff   world shrinks        world shrinks
@@ -66,7 +70,7 @@ from .faults import (
 
 __all__ = ["run_spmd_resilient", "RecoveryLog", "POLICIES"]
 
-POLICIES = ("retry", "respawn", "shrink")
+POLICIES = ("abort", "retry", "respawn", "shrink")
 
 
 @dataclass
@@ -139,8 +143,8 @@ def run_spmd_resilient(
     started: dict[int, bool] = {}
     inbox: dict[int, Any] = {}
     done: dict[int, bool] = {}
-    #: combined value of every completed collective in this incarnation —
-    #: the replay tape for respawn (reset on shrink: survivors restart).
+    #: combined value of every completed collective — the replay tape,
+    #: kept only under respawn (the one policy that reads it).
     history: list[Any] = []
 
     def _boot_world() -> None:
@@ -208,7 +212,6 @@ def run_spmd_resilient(
             raise exc
         if on_shrink is not None:
             on_shrink(tuple(rlog.dead_ranks), tuple(alive))
-        history.clear()
         _boot_world()
 
     _boot_world()
@@ -248,10 +251,12 @@ def run_spmd_resilient(
                 )
             participants = sorted(ops)
             proto = _validate_step([(r, ops[r]) for r in participants], num_ranks)
-            step = injector.step if injector is not None else len(history)
             attempt = 0
             while injector is not None and injector.transient_failure():
                 attempt += 1
+                step = injector.step
+                if policy == "abort":
+                    raise TransientCommError(step, attempt)
                 rlog.retries += 1
                 rlog.backoff_seconds += min(
                     backoff_cap, backoff_base * 2 ** (attempt - 1)
@@ -279,7 +284,8 @@ def run_spmd_resilient(
                     ]
                 combined = _combine(proto, buffers)
                 stats.record(type(proto).__name__.lower(), _nbytes(buffers[0]))
-            history.append(combined)
+            if policy == "respawn":
+                history.append(combined)
             for r in participants:
                 inbox[r] = combined
             if injector is not None:

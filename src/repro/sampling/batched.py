@@ -235,8 +235,7 @@ class BatchedRRRSampler:
         ``edges[i]`` its examined-edge count — both aligned with
         ``sample_indices``.
         """
-        if edge_flip not in ("stream", "hash"):
-            raise ValueError(f"unknown edge_flip mode {edge_flip!r}")
+        self.check_edge_flip(edge_flip)
         sample_indices = np.asarray(sample_indices, dtype=np.int64)
         if len(sample_indices) and int(sample_indices.min()) < 0:
             raise ValueError("sample indices must be non-negative")
@@ -245,9 +244,18 @@ class BatchedRRRSampler:
             return np.empty(0, dtype=np.int32), empty64, empty64.copy()
         if self.model is DiffusionModel.IC:
             return self._cohort_ic(sample_indices, seed, edge_flip == "hash")
-        if edge_flip == "hash":
-            raise ValueError("hash edge flips are only defined for the IC model")
         return self._cohort_lt(sample_indices, seed)
+
+    def check_edge_flip(self, edge_flip: str) -> None:
+        """Reject an edge-coin mode this sampler's model cannot draw.
+
+        Shared with the process-pool engine, which checks in the parent
+        before it plans a block.
+        """
+        if edge_flip not in ("stream", "hash"):
+            raise ValueError(f"unknown edge_flip mode {edge_flip!r}")
+        if edge_flip == "hash" and self.model is not DiffusionModel.IC:
+            raise ValueError("hash edge flips are only defined for the IC model")
 
     # -- scratch -------------------------------------------------------------
 

@@ -53,30 +53,37 @@ counter-addressed stream discipline of :mod:`repro.rng.streams`), and the
 parent lands blocks in index order — so the produced collection is
 **bit-identical** to the serial and batched engines for every worker
 count, chunk policy, and start method.  ``repro-imm validate`` enforces
-this, and four mutation hooks below exist so the mutation suite can prove
-the oracle would catch the characteristic failure modes:
+this.
 
-``_mutate_land_order="reversed"``
-    the parent lands blocks in reverse index order (a completion-order
-    landing bug's deterministic stand-in);
-``_mutate_stream_offset=True``
-    workers sample local ``[0, hi-lo)`` indices instead of the global
-    block (the classic lost-offset bug).  The mutation deliberately
-    leaves the protocol checksum computed from the *received* indices,
-    modeling a bug inside the sampling call itself — the engine's own
-    checksum handshake (:func:`repro.rng.streams.stream_checksum`)
-    already rejects disagreements at the protocol layer.
-``_mutate_arena_overlap=True``
-    workers write their payload 8 bytes past the assigned extent start
-    (the classic extent-stitching off-by-one): the parent's zero-copy
-    views then read bytes that belong to the shifted layout, so the
-    landed collection is corrupt — only the oracle's bitwise comparison
-    (or the landing-time invariants it hardens) can see it.
-``_mutate_fused_drop=True``
-    the worker producing the block that contains global sample index 0
-    skips accumulating it into its counter row but still reports the
-    block as fused — the fused merge silently under-counts and only the
-    oracle's ``engine.count-partitioned`` comparison can see it.
+One landing loop
+----------------
+:meth:`ParallelSamplingEngine.sample_into` is the only block-landing
+loop of :mod:`repro.sampling`.  It plans blocks behind a
+``2·workers+2`` window, submits them, waits on each block's candidates
+(the primary execution and at most one speculative copy), checks the
+batched stream checksum, lands the block through ``append_batch`` in
+index order, and refreshes the ``task_timeout`` watchdog.  At a few
+named private steps it calls methods whose versions here fail fast:
+
+``_open_run``
+    re-arm the fused counters and the arena; no sample is landed yet;
+``_injected_sleep``
+    seconds a block's worker stalls first (none);
+``_before_wait``
+    act before, and on every wake while, waiting on a block (nothing);
+``_speculate_at``
+    when to launch a speculative copy of a slow block (never);
+``_recover``
+    a broken pool or an expired watchdog: close and raise
+    :class:`WorkerCrashError`;
+``_land``
+    append a checksum-valid block to the collection, and nothing after.
+
+:class:`~repro.sampling.supervisor.SupervisedSamplingEngine` overrides
+these steps to heal instead of failing; it owns no loop of its own.
+Without a pool (``workers=1``) the parent samples each block itself,
+with the same block function the workers run.  The function a pool
+worker runs per block is the class attribute ``_block_task``.
 
 Cleanup discipline
 ------------------
@@ -105,12 +112,14 @@ import math
 import os
 import pickle
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
+from concurrent.futures import wait as _futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import get_context
 from multiprocessing import shared_memory as _shm
+from typing import Iterator
 
 import numpy as np
 
@@ -229,6 +238,13 @@ class EngineStats:
     #: recent ``sample_into`` call (equal when a static chunk is used).
     chunk_initial: int = 0
     chunk_final: int = 0
+    #: Executions the landing loop ran beyond one per block: lost blocks
+    #: re-run after a pool rebuild, speculative copies launched, and the
+    #: copies that landed first.  Only a supervisor rebuilds or
+    #: speculates, so the plain engine reads 0.
+    blocks_replayed: int = 0
+    speculative_launched: int = 0
+    speculative_wins: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -247,6 +263,9 @@ class EngineStats:
             "ipc_descriptor_bytes": self.ipc_descriptor_bytes,
             "chunk_initial": self.chunk_initial,
             "chunk_final": self.chunk_final,
+            "blocks_replayed": self.blocks_replayed,
+            "speculative_launched": self.speculative_launched,
+            "speculative_wins": self.speculative_wins,
         }
 
 
@@ -375,15 +394,28 @@ def _attach_arena(name: str) -> _shm.SharedMemory:
     return seg
 
 
+def _sample_block(
+    sampler: BatchedRRRSampler, indices: np.ndarray, seed: int, edge_flip: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample a non-empty block cohort by cohort: ``(flat, sizes, edges)``.
+
+    The block function of both sides: a pool worker runs it behind
+    :func:`_worker_block`, and a pool-less engine runs it in the parent.
+    """
+    step = sampler.max_cohort
+    cohorts = [
+        sampler.sample_cohort(indices[lo : lo + step], seed, edge_flip=edge_flip)
+        for lo in range(0, len(indices), step)
+    ]
+    flat, sizes, edges = (np.concatenate(parts) for parts in zip(*cohorts))
+    return flat, sizes, edges
+
+
 def _worker_block(
     indices: np.ndarray,
     seed: int,
     edge_flip: str,
     extent: tuple[str, int, int] | None,
-    mutate_offset: bool,
-    mutate_overlap: bool,
-    mutate_fused_drop: bool,
-    crash: bool,
     sleep_s: float = 0.0,
 ) -> tuple:
     """Sample one block of global indices into its arena extent.
@@ -394,34 +426,18 @@ def _worker_block(
     itself in ``inline`` when it did not (the parent then grows its
     sizing estimate).
     """
-    if crash:  # test/mutation hook: simulate a worker dying mid-block
-        os._exit(1)
     if sleep_s > 0.0:  # injected straggler: the worker stalls, then answers
         time.sleep(sleep_s)
     assert _WORKER is not None, "worker initializer did not run"
-    sampler: BatchedRRRSampler = _WORKER["sampler"]
     checksum = stream_checksum(seed, indices)
-    first_index = int(indices[0]) if len(indices) else -1
-    if mutate_offset:
-        indices = indices - indices[0]  # the injected lost-offset bug
     t0 = time.perf_counter()
-    flats: list[np.ndarray] = []
-    sizes: list[np.ndarray] = []
-    edges: list[np.ndarray] = []
-    for lo in range(0, len(indices), sampler.max_cohort):
-        v, s, e = sampler.sample_cohort(
-            indices[lo : lo + sampler.max_cohort], seed, edge_flip=edge_flip
-        )
-        flats.append(v)
-        sizes.append(s)
-        edges.append(e)
-    flat = np.concatenate(flats) if flats else np.empty(0, dtype=np.int32)
-    size_arr = np.concatenate(sizes) if sizes else np.empty(0, dtype=np.int64)
-    edge_arr = np.concatenate(edges) if edges else np.empty(0, dtype=np.int64)
+    flat, size_arr, edge_arr = _sample_block(
+        _WORKER["sampler"], indices, seed, edge_flip
+    )
     sample_s = time.perf_counter() - t0
     counter_row = _WORKER.get("counter_row")
     fused = counter_row is not None
-    if fused and not (mutate_fused_drop and first_index == 0):
+    if fused:
         counter_row += np.bincount(flat, minlength=len(counter_row))
     t1 = time.perf_counter()
     flat_len, ns = len(flat), len(size_arr)
@@ -429,7 +445,7 @@ def _worker_block(
     wrote = False
     if extent is not None and need <= extent[2]:
         seg = _attach_arena(extent[0])
-        off = extent[1] + (8 if mutate_overlap else 0)
+        off = extent[1]
         np.ndarray(flat_len, dtype=np.int32, buffer=seg.buf, offset=off)[:] = flat
         off_sz = off + _align8(flat_len * 4)
         np.ndarray(ns, dtype=np.int64, buffer=seg.buf, offset=off_sz)[:] = size_arr
@@ -457,6 +473,31 @@ def _worker_ping() -> int:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(eq=False)
+class _Block:
+    """One planned block of a ``sample_into`` call and its executions."""
+
+    indices: np.ndarray  # the block's global sample indices
+    lo: int  # position of its first sample within the call
+    expected: int  # the stream checksum its executions must answer with
+    primary: Future | None = None
+    spec: Future | None = None  # at most one speculative copy
+    started: float = 0.0  # when the loop began waiting on it
+
+    def candidates(self) -> list[Future]:
+        return [f for f in (self.primary, self.spec) if f is not None]
+
+
+def _usable(fut: Future | None) -> bool:
+    """A finished execution whose result survives (even a pool break)."""
+    return (
+        fut is not None
+        and fut.done()
+        and not fut.cancelled()
+        and fut.exception() is None
+    )
+
+
 class ParallelSamplingEngine:
     """Process-pool RRR sampling over a shared-memory CSR.
 
@@ -470,8 +511,8 @@ class ParallelSamplingEngine:
     graph, model:
         The input graph and diffusion model.
     workers:
-        Pool size.  ``workers=1`` degenerates to the in-process batched
-        sampler — no pool, no shared memory, no IPC.
+        Pool size.  ``workers=1`` runs without a pool: the parent samples
+        each block itself — no shared memory, no IPC.
     chunk_size:
         Samples per fan-out block.  ``None`` (the default) enables
         :class:`AdaptiveChunkPolicy` — probe blocks growing toward a
@@ -492,6 +533,14 @@ class ParallelSamplingEngine:
         force the growable-segment path.
     """
 
+    #: The function a pool worker runs per block.  Module-level, so every
+    #: start method pickles it by reference.
+    _block_task = staticmethod(_worker_block)
+    #: Overall run deadline (``time.monotonic()`` seconds) the landing
+    #: loop also wakes for, so :meth:`_before_wait` can act on it; the
+    #: plain engine has none.
+    _deadline_at: float | None = None
+
     def __init__(
         self,
         graph: CSRGraph,
@@ -503,12 +552,6 @@ class ParallelSamplingEngine:
         start_method: str | None = None,
         task_timeout: float | None = 300.0,
         arena_bytes: int | None = None,
-        _counter_rows: int | None = None,
-        _mutate_land_order: str | None = None,
-        _mutate_stream_offset: bool = False,
-        _mutate_arena_overlap: bool = False,
-        _mutate_fused_drop: bool = False,
-        _crash_block: int | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
@@ -521,11 +564,6 @@ class ParallelSamplingEngine:
         self.workers = workers
         self.chunk_size = chunk_size
         self.task_timeout = task_timeout
-        self._mutate_land_order = _mutate_land_order
-        self._mutate_stream_offset = _mutate_stream_offset
-        self._mutate_arena_overlap = _mutate_arena_overlap
-        self._mutate_fused_drop = _mutate_fused_drop
-        self._crash_block = _crash_block
         self._closed = False
         self._segments: list[_shm.SharedMemory] = []
         self._pool: ProcessPoolExecutor | None = None
@@ -583,8 +621,8 @@ class ParallelSamplingEngine:
                 "model": self.model.value,
                 "max_cohort": self._local.max_cohort,
             }
-            rows = _counter_rows if _counter_rows is not None else workers
-            if rows > 0 and rows * graph.n * 8 <= FUSED_COUNTER_MAX_BYTES:
+            rows = workers * self._pool_budget()
+            if rows * graph.n * 8 <= FUSED_COUNTER_MAX_BYTES:
                 seg = _shm.SharedMemory(create=True, size=max(1, rows * graph.n * 8))
                 self._segments.append(seg)
                 self._counter_matrix = np.ndarray(
@@ -700,6 +738,12 @@ class ParallelSamplingEngine:
             old.shutdown(wait=False, cancel_futures=True)
             self._retired_pools.append(old)
         self._pool = pool if pool is not None else self.spawn_pool()
+
+    def _pool_budget(self) -> int:
+        """Pools this engine may run in its lifetime.  Each pool's workers
+        claim fresh fused-counter rows, so the matrix holds a row for
+        every worker of each; the plain engine runs one pool."""
+        return 1
 
     # -- output arena (parent-assigned extents, no shared locks) -------------
 
@@ -840,49 +884,50 @@ class ParallelSamplingEngine:
         edge_flip: str = "stream",
         *,
         sleep_s: float = 0.0,
-        crash: bool = False,
     ) -> Future:
-        """Fan one block of global sample indices out to the pool.
+        """Start one non-empty block of global sample indices.
 
-        Low-level primitive used by the landing loops (and the
-        supervisor's speculative re-execution).  The block is assigned
-        an output-arena extent here; the returned future resolves to the
-        block *descriptor* — pass it to :meth:`_materialize` to obtain
-        the zero-copy ``(flat, sizes, edges)`` views plus checksum.
+        The primitive the landing loop submits through.  With a pool the
+        block is assigned an output-arena extent and fanned out to a
+        worker; the returned future resolves to the block *descriptor* —
+        pass it to :meth:`_materialize` to obtain the zero-copy
+        ``(flat, sizes, edges)`` views plus checksum.  Without a pool the
+        parent samples the block itself, now, with the block function
+        the workers run.  ``sleep_s`` stalls the execution first (an
+        injected straggler).
         """
         self._require_open()
-        if self._pool is None:
-            raise ParallelEngineError("single-worker engine has no pool")
         self.stats.tasks_submitted += 1
+        if self._pool is None:
+            fut: Future = Future()
+            if sleep_s > 0.0:
+                time.sleep(sleep_s)
+            t0 = time.perf_counter()
+            flat, sizes, edges = _sample_block(self._local, block, seed, edge_flip)
+            sample_s = time.perf_counter() - t0
+            fut.set_result((flat, sizes, edges, stream_checksum(seed, block), sample_s))
+            return fut
         extent = self._reserve_extent(len(block))
         wire = (
             None
             if extent is None
             else (self._arena[extent[0]]["seg"].name, extent[1], extent[2])
         )
-        fut = self._pool.submit(
-            _worker_block,
-            block,
-            seed,
-            edge_flip,
-            wire,
-            self._mutate_stream_offset,
-            self._mutate_arena_overlap,
-            self._mutate_fused_drop,
-            crash,
-            sleep_s,
-        )
+        fut = self._pool.submit(self._block_task, block, seed, edge_flip, wire, sleep_s)
         fut._arena_extent = extent
         self._inflight.add(fut)
         fut.add_done_callback(self._inflight.discard)
         return fut
 
-    def _materialize(self, fut: Future, timeout: float | None = None):
-        """Resolve a block future into ``(flat, sizes, edges, checksum,
-        sample_s)`` — zero-copy views over the block's arena extent, or
-        the inline payload on overflow (which also grows the sizing
-        estimate for future extents)."""
-        desc = fut.result(timeout=timeout)
+    def _materialize(self, fut: Future):
+        """Resolve a finished block future into ``(flat, sizes, edges,
+        checksum, sample_s)`` — zero-copy views over the block's arena
+        extent, or the inline payload on overflow (which also grows the
+        sizing estimate for future extents)."""
+        desc = fut.result()
+        if self._pool is None:  # the parent sampled it: no descriptor
+            self.stats.sample_seconds += desc[4]
+            return desc
         wrote, flat_len, ns, checksum, sample_s, write_s, fused, inline = desc
         st = self.stats
         st.ipc_descriptor_bytes += len(pickle.dumps(desc, protocol=-1))
@@ -921,7 +966,7 @@ class ParallelSamplingEngine:
         self._pool.submit(_worker_ping).result()
         return sorted(self._pool._processes.keys())
 
-    # -- sampling ------------------------------------------------------------
+    # -- sampling: the one landing loop ---------------------------------------
 
     def sample_into(
         self,
@@ -937,120 +982,223 @@ class ParallelSamplingEngine:
         Same contract as :meth:`BatchedRRRSampler.sample_into`; returns
         the per-sample examined-edge counts aligned with
         ``sample_indices``.  Blocks land in index order, so the
-        collection is bit-identical to the serial engines' output.
+        collection is bit-identical to the serial engines' output.  The
+        module docstring lists the steps a supervisor overrides.
         """
         self._require_open()
-        sample_indices = np.asarray(sample_indices, dtype=np.int64)
-        if self._pool is None or len(sample_indices) == 0:
-            return self._local.sample_into(
-                collection, sample_indices, seed, edge_flip=edge_flip
-            )
-        total = len(sample_indices)
-        self._maybe_reset_fused(collection, sample_indices)
-        self._maybe_reset_arena(total)
+        self._local.check_edge_flip(edge_flip)
+        indices = np.asarray(sample_indices, dtype=np.int64)
+        total = len(indices)
+        per_sample = np.empty(total, dtype=np.int64)
+        if total == 0:
+            return per_sample
+        pos = self._open_run(collection, indices, seed, per_sample)
+        if pos == total:
+            return per_sample
         # Batched checksum handshake: one vectorized pass derives every
         # block's expected checksum; the worker's answer rides back in
         # the block descriptor — no separate round trip.
-        seeds_arr = stream_seeds_array(seed, sample_indices)
+        seeds_arr = stream_seeds_array(seed, indices)
         chunk = chunk_size or self.chunk_size
         policy = (
-            None if chunk is not None else AdaptiveChunkPolicy(total, self.workers)
+            None
+            if chunk is not None
+            else AdaptiveChunkPolicy(total - pos, self.workers)
         )
-        self.stats.chunk_initial = chunk if chunk else policy.initial
-        eager = self._mutate_land_order == "reversed"
-        window = total if eager else 2 * self.workers + 2
-        blocks: list[tuple[int, int]] = []  # planned (start, stop) spans
-        expected: list[int] = []
-        futures: list[Future] = []
-        pos = 0
+        self.stats.chunk_initial = chunk if chunk is not None else policy.initial
+        spans = self._plan(pos, total, chunk, policy)
+        # Without a pool the parent samples a block as it submits it, so
+        # planning ahead would only hold payloads.
+        window = 2 * self.workers + 2 if self._pool is not None else 1
+        first = self.stats.blocks_landed  # global ordinal of blocks[0]
+        blocks: list[_Block] = []
+        planning = True
         next_land = 0
-        per_sample = np.empty(total, dtype=np.int64)
-
-        def plan_and_submit() -> None:
-            nonlocal pos
-            while pos < total and len(futures) - next_land < window:
-                size = chunk if chunk is not None else policy.next_size()
-                stop = min(total, pos + size)
-                block = sample_indices[pos:stop]
-                expected.append(fold_stream_seeds(seeds_arr[pos:stop]))
-                futures.append(
-                    self.submit_block(
-                        block, seed, edge_flip,
-                        crash=len(futures) == self._crash_block,
-                    )
-                )
-                blocks.append((pos, stop))
-                pos = stop
-                # the policy's settled size, not the clipped tail block
-                self.stats.chunk_final = size
-
+        replay = False  # the pool was rebuilt: re-run every lost execution
         # Per-submission deadline: the watchdog clock starts when the work
-        # is submitted and is refreshed only by *progress* (a block landing),
-        # so each wait sees the remaining budget — a hung block ``i`` can no
-        # longer consume ``i x task_timeout`` wall-clock by restarting the
-        # clock at every ``result()`` call.
-        deadline = (
-            time.monotonic() + self.task_timeout
-            if self.task_timeout is not None
-            else None
+        # is submitted and is refreshed only by *progress* (a block
+        # landing), so each wait sees the remaining budget — a hung block
+        # ``i`` cannot consume ``i x task_timeout`` wall-clock.
+        watchdog = (
+            None if self.task_timeout is None else time.monotonic() + self.task_timeout
         )
-
-        def land(bi: int) -> None:
-            nonlocal deadline
-            lo, hi = blocks[bi]
-            try:
-                remaining = (
-                    None if deadline is None else max(0.0, deadline - time.monotonic())
-                )
-                flat, sizes, edges, checksum, sample_s = self._materialize(
-                    futures[bi], timeout=remaining
-                )
-            except BrokenProcessPool as exc:
-                self.close()
-                raise WorkerCrashError(
-                    f"worker died while sampling block {bi} [{lo}, {hi}); "
-                    "shared memory unlinked"
-                ) from exc
-            except _FuturesTimeout as exc:
-                self.close()
-                raise WorkerCrashError(
-                    f"block {bi} exhausted the remaining task_timeout budget "
-                    f"(task_timeout={self.task_timeout}s since last progress); "
-                    "pool shut down, shared memory unlinked"
-                ) from exc
-            if checksum != expected[bi]:
-                self.close()
-                raise EngineProtocolError(
-                    f"block {bi} stream-checksum mismatch: the worker did not "
-                    "sample the global indices it was sent"
-                )
-            t0 = time.perf_counter()
-            collection.append_batch(flat, sizes, total=len(flat))
-            self.stats.landing_seconds += time.perf_counter() - t0
-            per_sample[lo : lo + len(edges)] = edges
-            self.stats.blocks_landed += 1
-            if policy is not None:
-                policy.observe(hi - lo, sample_s)
-            if deadline is not None:  # progress resets the watchdog
-                deadline = time.monotonic() + self.task_timeout
-
-        try:
-            if eager:
-                plan_and_submit()  # window == total: everything at once
-                for bi in reversed(range(len(futures))):
-                    land(bi)
+        while True:
+            while planning and len(blocks) - next_land < window:
+                span = next(spans, None)
+                if span is None:
+                    planning = False
+                else:
+                    lo, hi = span
+                    blocks.append(
+                        _Block(indices[lo:hi], lo, fold_stream_seeds(seeds_arr[lo:hi]))
+                    )
+            if next_land == len(blocks):
                 return per_sample
-            while pos < total or next_land < len(futures):
-                plan_and_submit()
-                land(next_land)
+            try:
+                for bi in range(next_land, len(blocks)):
+                    block = blocks[bi]
+                    lost = replay and block.primary is not None and not _usable(block.primary)
+                    if replay and not _usable(block.spec):
+                        block.spec = None
+                    if block.primary is None or lost:
+                        block.primary = self.submit_block(
+                            block.indices, seed, edge_flip,
+                            sleep_s=self._injected_sleep(first + bi),
+                        )
+                        self.stats.blocks_replayed += lost
+                replay = False
+            except BrokenProcessPool:
+                self._recover("worker pool broke during block submission")
+                replay = True
+                continue
+            bi = next_land
+            block = blocks[bi]
+            block.started = time.monotonic()
+            while True:
+                if self._before_wait(first + bi, len(collection)):
+                    replay = True  # the pool was rebuilt under this block
+                    break
+                now = time.monotonic()
+                spec_at = (
+                    self._speculate_at(block.started) if block.spec is None else None
+                )
+                if spec_at is not None and now >= spec_at:
+                    # Whichever copy loses still accumulated its samples
+                    # into a worker counter row — the fused books cannot
+                    # balance after a duplicate.
+                    self._invalidate_fused("speculative duplicate launched")
+                    try:
+                        block.spec = self.submit_block(block.indices, seed, edge_flip)
+                    except BrokenProcessPool:
+                        self._recover("speculative submission hit a broken pool")
+                        replay = True
+                        break
+                    self.stats.speculative_launched += 1
+                    continue
+                if watchdog is not None and now >= watchdog:
+                    self._recover(
+                        f"block {bi} exhausted the remaining task_timeout budget "
+                        f"(task_timeout={self.task_timeout}s since last progress); "
+                        "pool shut down"
+                    )
+                    watchdog = time.monotonic() + self.task_timeout
+                    replay = True
+                    break
+                wake = [t for t in (watchdog, spec_at, self._deadline_at) if t is not None]
+                done, _ = _futures_wait(
+                    block.candidates(),
+                    timeout=max(0.0, min(wake) - now) if wake else None,
+                    return_when=FIRST_COMPLETED,
+                )
+                if not done:
+                    continue  # one of the deadlines above came up
+                winner = next((f for f in done if _usable(f)), None)
+                if winner is None:
+                    exc = next(iter(done)).exception()
+                    if not isinstance(exc, (BrokenProcessPool, OSError)):
+                        self.close()
+                        raise ParallelEngineError(
+                            f"worker raised while sampling block {bi}"
+                        ) from exc
+                    hi = block.lo + len(block.indices)
+                    self._recover(f"worker died while sampling block {bi} [{block.lo}, {hi})")
+                    replay = True
+                    break
+                flat, sizes, edges, checksum, sample_s = self._materialize(winner)
+                if checksum != block.expected:
+                    # The first checksum-valid result wins: drop this
+                    # candidate and keep waiting on the other, if any.
+                    self._invalidate_fused("checksum-invalid candidate dropped")
+                    if winner is block.primary:
+                        block.primary = block.spec
+                    block.spec = None
+                    if block.primary is None:
+                        self.close()
+                        raise EngineProtocolError(
+                            f"block {bi} stream-checksum mismatch: the worker did "
+                            "not sample the global indices it was sent"
+                        )
+                    continue
+                if winner is block.spec:
+                    self.stats.speculative_wins += 1
+                self._land(collection, block, flat, sizes, edges)
+                per_sample[block.lo : block.lo + len(edges)] = edges
+                self.stats.blocks_landed += 1
+                if policy is not None:
+                    policy.observe(len(block.indices), sample_s)
+                if watchdog is not None:  # progress resets the watchdog
+                    watchdog = time.monotonic() + self.task_timeout
+                block.primary = block.spec = None
                 next_land += 1
-        except BrokenProcessPool as exc:  # raised at submission time
-            self.close()
-            raise WorkerCrashError(
-                "worker pool broke during block submission; "
-                "shared memory unlinked"
-            ) from exc
-        return per_sample
+                break
+
+    def _plan(
+        self, lo: int, hi: int, chunk: int | None, policy: AdaptiveChunkPolicy | None
+    ) -> Iterator[tuple[int, int]]:
+        """Block spans over call positions ``[lo, hi)``, in index order.
+
+        Lazy, so an adaptive ``policy`` sizes each block from every block
+        landed before it is planned; a static ``chunk`` plans fixed spans.
+        """
+        while lo < hi:
+            size = chunk if chunk is not None else policy.next_size()
+            # the policy's settled size, not the clipped tail block
+            self.stats.chunk_final = size
+            yield lo, min(hi, lo + size)
+            lo += size
+
+    # -- the loop's steps (a supervisor heals where these fail fast) ---------
+
+    def _open_run(
+        self,
+        collection: RRRCollection,
+        indices: np.ndarray,
+        seed: int,
+        per_sample: np.ndarray,
+    ) -> int:
+        """Prepare a call; return how many leading samples are landed.
+
+        The plain engine lands every sample itself: it re-arms the fused
+        counters and the arena, and returns 0.
+        """
+        self._maybe_reset_fused(collection, indices)
+        self._maybe_reset_arena(len(indices))
+        return 0
+
+    def _injected_sleep(self, ordinal: int) -> float:
+        """Seconds the execution of the block at global landing
+        ``ordinal`` stalls before sampling (none here)."""
+        return 0.0
+
+    def _before_wait(self, ordinal: int, landed_total: int) -> bool:
+        """Act before, and on every wake while, waiting on the block at
+        global ``ordinal``; True means the pool was rebuilt, so the loop
+        re-runs every lost execution.  The plain engine does nothing."""
+        return False
+
+    def _speculate_at(self, started: float) -> float | None:
+        """When (``time.monotonic()``) to launch a speculative copy of a
+        block waited on since ``started``; the plain engine never does."""
+        return None
+
+    def _recover(self, reason: str) -> None:
+        """A broken pool or an expired watchdog.  The plain engine cannot
+        heal: it closes, unlinking shared memory, and raises."""
+        self.close()
+        raise WorkerCrashError(f"{reason}; shared memory unlinked")
+
+    def _land(
+        self,
+        collection: RRRCollection,
+        block: _Block,
+        flat: np.ndarray,
+        sizes: np.ndarray,
+        edges: np.ndarray,
+    ) -> None:
+        """Append one checksum-valid block to the collection."""
+        t0 = time.perf_counter()
+        collection.append_batch(flat, sizes, total=len(flat))
+        self.stats.landing_seconds += time.perf_counter() - t0
 
     # -- selection counting kernel -------------------------------------------
 

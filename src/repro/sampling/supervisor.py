@@ -52,26 +52,27 @@ Real fault injection
     the worker.  Phase-addressed and collective-only events (transient,
     corrupt, oom) have no process-pool analog and are rejected.
 
-Three mutation hooks exist so the oracle's mutation suite can prove it
-would catch the characteristic supervisor bugs: ``_mutate_replay_overlap``
-(recovery re-lands the last already-landed block), ``_mutate_resume_skip``
-(resume drops the first sample past the cursor), and
-``_mutate_spec_order`` (a speculative win lands behind its successor
-block).
+The supervisor owns no landing loop: it runs inside the plain engine's
+one loop (:meth:`ParallelSamplingEngine.sample_into`) and overrides the
+steps that loop names — ``_open_run`` (the run deadline, the checkpoint
+sinks, the resumed prefix), ``_injected_sleep`` (a fault plan's
+straggler sleeps), ``_before_wait`` (spare replenishment, the run
+deadline, a fault plan's kills), ``_speculate_at`` (the straggler
+threshold), ``_recover`` (a rebuild within the crash budget, after
+which the loop re-runs every lost execution) and ``_land`` (the
+checkpoint spill and the block's service time).  Without a pool
+(``workers=1``) the same loop samples each block in the parent, so the
+deadline and the checkpoint still apply.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 import os
 import signal
 import statistics
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future
-from concurrent.futures import wait as _futures_wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,15 +80,13 @@ import numpy as np
 
 from ..diffusion import DiffusionModel
 from ..graph import CSRGraph
-from ..rng.streams import fold_stream_seeds, stream_seeds_array
 from .checkpoint import BlockCheckpointSink, CheckpointError
 from .collection import RRRCollection
 from .parallel_engine import (
-    AdaptiveChunkPolicy,
-    EngineProtocolError,
     EngineStats,
     ParallelEngineError,
     ParallelSamplingEngine,
+    _Block,
 )
 
 __all__ = [
@@ -143,10 +142,7 @@ class SupervisorStats(EngineStats):
     rebuilds: int = 0
     promotions: int = 0
     spares_spawned: int = 0
-    blocks_replayed: int = 0
     backoff_seconds: float = 0.0
-    speculative_launched: int = 0
-    speculative_wins: int = 0
     injected_crashes: int = 0
     injected_sleeps: int = 0
     resumed_samples: int = 0
@@ -161,10 +157,7 @@ class SupervisorStats(EngineStats):
             rebuilds=self.rebuilds,
             promotions=self.promotions,
             spares_spawned=self.spares_spawned,
-            blocks_replayed=self.blocks_replayed,
             backoff_seconds=self.backoff_seconds,
-            speculative_launched=self.speculative_launched,
-            speculative_wins=self.speculative_wins,
             injected_crashes=self.injected_crashes,
             injected_sleeps=self.injected_sleeps,
             resumed_samples=self.resumed_samples,
@@ -240,9 +233,6 @@ class SupervisedSamplingEngine(ParallelSamplingEngine):
         checkpoint_dir: str | Path | None = None,
         resume_from: str | Path | None = None,
         fault_plan: FaultPlan | str | None = None,
-        _mutate_replay_overlap: bool = False,
-        _mutate_resume_skip: bool = False,
-        _mutate_spec_order: bool = False,
     ) -> None:
         # close() can run from the parent constructor's error path before
         # these exist; seed them first.
@@ -253,6 +243,9 @@ class SupervisedSamplingEngine(ParallelSamplingEngine):
             raise ValueError("spares must be >= 0")
         if crash_budget < 0:
             raise ValueError("crash_budget must be >= 0")
+        # The parent constructor sizes the fused counters by _pool_budget().
+        self.spares = spares
+        self.crash_budget = crash_budget
         super().__init__(
             graph,
             model,
@@ -262,16 +255,8 @@ class SupervisedSamplingEngine(ParallelSamplingEngine):
             start_method=start_method,
             task_timeout=task_timeout,
             arena_bytes=arena_bytes,
-            # Every pool this engine may ever run — the initial one, the
-            # pre-spawned spares, cold rebuilds and replenished spares up
-            # to the crash budget — claims fresh counter rows through the
-            # shared slot cursor; size the matrix so no healthy lifetime
-            # runs out of rows (running out just means unfused blocks).
-            _counter_rows=workers * (2 + spares + 2 * crash_budget),
         )
         self.stats = SupervisorStats()
-        self.spares = spares
-        self.crash_budget = crash_budget
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.deadline = deadline
@@ -279,14 +264,10 @@ class SupervisedSamplingEngine(ParallelSamplingEngine):
         self.straggler_floor = straggler_floor
         self.straggler_min_history = straggler_min_history
         self.straggler_sleep = straggler_sleep
-        self._mutate_replay_overlap = _mutate_replay_overlap
-        self._mutate_resume_skip = _mutate_resume_skip
-        self._mutate_spec_order = _mutate_spec_order
         self._deadline_at = (
             time.monotonic() + deadline if deadline is not None else None
         )
         self._service_times: deque[float] = deque(maxlen=63)
-        self._fault_clock = 0  # global ordinal of the next block to land
         self._need_spare = 0
         self._checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self._resume_dir = Path(resume_from) if resume_from else None
@@ -348,7 +329,8 @@ class SupervisedSamplingEngine(ParallelSamplingEngine):
                     "MPI runtime; the pool supports crash/switch/straggler"
                 )
 
-    def _sleep_for_block(self, ordinal: int) -> float:
+    def _injected_sleep(self, ordinal: int) -> float:
+        """A straggler event's sleep, on the block's first execution only."""
         factor = self._sleep_factors.get(ordinal)
         if factor is None or ordinal in self._slept_blocks:
             return 0.0
@@ -483,400 +465,121 @@ class SupervisedSamplingEngine(ParallelSamplingEngine):
         if self._deadline_at is not None and time.monotonic() >= self._deadline_at:
             self._degrade(landed_total)
 
-    # -- sampling ------------------------------------------------------------
-
-    def sample_into(
-        self,
-        collection: RRRCollection,
-        sample_indices: np.ndarray,
-        seed: int,
-        *,
-        edge_flip: str = "stream",
-        chunk_size: int | None = None,
-    ) -> np.ndarray:
-        """Supervised version of the engine's ordered block landing.
-
-        Same contract and bit-identical output; additionally survives
-        worker deaths (replay), overstaying blocks (speculation), and
-        process kills (checkpoint/resume), and honors the run deadline.
-        """
-        self._require_open()
-        sample_indices = np.asarray(sample_indices, dtype=np.int64)
-        per_sample = np.empty(len(sample_indices), dtype=np.int64)
-        if len(sample_indices) == 0:
-            return per_sample
-        self._check_deadline(len(collection))
-        self._ensure_sinks(seed)
-        self._maybe_reset_fused(collection, sample_indices)
-        self._maybe_reset_arena(len(sample_indices))
-        # -- resume: satisfy the certified prefix from the spill ------------
-        pos = 0
-        first = int(sample_indices[0])
-        src = self._resume
-        if src is not None and src.landed > first:
-            hi = min(src.landed, first + len(sample_indices))
-            flat, sizes, edges = src.load_range(first, hi)
-            collection.append_batch(flat, sizes)
-            # The prefix never passed through a worker: account it in the
-            # parent-side fused row so the books can still balance.
-            self._note_parent_landing(np.asarray(flat))
-            pos = hi - first
-            per_sample[:pos] = edges
-            self.stats.resumed_samples += pos
-            if self._sink is not None and self._sink is not src:
-                self._sink.append_block(sample_indices[:pos], flat, sizes, edges)
-                self._refresh_checkpoint_stats()
-        remaining = sample_indices[pos:]
-        if self._mutate_resume_skip and pos > 0 and len(remaining) > 0:
-            per_sample[pos] = 0  # the injected cursor-skip bug
-            pos += 1
-            remaining = remaining[1:]
-        if len(remaining) == 0:
-            return per_sample
-        if self._pool is None:
-            return self._sample_serial(
-                collection, remaining, seed, edge_flip, per_sample, pos
-            )
-        return self._sample_pool(
-            collection, remaining, seed, edge_flip, per_sample, pos, chunk_size
-        )
-
     def _refresh_checkpoint_stats(self) -> None:
         if self._sink is not None:
             self.stats.checkpoint_bytes = self._sink.bytes_written
             self.stats.checkpoint_seconds = self._sink.write_seconds
 
-    def _chunk(self, count: int, chunk_size: int | None) -> int:
-        chunk = chunk_size or self.chunk_size
-        if chunk is None:
-            chunk = max(
-                self._local.max_cohort, math.ceil(count / (4 * self.workers))
-            )
-        return chunk
-
-    # -- serial (workers=1) path: deadline + checkpoint still apply ----------
-
-    def _sample_block_local(
-        self, block: np.ndarray, seed: int, edge_flip: str
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        flats, sizes, edges = [], [], []
-        for lo in range(0, len(block), self._local.max_cohort):
-            v, s, e = self._local.sample_cohort(
-                block[lo : lo + self._local.max_cohort], seed, edge_flip=edge_flip
-            )
-            flats.append(v)
-            sizes.append(s)
-            edges.append(e)
-        return (
-            np.concatenate(flats) if flats else np.empty(0, dtype=np.int32),
-            np.concatenate(sizes) if sizes else np.empty(0, dtype=np.int64),
-            np.concatenate(edges) if edges else np.empty(0, dtype=np.int64),
-        )
-
-    def _sample_serial(
-        self,
-        collection: RRRCollection,
-        indices: np.ndarray,
-        seed: int,
-        edge_flip: str,
-        per_sample: np.ndarray,
-        pos: int,
-    ) -> np.ndarray:
-        chunk = self._chunk(len(indices), None)
-        for lo in range(0, len(indices), chunk):
-            self._check_deadline(len(collection))
-            block = indices[lo : lo + chunk]
-            flat, sizes, edges = self._sample_block_local(block, seed, edge_flip)
-            collection.append_batch(flat, sizes)
-            per_sample[pos : pos + len(edges)] = edges
-            pos += len(edges)
-            if self._sink is not None:
-                self._sink.append_block(block, flat, sizes, edges)
-                self._refresh_checkpoint_stats()
-            self.stats.blocks_landed += 1
-            self._fault_clock += 1
-        return per_sample
-
-    # -- supervised pool path ------------------------------------------------
-
-    def _sample_pool(
-        self,
-        collection: RRRCollection,
-        indices: np.ndarray,
-        seed: int,
-        edge_flip: str,
-        per_sample: np.ndarray,
-        pos: int,
-        chunk_size: int | None,
-    ) -> np.ndarray:
-        total = len(indices)
-        chunk = chunk_size or self.chunk_size
-        policy = (
-            None if chunk is not None else AdaptiveChunkPolicy(total, self.workers)
-        )
-        self.stats.chunk_initial = chunk if chunk is not None else policy.initial
-        # Batched checksum handshake: every block's expected checksum is a
-        # fold over one vectorized stream-seed pass; the worker's answer
-        # rides back in its descriptor.
-        seeds_arr = stream_seeds_array(seed, indices)
-        base = self._fault_clock  # global ordinal of blocks[0]
-        window = 2 * self.workers + 2  # planned-but-unlanded block bound
-        blocks: list[np.ndarray] = []
-        expected: list[int] = []
-        primary: list[Future | None] = []
-        spec: list[Future | None] = []
-        planned = 0  # samples planned into blocks so far
-        next_land = 0
-        landed_before = False  # any block landed this call (for replay stats)
-        last_landed: tuple | None = None  # _mutate_replay_overlap stash
-        task_deadline = (
-            time.monotonic() + self.task_timeout
-            if self.task_timeout is not None
-            else None
-        )
-
-        def plan_more() -> None:
-            """Lazily extend the block plan behind the submission window.
-
-            With an adaptive policy the next block's size reflects every
-            block landed so far; a static chunk plans the same spans the
-            eager version did.  Planning is append-only, so replay and
-            fault addressing by block ordinal stay stable.
-            """
-            nonlocal planned
-            while planned < total and len(blocks) - next_land < window:
-                size = chunk if chunk is not None else policy.next_size()
-                stop = min(total, planned + size)
-                blocks.append(indices[planned:stop])
-                expected.append(fold_stream_seeds(seeds_arr[planned:stop]))
-                primary.append(None)
-                spec.append(None)
-                # the policy's settled size, not the clipped tail block
-                self.stats.chunk_final = size
-                planned = stop
-
-        def usable(fut: Future | None) -> bool:
-            return fut is not None and fut.done() and fut.exception() is None
-
-        def submit(bi: int, *, clean: bool = False) -> Future:
-            sleep_s = 0.0 if clean else self._sleep_for_block(base + bi)
-            return self.submit_block(
-                blocks[bi], seed, edge_flip, sleep_s=sleep_s
-            )
-
-        def submit_new() -> None:
-            """Submit planned blocks that have no primary execution yet."""
-            for bi in range(next_land, len(blocks)):
-                if primary[bi] is None:
-                    primary[bi] = submit(bi)
-
-        def resubmit_lost() -> None:
-            """(Re)submit every un-landed block whose result is gone.
-
-            Completed futures survive a pool break with their results —
-            those blocks are not re-run; everything else is replayed
-            deterministically into *fresh* arena extents (same indices,
-            same streams, same bytes).
-            """
-            for bi in range(next_land, len(blocks)):
-                if not usable(primary[bi]):
-                    was_lost = primary[bi] is not None
-                    primary[bi] = submit(bi)
-                    if was_lost or landed_before or self.stats.rebuilds > 0:
-                        self.stats.blocks_replayed += 1
-                if spec[bi] is not None and not usable(spec[bi]):
-                    spec[bi] = None
-
-        def recover(reason: str) -> None:
-            nonlocal last_landed
-            self.stats.crashes_observed += 1
-            _log.warning(
-                "supervised pool failure (%s): crash %d against budget %d",
-                reason,
-                self.stats.crashes_observed,
-                self.crash_budget,
-            )
-            if self.stats.crashes_observed > self.crash_budget:
-                self._exhausted(reason)
-            delay = min(self.backoff_cap, self.backoff_base * (2**self.stats.rebuilds))
-            if delay > 0:
-                time.sleep(delay)
-                self.stats.backoff_seconds += delay
-            promoted = None
-            if self._spares:
-                promoted = self._spares.popleft()
-                self.stats.promotions += 1
-            self.rebuild_pool(promoted)
-            self.stats.rebuilds += 1
-            self._need_spare += 1
-            if self._mutate_replay_overlap and last_landed is not None:
-                # the injected replay-overlap bug: recovery re-lands the
-                # block that already landed before the crash
-                collection.append_batch(*last_landed)
-
-        def replenish_spares() -> None:
-            while self._need_spare > 0:
-                self._need_spare -= 1
-                try:
-                    self._spares.append(self.spawn_pool(warm=True))
-                    self.stats.spares_spawned += 1
-                except Exception as exc:  # pragma: no cover - fork pressure
-                    _log.warning("could not replenish spare pool: %s", exc)
-                    break
-
-        need_submit = True
-        while next_land < len(blocks) or planned < total:
-            plan_more()
+    def _replenish_spares(self) -> None:
+        while self._need_spare > 0:
+            self._need_spare -= 1
             try:
-                if need_submit:
-                    resubmit_lost()
-                    replenish_spares()
-                    need_submit = False
-                else:
-                    submit_new()
-            except BrokenProcessPool:
-                recover("submission hit a broken pool")
-                need_submit = True
-                continue
-            bi = next_land
-            if self._fire_due_kills(base + bi):
-                self._await_pool_break()
-                recover("injected worker kill broke the pool")
-                need_submit = True
-                continue
-            wait_start = time.monotonic()
-            while True:
-                cands = [f for f in (primary[bi], spec[bi]) if f is not None]
-                now = time.monotonic()
-                waits = []
-                if self._deadline_at is not None:
-                    waits.append(self._deadline_at - now)
-                if task_deadline is not None:
-                    waits.append(task_deadline - now)
-                spec_at = None
-                if (
-                    spec[bi] is None
-                    and self.straggler_factor is not None
-                    and len(self._service_times) >= self.straggler_min_history
-                ):
-                    threshold = max(
-                        self.straggler_floor,
-                        self.straggler_factor
-                        * statistics.median(self._service_times),
-                    )
-                    spec_at = wait_start + threshold
-                    waits.append(spec_at - now)
-                timeout = max(0.0, min(waits)) if waits else None
-                done, _ = _futures_wait(
-                    cands, timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                if not done:
-                    now = time.monotonic()
-                    if self._deadline_at is not None and now >= self._deadline_at:
-                        self._degrade(len(collection))
-                    if spec_at is not None and now >= spec_at and spec[bi] is None:
-                        # Whichever copy loses still accumulated its
-                        # samples into a worker counter row — the fused
-                        # books cannot balance after a duplicate.
-                        self._invalidate_fused("speculative duplicate launched")
-                        try:
-                            spec[bi] = submit(bi, clean=True)
-                        except BrokenProcessPool:
-                            recover("speculative submission hit a broken pool")
-                            need_submit = True
-                            break
-                        self.stats.speculative_launched += 1
-                        continue
-                    if task_deadline is not None and now >= task_deadline:
-                        recover(
-                            f"no progress for {self.task_timeout}s (pool wedged)"
-                        )
-                        task_deadline = time.monotonic() + self.task_timeout
-                        need_submit = True
-                        break
-                    continue  # woke before any of our own deadlines
-                # Prefer a cleanly completed candidate; a checksum check
-                # below decides whether it may land.
-                winner = next((f for f in done if f.exception() is None), None)
-                if winner is None:
-                    exc = next(iter(done)).exception()
-                    if isinstance(exc, BrokenProcessPool) or isinstance(
-                        exc, OSError
-                    ):
-                        recover(f"worker died mid-block ({type(exc).__name__})")
-                        need_submit = True
-                        break
-                    self.close()
-                    raise ParallelEngineError(
-                        f"worker raised while sampling block {bi}"
-                    ) from exc
-                flat, sizes, edges, checksum, sample_s = self._materialize(winner)
-                spec_won = winner is spec[bi]
-                if checksum != expected[bi]:
-                    # first *checksum-valid* result wins: drop this
-                    # candidate and keep waiting on the other, if any
-                    self._invalidate_fused("checksum-invalid candidate dropped")
-                    if spec_won:
-                        spec[bi] = None
-                    else:
-                        primary[bi], spec[bi] = spec[bi], None
-                    if primary[bi] is None:
-                        self.close()
-                        raise EngineProtocolError(
-                            f"block {bi} stream-checksum mismatch from every "
-                            "candidate: workers did not sample the indices sent"
-                        )
-                    continue
-                if spec_won:
-                    self.stats.speculative_wins += 1
-                if (
-                    self._mutate_spec_order
-                    and spec[bi] is not None  # a speculative copy raced
-                    and bi + 1 < len(blocks)
-                    and self._sink is None
-                    and usable(primary[bi + 1])
-                ):
-                    # the injected race bug: the speculative win lands
-                    # *behind* its successor block
-                    flat2, sizes2, edges2, _, _ = self._materialize(
-                        primary[bi + 1]
-                    )
-                    collection.append_batch(flat2, sizes2)
-                    collection.append_batch(flat, sizes)
-                    per_sample[pos : pos + len(edges)] = edges
-                    pos += len(edges)
-                    per_sample[pos : pos + len(edges2)] = edges2
-                    pos += len(edges2)
-                    primary[bi] = spec[bi] = None
-                    primary[bi + 1] = spec[bi + 1] = None
-                    self.stats.blocks_landed += 2
-                    self._fault_clock += 2
-                    next_land = bi + 2
-                    break
-                t0 = time.perf_counter()
-                collection.append_batch(flat, sizes, total=len(flat))
-                self.stats.landing_seconds += time.perf_counter() - t0
-                per_sample[pos : pos + len(edges)] = edges
-                pos += len(edges)
-                if self._sink is not None:
-                    self._sink.append_block(blocks[bi], flat, sizes, edges)
-                    self._refresh_checkpoint_stats()
-                if self._mutate_replay_overlap:
-                    # arena extents are recycled between calls: stash a
-                    # private copy, not the zero-copy landing views
-                    last_landed = (flat.copy(), sizes.copy())
-                if policy is not None:
-                    policy.observe(len(blocks[bi]), sample_s)
-                self._service_times.append(time.monotonic() - wait_start)
-                self.stats.blocks_landed += 1
-                self._fault_clock += 1
-                landed_before = True
-                primary[bi] = spec[bi] = None
-                next_land = bi + 1
-                if task_deadline is not None:  # progress resets the watchdog
-                    task_deadline = time.monotonic() + self.task_timeout
+                self._spares.append(self.spawn_pool(warm=True))
+                self.stats.spares_spawned += 1
+            except Exception as exc:  # pragma: no cover - fork pressure
+                _log.warning("could not replenish spare pool: %s", exc)
                 break
-        return per_sample
+
+    # -- the landing loop's steps --------------------------------------------
+
+    def _pool_budget(self) -> int:
+        # The initial pool, the pre-spawned spares, and per crash the
+        # budget allows a cold rebuild plus a replenished spare, with one
+        # pool of slack: no healthy lifetime runs out of counter rows
+        # (running out just means unfused blocks).
+        return 2 + self.spares + 2 * self.crash_budget
+
+    def _open_run(
+        self,
+        collection: RRRCollection,
+        indices: np.ndarray,
+        seed: int,
+        per_sample: np.ndarray,
+    ) -> int:
+        """Honour the deadline, open the sinks, then satisfy the certified
+        prefix from the resume spill; return its length."""
+        self._check_deadline(len(collection))
+        self._ensure_sinks(seed)
+        super()._open_run(collection, indices, seed, per_sample)
+        first = int(indices[0])
+        src = self._resume
+        if src is None or src.landed <= first:
+            return 0
+        hi = min(src.landed, first + len(indices))
+        flat, sizes, edges = src.load_range(first, hi)
+        collection.append_batch(flat, sizes)
+        # The prefix never passed through a worker: account it in the
+        # parent-side fused row so the books can still balance.
+        self._note_parent_landing(np.asarray(flat))
+        pos = hi - first
+        per_sample[:pos] = edges
+        self.stats.resumed_samples += pos
+        if self._sink is not None and self._sink is not src:
+            self._sink.append_block(indices[:pos], flat, sizes, edges)
+            self._refresh_checkpoint_stats()
+        return pos
+
+    def _before_wait(self, ordinal: int, landed_total: int) -> bool:
+        """Replenish spares, honour the run deadline, and fire the fault
+        plan's kills due at ``ordinal`` (then rebuild the broken pool)."""
+        self._replenish_spares()
+        self._check_deadline(landed_total)
+        if not self._fire_due_kills(ordinal):
+            return False
+        self._await_pool_break()
+        self._recover("injected worker kill broke the pool")
+        return True
+
+    def _speculate_at(self, started: float) -> float | None:
+        """Speculate once a block overstays ``straggler_factor`` x the
+        running median service time (never below ``straggler_floor``)."""
+        if (
+            self.straggler_factor is None
+            or len(self._service_times) < self.straggler_min_history
+        ):
+            return None
+        median = statistics.median(self._service_times)
+        return started + max(self.straggler_floor, self.straggler_factor * median)
+
+    def _recover(self, reason: str) -> None:
+        """Rebuild the pool within the crash budget: back off, promote a
+        spare (or spawn cold), and leave the replay to the loop."""
+        self.stats.crashes_observed += 1
+        _log.warning(
+            "supervised pool failure (%s): crash %d against budget %d",
+            reason,
+            self.stats.crashes_observed,
+            self.crash_budget,
+        )
+        if self.stats.crashes_observed > self.crash_budget:
+            self._exhausted(reason)
+        delay = min(self.backoff_cap, self.backoff_base * (2**self.stats.rebuilds))
+        if delay > 0:
+            time.sleep(delay)
+            self.stats.backoff_seconds += delay
+        promoted = None
+        if self._spares:
+            promoted = self._spares.popleft()
+            self.stats.promotions += 1
+        self.rebuild_pool(promoted)
+        self.stats.rebuilds += 1
+        self._need_spare += 1
+
+    def _land(
+        self,
+        collection: RRRCollection,
+        block: _Block,
+        flat: np.ndarray,
+        sizes: np.ndarray,
+        edges: np.ndarray,
+    ) -> None:
+        """Land, spill the block to the checkpoint sink, and record how
+        long it was waited on (the straggler median's history)."""
+        super()._land(collection, block, flat, sizes, edges)
+        if self._sink is not None:
+            self._sink.append_block(block.indices, flat, sizes, edges)
+            self._refresh_checkpoint_stats()
+        self._service_times.append(time.monotonic() - block.started)
 
 
 def build_sampling_engine(

@@ -28,11 +28,11 @@ rather than as silently wrong bytes, and the oracle must treat both
 the same way.
 
 The checker accepts a pre-built engine (``engine=``) so the mutation
-suite can hand it a deliberately broken one (``_mutate_land_order`` /
-``_mutate_stream_offset`` / ``_mutate_arena_overlap`` /
-``_mutate_fused_drop``) and demand these checks light up — proving the
-oracle would catch a real landing-order, stream-offset, extent-overlap,
-or fused-undercount bug, not just asserting the healthy path.
+suite can hand it one with a deliberately broken seam — its block
+planner, or the pool task its workers run — and demand these checks
+light up, proving the oracle would catch a real landing-order,
+stream-offset, extent-overlap, or fused-undercount bug, not just
+asserting the healthy path.
 """
 
 from __future__ import annotations

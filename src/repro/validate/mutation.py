@@ -45,9 +45,13 @@ identity memo by path only  ``frontend.republish-fresh``
 The corruption is applied *behind* the append-time validation (directly
 to the flat buffers, or to a sampler's acceptance thresholds), modeling
 bugs that slip in after construction — the only kind the runtime
-invariants exist to catch.  The serving mutants patch a small private
-seam of a serving class (:func:`_patched`) for the length of their run,
-so the shipping constructors carry no mutation flags.
+invariants exist to catch.  The serving, engine and supervisor mutants
+patch a small private seam of their class (:func:`_patched`) for the
+length of their run, so the shipping code carries no mutation flags.
+The three worker-side engine mutants swap in a module-level pool task
+as ``ParallelSamplingEngine._block_task``: a worker receives the task by
+reference, while a patch made in the parent would never reach a spawned
+worker.
 """
 
 from __future__ import annotations
@@ -61,10 +65,12 @@ from ..datasets import load
 from ..imm.select import FlatView, drive, greedy_cover, select_seeds
 from ..mpi import imm_dist, rebuild_partition
 from ..mpi.comm import Allreduce
+from ..rng.streams import stream_checksum
 from ..sampling import (
     BatchedRRRSampler,
     HypergraphRRRCollection,
     SortedRRRCollection,
+    parallel_engine,
     sample_batch,
 )
 from ..sampling.parallel_engine import ParallelSamplingEngine
@@ -115,8 +121,12 @@ def _violated(report, check_name: str) -> tuple[bool, str]:
 
 @contextmanager
 def _patched(owner, name: str, value):
-    """``owner.name`` replaced by ``value`` for the length of the block."""
-    real = getattr(owner, name)
+    """``owner.name`` replaced by ``value`` for the length of the block.
+
+    The seam must be ``owner``'s own attribute; it is restored raw, so a
+    ``staticmethod`` stays one.
+    """
+    real = vars(owner)[name]
     setattr(owner, name, value)
     try:
         yield
@@ -426,29 +436,79 @@ def _mutant_double_count(seed: int) -> MutantResult:
     )
 
 
-def _mutant_engine_landing(seed: int) -> MutantResult:
-    """Parent lands worker blocks in the wrong order.
-
-    Models a completion-order landing bug (appending blocks as futures
-    finish instead of in global index order).  Every block's *contents*
-    are correct, so only the bitwise comparison of the assembled
-    collection can see the permutation.
-    """
+def _engine_mutant(seed: int, name: str, value, check_name: str):
+    """Run the engine oracle axis on a pool engine with its private seam
+    ``name`` patched; return ``(detected, evidence)`` for ``check_name``."""
     graph = load(_MUTATION_DATASET, "IC")
-    with ParallelSamplingEngine(
-        graph, "IC", workers=2, chunk_size=37, _mutate_land_order="reversed"
+    with _patched(ParallelSamplingEngine, name, value), ParallelSamplingEngine(
+        graph, "IC", workers=2, chunk_size=37
     ) as eng:
         report = check_engine_sampling(
             graph, "IC", _MUTATION_THETA, seed, "mutant",
             chunk_sizes=(37,), engine=eng,
         )
-    detected, evidence = _violated(report, "engine.collection-bitwise")
+    return _violated(report, check_name)
+
+
+def _mutant_engine_landing(seed: int) -> MutantResult:
+    """Parent lands worker blocks in the wrong order.
+
+    Models a completion-order landing bug (appending blocks as futures
+    finish instead of in global index order): the blocks are planned,
+    so submitted and landed, last first.  Every block's *contents* are
+    correct, so only the bitwise comparison of the assembled collection
+    can see the permutation.
+    """
+    plan = ParallelSamplingEngine._plan
+
+    def reversed_plan(self, *args):
+        return reversed(list(plan(self, *args)))
+
+    detected, evidence = _engine_mutant(
+        seed, "_plan", reversed_plan, "engine.collection-bitwise"
+    )
     return MutantResult(
         "worker-reorders-cohort-landing",
         "pool parent appends sample blocks in reverse index order",
         detected,
         evidence,
     )
+
+
+# The three worker-side faults below are pool tasks: module-level, so a
+# worker pickles them by reference (a patch made in the parent never
+# reaches a spawned worker), swapped in as ``_block_task``.
+
+
+def _offset_task(indices, seed, edge_flip, extent, sleep_s=0.0):
+    """Samples block-local ``[0, hi-lo)`` but answers the checksum of the
+    global indices it was sent."""
+    desc = parallel_engine._worker_block(
+        indices - indices[0], seed, edge_flip, extent, sleep_s
+    )
+    return desc[:3] + (stream_checksum(seed, indices),) + desc[4:]
+
+
+def _overlap_task(indices, seed, edge_flip, extent, sleep_s=0.0):
+    """Writes its payload 8 bytes past the start of its arena extent."""
+    if extent is not None:
+        extent = (extent[0], extent[1] + 8, extent[2])
+    return parallel_engine._worker_block(indices, seed, edge_flip, extent, sleep_s)
+
+
+def _fused_drop_task(indices, seed, edge_flip, extent, sleep_s=0.0):
+    """Skips accumulating the block holding sample 0 into its counter
+    row, yet reports the block as fused."""
+    state = parallel_engine._WORKER
+    row = state["counter_row"]
+    if row is None or indices[0] != 0:
+        return parallel_engine._worker_block(indices, seed, edge_flip, extent, sleep_s)
+    state["counter_row"] = None
+    try:
+        desc = parallel_engine._worker_block(indices, seed, edge_flip, extent, sleep_s)
+    finally:
+        state["counter_row"] = row
+    return desc[:6] + (True,) + desc[7:]
 
 
 def _mutant_engine_offset(seed: int) -> MutantResult:
@@ -461,15 +521,9 @@ def _mutant_engine_offset(seed: int) -> MutantResult:
     handshake — so the oracle's bitwise comparison is the detector
     under test.
     """
-    graph = load(_MUTATION_DATASET, "IC")
-    with ParallelSamplingEngine(
-        graph, "IC", workers=2, chunk_size=37, _mutate_stream_offset=True
-    ) as eng:
-        report = check_engine_sampling(
-            graph, "IC", _MUTATION_THETA, seed, "mutant",
-            chunk_sizes=(37,), engine=eng,
-        )
-    detected, evidence = _violated(report, "engine.collection-bitwise")
+    detected, evidence = _engine_mutant(
+        seed, "_block_task", staticmethod(_offset_task), "engine.collection-bitwise"
+    )
     return MutantResult(
         "worker-uses-wrong-stream-offset",
         "pool worker samples local [0, hi-lo) instead of global [lo, hi)",
@@ -490,15 +544,9 @@ def _mutant_arena_overlap(seed: int) -> MutantResult:
     the hardened oracle reports both as ``engine.collection-bitwise``
     violations.
     """
-    graph = load(_MUTATION_DATASET, "IC")
-    with ParallelSamplingEngine(
-        graph, "IC", workers=2, chunk_size=37, _mutate_arena_overlap=True
-    ) as eng:
-        report = check_engine_sampling(
-            graph, "IC", _MUTATION_THETA, seed, "mutant",
-            chunk_sizes=(37,), engine=eng,
-        )
-    detected, evidence = _violated(report, "engine.collection-bitwise")
+    detected, evidence = _engine_mutant(
+        seed, "_block_task", staticmethod(_overlap_task), "engine.collection-bitwise"
+    )
     return MutantResult(
         "worker-writes-overlapping-arena-extent",
         "pool worker writes its block payload 8 bytes past its extent start",
@@ -516,15 +564,9 @@ def _mutant_fused_drop(seed: int) -> MutantResult:
     merge of ``count_partitioned`` under-counts, so the oracle's
     ``engine.count-partitioned`` comparison is the detector under test.
     """
-    graph = load(_MUTATION_DATASET, "IC")
-    with ParallelSamplingEngine(
-        graph, "IC", workers=2, chunk_size=37, _mutate_fused_drop=True
-    ) as eng:
-        report = check_engine_sampling(
-            graph, "IC", _MUTATION_THETA, seed, "mutant",
-            chunk_sizes=(37,), engine=eng,
-        )
-    detected, evidence = _violated(report, "engine.count-partitioned")
+    detected, evidence = _engine_mutant(
+        seed, "_block_task", staticmethod(_fused_drop_task), "engine.count-partitioned"
+    )
     return MutantResult(
         "fused-counter-drops-block",
         "worker reports a block as fused-counted without accumulating it",
@@ -541,10 +583,19 @@ def _mutant_replay_overlap(seed: int) -> MutantResult:
     appends is individually valid — only the bitwise comparison of the
     assembled collection (now one block too long) can see it.
     """
+    land = SupervisedSamplingEngine._land
+    last: list = []  # (rebuilds when it landed, private copy of the block)
+
+    def relanding(self, collection, block, flat, sizes, edges):
+        if last and last[0] < self.stats.rebuilds:
+            collection.append_batch(*last[1])  # lands again after the rebuild
+        land(self, collection, block, flat, sizes, edges)
+        # arena extents are recycled between calls: copy, not the views
+        last[:] = [self.stats.rebuilds, (flat.copy(), sizes.copy())]
+
     graph = load(_MUTATION_DATASET, "IC")
-    with SupervisedSamplingEngine(
-        graph, "IC", workers=2, chunk_size=37, backoff_base=0.0,
-        fault_plan="crash:0@2", _mutate_replay_overlap=True,
+    with _patched(SupervisedSamplingEngine, "_land", relanding), SupervisedSamplingEngine(
+        graph, "IC", workers=2, chunk_size=37, backoff_base=0.0, fault_plan="crash:0@2"
     ) as eng:
         report = check_supervised_sampling(
             graph, "IC", _MUTATION_THETA, seed, "mutant", engine=eng
@@ -569,6 +620,15 @@ def _mutant_resume_skip(seed: int) -> MutantResult:
     import os
     import tempfile
 
+    open_run = SupervisedSamplingEngine._open_run
+
+    def skipping(self, collection, indices, seed, per_sample):
+        pos = open_run(self, collection, indices, seed, per_sample)
+        if 0 < pos < len(indices):
+            per_sample[pos] = 0  # the first sample past the prefix is dropped
+            return pos + 1
+        return pos
+
     graph = load(_MUTATION_DATASET, "IC")
     with tempfile.TemporaryDirectory(prefix="repro-mutant-ck-") as td:
         ckdir = os.path.join(td, "run")
@@ -579,9 +639,8 @@ def _mutant_resume_skip(seed: int) -> MutantResult:
             eng.sample_into(
                 partial, np.arange(_MUTATION_THETA // 2, dtype=np.int64), seed
             )
-        with SupervisedSamplingEngine(
-            graph, "IC", workers=2, chunk_size=37, resume_from=ckdir,
-            _mutate_resume_skip=True,
+        with _patched(SupervisedSamplingEngine, "_open_run", skipping), SupervisedSamplingEngine(
+            graph, "IC", workers=2, chunk_size=37, resume_from=ckdir
         ) as eng:
             report = check_supervised_sampling(
                 graph, "IC", _MUTATION_THETA, seed, "mutant", engine=eng
@@ -603,12 +662,22 @@ def _mutant_spec_order(seed: int) -> MutantResult:
     them in completion order instead of index order.  Both blocks'
     bytes are correct, so only the bitwise comparison sees the swap.
     """
+    land = SupervisedSamplingEngine._land
+    held: list = []  # a raced block waiting for its successor
+
+    def completion_order(self, collection, block, flat, sizes, edges):
+        if not held and block.spec is not None:  # a speculative copy raced it
+            held.append((block, flat.copy(), sizes.copy(), edges.copy()))
+            return
+        land(self, collection, block, flat, sizes, edges)
+        while held:
+            land(self, collection, *held.pop())
+
     graph = load(_MUTATION_DATASET, "IC")
-    with SupervisedSamplingEngine(
+    with _patched(SupervisedSamplingEngine, "_land", completion_order), SupervisedSamplingEngine(
         graph, "IC", workers=2, chunk_size=37, backoff_base=0.0,
         fault_plan="straggler:2x4", straggler_sleep=0.15,
         straggler_floor=0.02, straggler_factor=2.0, straggler_min_history=2,
-        _mutate_spec_order=True,
     ) as eng:
         report = check_supervised_sampling(
             graph, "IC", _MUTATION_THETA, seed, "mutant", engine=eng

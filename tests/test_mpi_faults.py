@@ -6,6 +6,7 @@ import pytest
 from repro.mpi import (
     Allreduce,
     Barrier,
+    CommStats,
     CorruptReduce,
     FaultPlan,
     OOMKill,
@@ -161,9 +162,13 @@ class TestRunSpmdWithFaults:
             run_spmd(3, self._program, faults=FaultPlan.parse("oom:2@0"))
 
     def test_transient_aborts_plain_runtime(self):
-        # run_spmd has no retry loop: the first transient failure kills it.
-        with pytest.raises(TransientCommError):
-            run_spmd(3, self._program, faults=FaultPlan.parse("transient:@1"))
+        # run_spmd has no retry loop: the first transient failure kills it,
+        # at its step and first attempt, with no retry traffic metered.
+        stats = CommStats()
+        with pytest.raises(TransientCommError) as exc:
+            run_spmd(3, self._program, stats=stats, faults=FaultPlan.parse("transient:@1x2"))
+        assert (exc.value.step, exc.value.attempts) == (1, 1)
+        assert "retry" not in stats.label_totals()
 
     def test_corruption_changes_the_result(self):
         clean, _ = run_spmd(3, self._program)

@@ -41,7 +41,7 @@ class TestPolicyValidation:
 class TestFaultFree:
     def test_matches_plain_runtime(self):
         base, base_stats = run_spmd(4, _program)
-        for policy in ("retry", "respawn", "shrink"):
+        for policy in ("abort", "retry", "respawn", "shrink"):
             results, stats, rlog = run_spmd_resilient(4, _program, policy=policy)
             assert results == base
             assert stats.calls == base_stats.calls

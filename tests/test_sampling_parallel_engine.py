@@ -19,6 +19,7 @@ hung suite.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 
@@ -39,9 +40,27 @@ from repro.sampling.parallel_engine import (
     DESCRIPTOR_BYTE_BUDGET,
     PARALLEL_COUNT_THRESHOLD,
     AdaptiveChunkPolicy,
+    _worker_block,
 )
+from repro.sampling.supervisor import SupervisedSamplingEngine
 
 THETA = 400
+
+
+def _dies_on_block_1(indices, seed, edge_flip, extent, sleep_s=0.0):
+    """Pool task whose worker dies mid-block on block 1 of a
+    ``chunk_size=50`` run (the block starting at sample 50)."""
+    if indices[0] == 50:
+        os._exit(1)
+    return _worker_block(indices, seed, edge_flip, extent, sleep_s)
+
+
+@pytest.fixture
+def crash_block_1(monkeypatch):
+    """Swap the crashing task in as the engine's pool task."""
+    monkeypatch.setattr(
+        ParallelSamplingEngine, "_block_task", staticmethod(_dies_on_block_1)
+    )
 
 
 def _reference(graph, model, theta, seed):
@@ -231,12 +250,11 @@ class TestOutputArena:
             with pytest.raises(FileNotFoundError):
                 _shm.SharedMemory(name=name)
 
-    def test_arena_unlinked_on_worker_crash(self, ba_graph):
+    def test_arena_unlinked_on_worker_crash(self, ba_graph, crash_block_1):
         """The crash path must unlink every arena segment, including
         growth segments allocated mid-run (4 KiB start forces them)."""
         eng = ParallelSamplingEngine(
-            ba_graph, "IC", workers=2, chunk_size=50,
-            arena_bytes=4096, _crash_block=1,
+            ba_graph, "IC", workers=2, chunk_size=50, arena_bytes=4096
         )
         names: list[str] = []
         orig = eng._new_arena_segment
@@ -285,11 +303,9 @@ class TestOutputArena:
 
 @pytest.mark.parallel
 class TestFailureModes:
-    def test_worker_crash_raises_typed_error_and_unlinks(self, ba_graph):
+    def test_worker_crash_raises_typed_error_and_unlinks(self, ba_graph, crash_block_1):
         """A worker dying mid-block must not hang or leak segments."""
-        eng = ParallelSamplingEngine(
-            ba_graph, "IC", workers=2, chunk_size=50, _crash_block=1
-        )
+        eng = ParallelSamplingEngine(ba_graph, "IC", workers=2, chunk_size=50)
         seg_names = [seg.name for seg in eng._segments]
         assert seg_names  # the pool mode really did share memory
         coll = SortedRRRCollection(ba_graph.n)
@@ -299,6 +315,27 @@ class TestFailureModes:
         for name in seg_names:  # unlinked: attaching must fail
             with pytest.raises(FileNotFoundError):
                 _shm.SharedMemory(name=name)
+
+    @pytest.mark.parametrize(
+        "engine_cls", [ParallelSamplingEngine, SupervisedSamplingEngine]
+    )
+    def test_bad_edge_flip_refused_before_any_block(self, ba_graph_lt, engine_cls):
+        """An edge-coin mode the model cannot draw is refused in the
+        parent: no block is submitted and the engine keeps sampling."""
+        ref = _reference(ba_graph_lt, "LT", 120, seed=2)
+        with engine_cls(ba_graph_lt, "LT", workers=2, chunk_size=31) as eng:
+            for bad in ("bogus", "hash"):
+                with pytest.raises(ValueError):
+                    eng.sample_into(
+                        SortedRRRCollection(ba_graph_lt.n),
+                        np.arange(120, dtype=np.int64),
+                        2,
+                        edge_flip=bad,
+                    )
+                assert eng.stats.tasks_submitted == 0
+            got = _drive(eng, ba_graph_lt, 120, seed=2)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
 
     def test_close_is_idempotent_and_fences(self, ba_graph):
         eng = ParallelSamplingEngine(ba_graph, "IC", workers=2)

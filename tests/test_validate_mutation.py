@@ -4,11 +4,13 @@ Every deliberately injected fault must be *killed* — a surviving mutant
 means the oracle would wave through the corresponding real bug.
 """
 
+import importlib
 from pathlib import Path
 
 import pytest
 
-import repro.serving
+from repro.sampling import ParallelSamplingEngine
+from repro.sampling.supervisor import SupervisedSamplingEngine
 from repro.serving import ClusterRouter, IndexCache, InfluenceQueryEngine, ServingFrontend
 from repro.validate import SMOKE_MUTANTS, MutantResult, run_mutation_suite
 
@@ -47,7 +49,7 @@ EXPECTED_MUTANTS = {
 }
 
 
-#: The private serving seams the mutants patch for the length of a run.
+#: The private seams the mutants patch for the length of a run.
 SEAMS = (
     (ServingFrontend, "_degrade"),
     (ServingFrontend, "_breaker_allows"),
@@ -55,21 +57,31 @@ SEAMS = (
     (ClusterRouter, "_write"),
     (InfluenceQueryEngine, "__init__"),
     (IndexCache, "_lookup"),
+    (ParallelSamplingEngine, "_plan"),
+    (ParallelSamplingEngine, "_block_task"),
+    (SupervisedSamplingEngine, "_land"),
+    (SupervisedSamplingEngine, "_open_run"),
 )
 
 
 class TestMutationSuite:
     def test_every_mutant_is_killed(self):
-        before = [getattr(owner, name) for owner, name in SEAMS]
+        before = [vars(owner)[name] for owner, name in SEAMS]
         results = run_mutation_suite(seed=1)
         survivors = [r.name for r in results if not r.detected]
         assert survivors == [], f"oracle blind spots: {survivors}"
-        # Every patched seam is back to the shipping code afterwards.
-        assert [getattr(owner, name) for owner, name in SEAMS] == before
+        # Every patched seam is back to the shipping code afterwards (the
+        # raw class attribute: a staticmethod must come back as one).
+        assert [vars(owner)[name] for owner, name in SEAMS] == before
 
-    def test_serving_ships_no_mutation_hooks(self):
-        package = Path(repro.serving.__file__).parent
-        hooked = [p.name for p in package.glob("*.py") if "_mutate_" in p.read_text()]
+    @pytest.mark.parametrize("package", ["repro.serving", "repro.sampling"])
+    def test_ships_no_mutation_hooks(self, package):
+        root = Path(importlib.import_module(package).__file__).parent
+        hooked = [
+            p.name
+            for p in root.glob("*.py")
+            if any(hook in p.read_text() for hook in ("_mutate_", "_crash_block", "_counter_rows"))
+        ]
         assert hooked == []
 
     def test_all_fault_classes_covered(self):
