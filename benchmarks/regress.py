@@ -111,6 +111,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -614,6 +615,32 @@ def computed_pairs(reps: int) -> list[tuple[int, float]]:
     return [(k, eps + COMPUTED_EPS_STEP * (i + 1)) for i in range(reps)]
 
 
+async def paired_reps(base, layered, reps: int) -> tuple[list[float], list[float], bool]:
+    """Interleaved timings of ``base`` (a call or a coroutine) and then
+    ``layered`` on each fresh :func:`computed_pairs` pair: both time
+    lists, and whether every layered answer's seeds equal its base's."""
+    base_s, layered_s, same = [], [], True
+    for pair in computed_pairs(reps):
+        t0 = time.perf_counter()
+        want = base(*pair)
+        if inspect.isawaitable(want):
+            want = await want
+        base_s.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        got = await layered(*pair)
+        layered_s.append(time.perf_counter() - t0)
+        same &= bool(np.array_equal(got.seeds, want.seeds))
+    return base_s, layered_s, same
+
+
+def paired_tax(base_s: list[float], layered_s: list[float]) -> tuple[float, float, float]:
+    """``(base, layered, tax)``: the base's min, that plus the median
+    paired difference (floored at zero), and the median over the min."""
+    t_base = min(base_s)
+    med_diff = float(np.median([lay - b for b, lay in zip(base_s, layered_s)]))
+    return t_base, t_base + max(med_diff, 0.0), med_diff / t_base
+
+
 def bench_serving() -> dict:
     """Freeze-once/query-forever amortization on one registry workload.
 
@@ -787,15 +814,11 @@ def bench_frontend() -> dict:
         async def _zero_fault():
             async with ServingFrontend(concurrency=1) as fe:
                 await fe.top_k(out_dir)  # warm-up: open + thread pool
-                direct, times, same = [], [], True
-                for pair in computed_pairs(FRONTEND_REPS):
-                    t0 = time.perf_counter()
-                    want = engine.top_k(*pair)
-                    direct.append(time.perf_counter() - t0)
-                    t0 = time.perf_counter()
-                    got = await fe.top_k(out_dir, *pair)
-                    times.append(time.perf_counter() - t0)
-                    same &= bool(np.array_equal(got.seeds, want.seeds))
+                direct, times, same = await paired_reps(
+                    engine.top_k,
+                    lambda *pair: fe.top_k(out_dir, *pair),
+                    FRONTEND_REPS,
+                )
                 res = await fe.top_k(out_dir)
                 return direct, times, res, same
 
@@ -842,11 +865,7 @@ def bench_frontend() -> dict:
         lats = asyncio.run(_latency_batch())
         shed, untyped, identical, peak = asyncio.run(_burst())
 
-    t_direct = min(direct_times)
-    med_diff = float(
-        np.median([f - d for d, f in zip(direct_times, front_times)])
-    )
-    t_front = t_direct + max(med_diff, 0.0)
+    t_direct, t_front, tax = paired_tax(direct_times, front_times)
     return {
         "dataset": name,
         "model": model,
@@ -855,7 +874,7 @@ def bench_frontend() -> dict:
         "seed": seed,
         "direct_query_s": round(t_direct, 4),
         "frontend_query_s": round(t_front, 4),
-        "overhead": round(med_diff / t_direct, 4),
+        "overhead": round(tax, 4),
         "tolerance": FRONTEND_OVERHEAD_TOLERANCE,
         "zero_fault_bit_identical": bool(
             np.array_equal(front_res.seeds, ref.seeds)
@@ -967,15 +986,11 @@ def bench_cluster() -> dict:
             ) as cr:
                 await fe.top_k(out_dir)  # warm-up: open + thread pool
                 await cr.top_k(out_dir)
-                single, routed, same = [], [], True
-                for pair in computed_pairs(CLUSTER_REPS):
-                    t0 = time.perf_counter()
-                    want = await fe.top_k(out_dir, *pair)
-                    single.append(time.perf_counter() - t0)
-                    t0 = time.perf_counter()
-                    got = await cr.top_k(out_dir, *pair)
-                    routed.append(time.perf_counter() - t0)
-                    same &= bool(np.array_equal(got.seeds, want.seeds))
+                single, routed, same = await paired_reps(
+                    lambda *pair: fe.top_k(out_dir, *pair),
+                    lambda *pair: cr.top_k(out_dir, *pair),
+                    CLUSTER_REPS,
+                )
                 res = await cr.top_k(out_dir)
                 return single, routed, res, same
 
@@ -1031,11 +1046,7 @@ def bench_cluster() -> dict:
         hedges, hedge_wins, hedged_identical = asyncio.run(_hedge(primary))
         routed_repeat = asyncio.run(_routed_repeat())
 
-    t_single = min(single_times)
-    med_diff = float(
-        np.median([r - s for s, r in zip(single_times, routed_times)])
-    )
-    t_routed = t_single + max(med_diff, 0.0)
+    t_single, t_routed, tax = paired_tax(single_times, routed_times)
     return {
         "dataset": name,
         "model": model,
@@ -1045,7 +1056,7 @@ def bench_cluster() -> dict:
         "replicas": CLUSTER_REPLICAS,
         "single_query_s": round(t_single, 4),
         "router_query_s": round(t_routed, 4),
-        "overhead": round(med_diff / t_single, 4),
+        "overhead": round(tax, 4),
         "tolerance": CLUSTER_OVERHEAD_TOLERANCE,
         "zero_fault_bit_identical": bool(
             np.array_equal(routed_res.seeds, ref.seeds)

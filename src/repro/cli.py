@@ -129,8 +129,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 machine=_MACHINES[args.machine],
                 seed=args.seed,
                 theta_cap=args.theta_cap,
-                real_parallel=args.workers > 1,
-                workers=args.workers if args.workers > 1 else None,
+                workers=args.workers,
             )
         return imm_dist(
             graph,
@@ -156,9 +155,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         b = result.breakdown
         for phase, seconds in b.as_dict().items():
             print(f"  {phase:13s} {seconds:.4f}s")
-    if result.extra.get("workers", 0) > 1 or result.extra.get("engine_workers", 0) > 1:
-        w = result.extra.get("engine_workers") or result.extra["workers"]
-        print(f"  (sampling + counting executed on a {w}-worker process pool)")
+    if result.extra.get("workers", 0) > 1:
+        print(
+            f"  (sampling + counting executed on a {result.extra['workers']}"
+            "-worker process pool)"
+        )
     eng = result.extra.get("engine")
     if eng and eng.get("blocks_landed"):
         print(

@@ -25,16 +25,9 @@ from __future__ import annotations
 
 from ..diffusion import DiffusionModel
 from ..graph import CSRGraph
-from ..perf.counters import WorkCounters
-from ..perf.timers import PhaseTimer
-from ..sampling import (
-    BatchedRRRSampler,
-    SortedRRRCollection,
-    sample_batch,
-)
+from ..sampling import SortedRRRCollection
+from .imm import _Algorithm1
 from .result import IMMResult
-from .select import select_seeds
-from .theta import check_theta_cap, estimate_theta
 
 __all__ = ["imm_sweep"]
 
@@ -87,119 +80,25 @@ def imm_sweep(
     Raises
     ------
     ValueError
-        On an empty sweep, any invalid k or a ``theta_cap`` below 1.
+        On an empty sweep, any invalid k, a ``theta_cap`` below 1, or
+        ``supervisor_opts`` without ``supervise=True``.
     """
     if not ks:
         raise ValueError("need at least one k")
     for k in ks:
         if not 1 <= k <= graph.n:
             raise ValueError(f"need 1 <= k <= n, got k={k}, n={graph.n}")
-    if workers < 1:
-        raise ValueError("need at least one worker")
-    check_theta_cap(theta_cap)
-    model = DiffusionModel.parse(model)
-    collection = SortedRRRCollection(graph.n)
-    engine = None
-    if workers > 1 or supervise:
-        from ..sampling.supervisor import build_sampling_engine
-
-        engine = build_sampling_engine(
-            graph,
-            model,
-            workers=workers,
-            start_method=start_method,
-            supervise=supervise,
-            supervisor_opts=supervisor_opts,
-        )
-        sampler = engine
-    else:
-        sampler = BatchedRRRSampler(graph, model)
-
-    try:
-        results = _sweep_loop(
-            graph, ks, eps, model, seed, l,
-            theta_cap=theta_cap,
-            collection=collection,
-            sampler=sampler,
-            engine=engine,
-            workers=workers,
-        )
-    finally:
-        if engine is not None:
-            engine.close()
-    return [results[k] for k in ks]
-
-
-def _sweep_loop(
-    graph: CSRGraph,
-    ks: list[int],
-    eps: float,
-    model: DiffusionModel,
-    seed: int,
-    l: float,
-    *,
-    theta_cap: int | None,
-    collection: SortedRRRCollection,
-    sampler,
-    engine,
-    workers: int,
-) -> dict[int, IMMResult]:
     results: dict[int, IMMResult] = {}
-    for k in sorted(set(ks)):
-        timer = PhaseTimer()
-        counters = WorkCounters()
-        reused = len(collection)
-        with timer.phase("EstimateTheta"):
-            est = estimate_theta(
-                graph,
-                k,
-                eps,
-                model,
-                seed,
-                l,
-                collection=collection,
-                sampler=sampler,
-                counters=counters,
-                theta_cap=theta_cap,
-            )
-        with timer.phase("Sample"):
-            batch = sample_batch(
-                graph, model, collection, est.theta, seed, sampler=sampler
-            )
-            counters.edges_examined += batch.edges_examined
-            counters.samples_generated += batch.count
-        with timer.phase("SelectSeeds"):
-            sel = select_seeds(collection, graph.n, k, count_engine=engine)
-            counters.entries_scanned += sel.entries_scanned
-            counters.counter_updates += sel.counter_updates
-        results[k] = IMMResult(
-            seeds=sel.seeds,
-            k=k,
-            epsilon=eps,
-            model=model.value,
-            layout="sorted",
-            theta=est.theta,
-            num_samples=len(collection),
-            coverage=sel.coverage_fraction(len(collection)),
-            lb=est.lb,
-            breakdown=timer.breakdown(),
-            counters=counters,
-            memory_bytes=collection.nbytes_model(),
-            simulated=False,
-            ranks=1,
-            extra={
-                "n": graph.n,
-                "estimation_rounds": est.rounds,
-                "samples_reused": reused,
-                "theta_capped": theta_cap is not None and est.theta >= theta_cap,
-                "workers": workers,
-                # Cumulative across the sweep: the engine (and its output
-                # arena + fused counters) is shared by every ε point.
-                **(
-                    {"engine": engine.stats.as_dict()}
-                    if engine is not None
-                    else {}
-                ),
-            },
-        )
-    return results
+    with _Algorithm1(
+        graph, model, seed, l, SortedRRRCollection(graph.n),
+        theta_cap=theta_cap,
+        workers=workers,
+        start_method=start_method,
+        supervise=supervise,
+        supervisor_opts=supervisor_opts,
+    ) as alg:
+        for k in sorted(set(ks)):
+            reused = len(alg.collection)
+            alg.solve(k, eps)
+            results[k] = alg.result(k, eps, samples_reused=reused)
+    return [results[k] for k in ks]

@@ -210,10 +210,6 @@ def estimate_theta(
     theta_cap: int | None = None,
     trace: list | None = None,
     num_ranks: int = 1,
-    workers: int = 1,
-    start_method: str | None = None,
-    supervise: bool = False,
-    supervisor_opts: dict | None = None,
 ) -> ThetaEstimate:
     """Estimate θ and return it with the samples drawn along the way.
 
@@ -237,7 +233,9 @@ def estimate_theta(
         :class:`~repro.sampling.batched.BatchedRRRSampler` or a
         :class:`~repro.sampling.parallel_engine.ParallelSamplingEngine`).
         Defaults to a fresh batched sampler — both produce bit-identical
-        collections.
+        collections.  A supervised engine whose deadline expires raises
+        :class:`~repro.sampling.supervisor.DeadlineExceededError` with
+        the landed prefix intact in ``collection``.
     counters:
         Optional work ledger to update.
     theta_cap:
@@ -253,27 +251,6 @@ def estimate_theta(
         Vertex-interval rank count forwarded to the selection kernel so
         the per-rank work meters in the trace reflect the intended
         parallel decomposition.  Does not affect the selected seeds.
-    workers, start_method:
-        ``workers > 1`` runs the estimation's sampling (and the counting
-        pass of its per-round selections) on a
-        :class:`~repro.sampling.parallel_engine.ParallelSamplingEngine`
-        process pool — bit-identical output, real cores.  Results land
-        through the engine's zero-copy shared-memory output arena with
-        adaptive chunk sizing; the doubling rounds start at global
-        sample index 0 on an empty collection, which is exactly the
-        epoch the engine's fused in-worker counters re-arm on.  Ignored
-        when a ``sampler`` is passed explicitly (the caller owns the
-        engine choice then); an internally created engine is closed
-        before returning.
-    supervise, supervisor_opts:
-        ``supervise=True`` makes the internally created engine a
-        self-healing
-        :class:`~repro.sampling.supervisor.SupervisedSamplingEngine`
-        (any worker count, crash replay, optional deadline /
-        checkpointing via ``supervisor_opts``).  A supervised deadline
-        expiry raises
-        :class:`~repro.sampling.supervisor.DeadlineExceededError` with
-        the landed prefix intact in ``collection``.
 
     Raises
     ------
@@ -287,22 +264,8 @@ def estimate_theta(
     model = DiffusionModel.parse(model)
     if collection is None:
         collection = SortedRRRCollection(n)
-    owned_engine = None
     if sampler is None:
-        if workers > 1 or supervise:
-            from ..sampling.supervisor import build_sampling_engine
-
-            owned_engine = build_sampling_engine(
-                graph,
-                model,
-                workers=workers,
-                start_method=start_method,
-                supervise=supervise,
-                supervisor_opts=supervisor_opts,
-            )
-            sampler = owned_engine
-        else:
-            sampler = BatchedRRRSampler(graph, model)
+        sampler = BatchedRRRSampler(graph, model)
     count_engine = sampler if isinstance(sampler, ParallelSamplingEngine) else None
 
     def cover(theta_x: int) -> float:
@@ -322,13 +285,9 @@ def estimate_theta(
             trace.append(("select", sel))
         return sel.covered_samples / max(len(collection), 1)
 
-    try:
-        theta, lb, history = drive(
-            doubling_search(n, k, eps, l, theta_cap=theta_cap), cover
-        )
-    finally:
-        if owned_engine is not None:
-            owned_engine.close()
+    theta, lb, history = drive(
+        doubling_search(n, k, eps, l, theta_cap=theta_cap), cover
+    )
     return ThetaEstimate(
         theta=theta,
         lb=lb,

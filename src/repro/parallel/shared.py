@@ -7,15 +7,15 @@ thread count) and charges *modeled* phase time from the per-rank work
 meters through a :class:`~repro.parallel.cost.CostModel`.  See the
 package docstring and DESIGN.md for why this substitution is faithful.
 
-``real_parallel=True`` replaces the sequential execution with the
+``workers > 1`` runs sampling and the selection counting pass on the
 shared-memory process-pool engine
-(:class:`~repro.sampling.parallel_engine.ParallelSamplingEngine`):
-sampling and the selection counting pass actually run on ``workers``
-cores, and the result carries the **measured** wall-clock breakdown next
-to the cost model's prediction for the same run (both are reported; the
-modeled figures remain what the paper's plots are reproduced from).  The
-seeds, θ and all work meters are unchanged either way — that is the
-engine's bit-identical contract, enforced by ``repro-imm validate``.
+(:class:`~repro.sampling.parallel_engine.ParallelSamplingEngine`), as
+``imm(..., workers=w)`` does: the result's measured wall-clock
+breakdown is then genuinely parallel, reported next to the cost model's
+prediction for the same run (the modeled figures remain what the
+paper's plots are reproduced from).  The seeds, θ and all work meters
+are unchanged either way — that is the engine's bit-identical contract,
+enforced by ``repro-imm validate``.
 
 What the model reproduces from the paper:
 
@@ -28,19 +28,14 @@ What the model reproduces from the paper:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..diffusion import DiffusionModel
 from ..graph import CSRGraph
+from ..imm.imm import _Algorithm1
 from ..imm.result import IMMResult
-from ..imm.select import select_seeds
-from ..imm.theta import check_theta_cap, estimate_theta
-from ..perf.counters import WorkCounters
 from ..perf.timers import PhaseTimer, side_by_side
-from ..sampling import (
-    BatchedRRRSampler,
-    ParallelSamplingEngine,
-    SortedRRRCollection,
-    sample_batch,
-)
+from ..sampling import SortedRRRCollection
 from .cost import CostModel
 from .machine import PUMA, MachineSpec
 
@@ -58,39 +53,29 @@ def imm_mt(
     l: float = 1.0,
     *,
     theta_cap: int | None = None,
-    real_parallel: bool = False,
-    workers: int | None = None,
+    workers: int = 1,
     start_method: str | None = None,
 ) -> IMMResult:
     """Run the multithreaded IMM and return modeled-time results.
 
     Parameters
     ----------
-    graph, k, eps, model, seed, l, theta_cap:
-        As in :func:`repro.imm.imm`.
+    graph, k, eps, model, seed, l, theta_cap, workers, start_method:
+        As in :func:`repro.imm.imm`.  The modeled breakdown (and every
+        meter the model consumes) does not depend on ``workers``; only
+        ``extra["measured_breakdown"]`` does.
     num_threads:
         OpenMP thread count being modeled (the paper sweeps 2–20 on one
         Puma node).  Must not exceed ``machine.threads_per_node``.
     machine:
         Hardware model supplying the cost constants.
-    real_parallel:
-        Execute sampling and the selection counting pass on a real
-        process pool instead of sequential kernels.  The modeled
-        breakdown (and every meter the model consumes) is unchanged —
-        the engine is bit-identical — but ``extra["measured_breakdown"]``
-        then reports genuinely parallel wall-clock, and
-        ``extra["time_report"]`` renders the two side by side.
-    workers:
-        Pool size for ``real_parallel`` (defaults to ``num_threads``).
-    start_method:
-        Worker start method for ``real_parallel``
-        (``fork``/``spawn``/``forkserver``; ``None`` = platform default).
 
     Returns
     -------
     :class:`IMMResult` with ``simulated=True``; ``breakdown`` holds
     modeled seconds, ``extra["measured_breakdown"]`` the real wall-clock
-    of this reproduction run for reference.
+    of this reproduction run for reference, and ``extra["time_report"]``
+    renders the two side by side.
 
     Raises
     ------
@@ -105,106 +90,40 @@ def imm_mt(
             f"{machine.name} offers {machine.threads_per_node} threads per node,"
             f" requested {num_threads}"
         )
-    check_theta_cap(theta_cap)
-    model = DiffusionModel.parse(model)
-    collection = SortedRRRCollection(graph.n)
-    engine = None
-    if real_parallel:
-        engine = ParallelSamplingEngine(
-            graph,
-            model,
-            workers=workers if workers is not None else num_threads,
-            start_method=start_method,
-        )
-        sampler = engine
-    elif workers is not None:
-        raise ValueError("workers is only meaningful with real_parallel=True")
-    else:
-        sampler = BatchedRRRSampler(graph, model)
-    counters = WorkCounters()
     cost = CostModel(machine=machine, threads=num_threads)
-
-    wall = PhaseTimer()
     sim = PhaseTimer()
-
-    try:
-        trace: list = []
-        with wall.phase("EstimateTheta"):
-            est = estimate_theta(
-                graph,
-                k,
-                eps,
-                model,
-                seed,
-                l,
-                collection=collection,
-                sampler=sampler,
-                counters=counters,
-                theta_cap=theta_cap,
-                trace=trace,
-                num_ranks=num_threads,
-            )
+    trace: list = []
+    with _Algorithm1(
+        graph, model, seed, l, SortedRRRCollection(graph.n),
+        theta_cap=theta_cap,
+        num_ranks=num_threads,
+        workers=workers,
+        start_method=start_method,
+    ) as alg:
+        run = alg.solve(k, eps, trace=trace)
         for kind, event in trace:
             if kind == "sample":
                 sim.charge("EstimateTheta", cost.sample_seconds(event))
             else:
                 sim.charge("EstimateTheta", cost.select_seconds(event, graph.n, k))
-
-        with wall.phase("Sample"):
-            batch = sample_batch(
-                graph, model, collection, est.theta, seed, sampler=sampler
-            )
-            counters.edges_examined += batch.edges_examined
-            counters.samples_generated += batch.count
-        sim.charge("Sample", cost.sample_seconds(batch))
-
-        with wall.phase("SelectSeeds"):
-            sel = select_seeds(
-                collection, graph.n, k, num_ranks=num_threads, count_engine=engine
-            )
-            counters.entries_scanned += sel.entries_scanned
-            counters.counter_updates += sel.counter_updates
-        sim.charge("SelectSeeds", cost.select_seconds(sel, graph.n, k))
-    finally:
-        if engine is not None:
-            engine.close()
-
-    # "Other": the serial scaffolding around the parallel regions —
-    # allocation of the counter arrays and per-run setup.
-    sim.charge("Other", graph.n * machine.t_update + num_threads * machine.thread_overhead)
-
-    return IMMResult(
-        seeds=sel.seeds,
-        k=k,
-        epsilon=eps,
-        model=model.value,
-        layout="sorted",
-        theta=est.theta,
-        num_samples=len(collection),
-        coverage=sel.coverage_fraction(len(collection)),
-        lb=est.lb,
-        breakdown=sim.breakdown(),
-        counters=counters,
-        memory_bytes=collection.nbytes_model(),
-        simulated=True,
-        ranks=num_threads,
-        extra={
-            "machine": machine.name,
-            "measured_breakdown": wall.breakdown(),
-            "estimation_rounds": est.rounds,
-            "theta_capped": theta_cap is not None and est.theta >= theta_cap,
-            "real_parallel": real_parallel,
-            "engine_workers": (
-                (workers if workers is not None else num_threads)
-                if real_parallel
-                else 0
-            ),
-            **({"engine": engine.stats.as_dict()} if engine is not None else {}),
-            "time_report": side_by_side(
-                wall.breakdown(),
+        sim.charge("Sample", cost.sample_seconds(run.batch))
+        sim.charge("SelectSeeds", cost.select_seconds(run.sel, graph.n, k))
+        # "Other": the serial scaffolding around the parallel regions —
+        # allocation of the counter arrays and per-run setup.
+        sim.charge(
+            "Other", graph.n * machine.t_update + num_threads * machine.thread_overhead
+        )
+        wall = run.timer.breakdown()
+        result = alg.result(
+            k,
+            eps,
+            machine=machine.name,
+            measured_breakdown=wall,
+            time_report=side_by_side(
+                wall,
                 sim.breakdown(),
                 measured_label="measured",
                 modeled_label=f"modeled(p={num_threads})",
             ),
-        },
-    )
+        )
+    return replace(result, breakdown=sim.breakdown(), simulated=True, ranks=num_threads)

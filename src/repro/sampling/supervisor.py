@@ -94,7 +94,6 @@ __all__ = [
     "SupervisorStats",
     "CrashBudgetExhaustedError",
     "DeadlineExceededError",
-    "build_sampling_engine",
 ]
 
 _log = logging.getLogger(__name__)
@@ -580,34 +579,3 @@ class SupervisedSamplingEngine(ParallelSamplingEngine):
             self._sink.append_block(block.indices, flat, sizes, edges)
             self._refresh_checkpoint_stats()
         self._service_times.append(time.monotonic() - block.started)
-
-
-def build_sampling_engine(
-    graph: CSRGraph,
-    model: DiffusionModel | str,
-    *,
-    workers: int,
-    start_method: str | None = None,
-    supervise: bool = False,
-    supervisor_opts: dict | None = None,
-) -> ParallelSamplingEngine:
-    """Engine factory shared by the ``imm``/``estimate_theta``/``imm_sweep``
-    drivers: a plain pool engine, or a supervised one when asked.
-
-    ``supervisor_opts`` passes through any :class:`SupervisedSamplingEngine`
-    keyword (``spares``, ``deadline``, ``checkpoint_dir``, ``resume_from``,
-    ``fault_plan``, crash-budget and straggler knobs, ...).
-    """
-    if supervise:
-        return SupervisedSamplingEngine(
-            graph,
-            model,
-            workers=workers,
-            start_method=start_method,
-            **(supervisor_opts or {}),
-        )
-    if supervisor_opts:
-        raise ValueError("supervisor_opts requires supervise=True")
-    return ParallelSamplingEngine(
-        graph, model, workers=workers, start_method=start_method
-    )

@@ -2,8 +2,8 @@
 
 The paper's premise is that RRR sampling dominates IMM cost; the serving
 layer amortizes it.  :func:`freeze_index` runs the sampling once —
-exactly Algorithm 1's control flow — and freezes the collection with its
-algorithm facts; :class:`InfluenceQueryEngine` then answers ``top_k``,
+through ``imm()``'s own phase driver — and freezes the collection with
+its algorithm facts; :class:`InfluenceQueryEngine` then answers ``top_k``,
 ``marginal_gain``, ``what_if`` and ``tighten`` queries from the mapped
 bytes.
 
@@ -55,9 +55,10 @@ from pathlib import Path
 import numpy as np
 
 from ..diffusion import DiffusionModel
-from ..imm.select import CoverState, FlatView, drive, greedy_cover, select_seeds, vertex_index
-from ..imm.theta import check_instance, doubling_search, estimate_theta, shrink_epsilon
-from ..sampling import BatchedRRRSampler, SortedRRRCollection, sample_batch
+from ..imm.imm import _Algorithm1
+from ..imm.select import CoverState, FlatView, drive, greedy_cover, vertex_index
+from ..imm.theta import check_instance, doubling_search, shrink_epsilon
+from ..sampling import BatchedRRRSampler, SortedRRRCollection
 from .frozen import FrozenIndexError, FrozenRRRIndex
 
 __all__ = [
@@ -160,7 +161,7 @@ def freeze_index(
     theta_cap: int | None = None,
     out_dir: str | Path,
 ) -> tuple[FrozenRRRIndex, ServingResult]:
-    """Sample once (Algorithm 1's exact control flow) and freeze.
+    """Sample once (``imm()``'s own Algorithm 1 phase driver) and freeze.
 
     The frozen manifest records everything the replay needs — ``(n,
     model, seed, k, eps, l, theta_cap)`` plus the derived ``(theta, lb,
@@ -168,29 +169,26 @@ def freeze_index(
     along so serving-time extensions account work the same way fresh
     sampling does.
     """
-    model = DiffusionModel.parse(model)
     t0 = time.perf_counter()
-    collection = SortedRRRCollection(graph.n)
     trace: list = []
-    est = estimate_theta(
-        graph, k, eps, model, seed, l,
-        collection=collection, theta_cap=theta_cap, trace=trace,
-    )
-    batch = sample_batch(graph, model, collection, est.theta, seed)
+    with _Algorithm1(
+        graph, model, seed, l, SortedRRRCollection(graph.n), theta_cap=theta_cap
+    ) as alg:
+        run = alg.solve(k, eps, trace=trace)
+    collection, est, sel = alg.collection, run.est, run.sel
     per_edges = np.concatenate(
         [np.asarray(b.per_sample_edges, dtype=np.int64)
          for kind, b in trace if kind == "sample"]
-        + [np.asarray(batch.per_sample_edges, dtype=np.int64)]
-    ) if trace or batch.count else np.empty(0, dtype=np.int64)
+        + [np.asarray(run.batch.per_sample_edges, dtype=np.int64)]
+    )
     if len(per_edges) != len(collection):
         raise RuntimeError(
             f"edge-meter capture covers {len(per_edges)} samples, "
             f"collection holds {len(collection)}"
         )
-    sel = select_seeds(collection, graph.n, k)
     index = FrozenRRRIndex.freeze(
         collection, out_dir,
-        graph=graph, model=model.value, seed=seed,
+        graph=graph, model=alg.model.value, seed=seed,
         k=k, eps=eps, l=l,
         theta=est.theta, lb=est.lb, theta_cap=theta_cap,
         coverage_history=est.coverage_history,
@@ -201,7 +199,7 @@ def freeze_index(
         seeds=sel.seeds,
         k=k,
         epsilon=eps,
-        model=model.value,
+        model=alg.model.value,
         theta=est.theta,
         num_samples_used=len(collection),
         coverage=sel.coverage_fraction(len(collection)),

@@ -396,14 +396,11 @@ class TestDriverEquivalence:
 
     def test_imm_mt_real_parallel_bit_identical(self, ba_graph):
         modeled = imm_mt(ba_graph, k=8, eps=0.5, num_threads=2, seed=3)
-        real = imm_mt(
-            ba_graph, k=8, eps=0.5, num_threads=2, seed=3, real_parallel=True
-        )
+        real = imm_mt(ba_graph, k=8, eps=0.5, num_threads=2, seed=3, workers=2)
         assert np.array_equal(modeled.seeds, real.seeds)
         assert modeled.theta == real.theta
         assert modeled.breakdown == real.breakdown  # modeled time unchanged
-        assert real.extra["real_parallel"] is True
-        assert real.extra["engine_workers"] == 2
+        assert real.extra["workers"] == 2
         assert "measured" in real.extra["time_report"]
         assert "modeled(p=2)" in real.extra["time_report"]
 
@@ -420,4 +417,4 @@ class TestDriverEquivalence:
         with pytest.raises(ValueError):
             imm(ba_graph, k=5, eps=0.5, seed=1, layout="hypergraph", workers=2)
         with pytest.raises(ValueError):
-            imm_mt(ba_graph, k=5, eps=0.5, num_threads=2, seed=1, workers=2)
+            imm_mt(ba_graph, k=5, eps=0.5, num_threads=2, seed=1, workers=0)

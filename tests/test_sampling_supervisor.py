@@ -35,6 +35,7 @@ import pytest
 from multiprocessing import shared_memory as _shm
 
 from repro.imm import DegradedResult, imm
+from repro.imm.imm import build_sampler
 from repro.sampling import (
     BatchedRRRSampler,
     BlockCheckpointSink,
@@ -45,7 +46,6 @@ from repro.sampling.supervisor import (
     CrashBudgetExhaustedError,
     DeadlineExceededError,
     SupervisedSamplingEngine,
-    build_sampling_engine,
 )
 
 THETA = 300
@@ -110,16 +110,14 @@ class TestSerialSupervised:
             eng.close()
 
     def test_factory(self, ba_graph):
-        eng = build_sampling_engine(ba_graph, "IC", workers=1, supervise=True)
+        eng = build_sampler(ba_graph, "IC", workers=1, supervise=True)
         assert isinstance(eng, SupervisedSamplingEngine)
         eng.close()
-        eng = build_sampling_engine(ba_graph, "IC", workers=1)
-        assert not isinstance(eng, SupervisedSamplingEngine)
-        eng.close()
+        assert isinstance(build_sampler(ba_graph, "IC", workers=1), BatchedRRRSampler)
         with pytest.raises(ValueError, match="supervise=True"):
-            build_sampling_engine(
-                ba_graph, "IC", workers=1, supervisor_opts={"spares": 2}
-            )
+            build_sampler(ba_graph, "IC", workers=1, supervisor_opts={"spares": 2})
+        with pytest.raises(ValueError, match="at least one worker"):
+            build_sampler(ba_graph, "IC", workers=0)
 
     def test_rejects_unmappable_fault_classes(self, ba_graph):
         for plan in ("transient:@2", "corrupt:0@1", "oom:1@2",
