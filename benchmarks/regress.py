@@ -5,7 +5,10 @@ Runs a fixed micro-suite and writes commit-stamped numbers to
 
 * **Sampling throughput** — serial vs batched engine generating the full
   θ(ε=0.5, k=50) sample set on the largest registry stand-in
-  (com-Orkut, IC): edges/s for both engines and the speedup ratio.
+  (com-Orkut, IC): edges/s for both engines and the speedup ratio.  A
+  second row, ``sampling_unfiltered``, does the same on com-YouTube IC,
+  whose largest edge probability sends the batched IC kernel down its
+  other coin path (see ``SAMPLING_UNFILTERED_DATASET``).
 * **Worker scaling** — the process-pool engine at 1/2/4 workers on the
   two largest registry graphs (com-Orkut, soc-LiveJournal1): sampling
   seconds per worker count, the 4-worker speedup, and a per-phase
@@ -150,6 +153,13 @@ SAMPLING_EPS = 0.5
 SAMPLING_K = 50
 SAMPLING_THETA = 9980
 SAMPLING_SEED = 1
+#: The same measurement on the other side of the batched IC kernel's
+#: coin-path choice (``repro.sampling.batched._FILTER_LIMIT``):
+#: com-Orkut's largest p, 0.055, keeps the candidate filter on, and
+#: com-YouTube's, 0.55, turns it off.  θ is what ``imm()`` reaches on
+#: it at ε=0.5, k=50 (seed 12345).
+SAMPLING_UNFILTERED_DATASET = "com-YouTube"
+SAMPLING_UNFILTERED_THETA = 11852
 
 #: End-to-end workloads: (dataset, model, k, eps, seed).
 IMM_WORKLOADS = (
@@ -332,39 +342,41 @@ def baseline_provenance_error(baseline: dict) -> str | None:
     return None
 
 
-def _time_sampling(graph, fill) -> tuple[float, int]:
+def _time_sampling(graph, fill, theta: int) -> tuple[float, int]:
     """One timed generation of the full θ set into a fresh collection."""
     coll = SortedRRRCollection(graph.n)
     t0 = time.perf_counter()
-    batch = fill(graph, SAMPLING_MODEL, coll, SAMPLING_THETA, SAMPLING_SEED)
+    batch = fill(graph, SAMPLING_MODEL, coll, theta, SAMPLING_SEED)
     return time.perf_counter() - t0, batch.edges_examined
 
 
-def bench_sampling() -> dict:
+def bench_sampling(dataset: str = SAMPLING_DATASET, theta: int = SAMPLING_THETA) -> dict:
     """The per-sample reference loop against the batched engine."""
     from repro.validate.engine import serial_sample_batch
 
-    graph = load(SAMPLING_DATASET, SAMPLING_MODEL)
+    graph = load(dataset, SAMPLING_MODEL)
     serial = RRRSampler(graph, SAMPLING_MODEL)
     batched = BatchedRRRSampler(graph, SAMPLING_MODEL)
     serial_times, batched_times = [], []
     edges = None
     for _ in range(REPS):  # interleaved so ambient drift hits both engines
         t, e1 = _time_sampling(
-            graph, lambda *args: serial_sample_batch(*args, sampler=serial)
+            graph, lambda *args: serial_sample_batch(*args, sampler=serial), theta
         )
         serial_times.append(t)
-        t, e2 = _time_sampling(graph, lambda *args: sample_batch(*args, sampler=batched))
+        t, e2 = _time_sampling(
+            graph, lambda *args: sample_batch(*args, sampler=batched), theta
+        )
         batched_times.append(t)
         assert e1 == e2, "engines disagree on edges_examined"
         edges = e1
     t_serial, t_batched = min(serial_times), min(batched_times)
     return {
-        "dataset": SAMPLING_DATASET,
+        "dataset": dataset,
         "model": SAMPLING_MODEL,
         "eps": SAMPLING_EPS,
         "k": SAMPLING_K,
-        "theta": SAMPLING_THETA,
+        "theta": theta,
         "edges_examined": int(edges),
         "serial_s": round(t_serial, 4),
         "batched_s": round(t_batched, 4),
@@ -1266,15 +1278,16 @@ def bench_imm() -> dict:
 def compare(fresh: dict, baseline: dict) -> list[str]:
     """Return a list of loud failure messages (empty = no regression)."""
     failures: list[str] = []
-    base_s = baseline.get("sampling", {})
-    new_s = fresh["sampling"]
-    for key in ("serial_edges_per_s", "batched_edges_per_s"):
-        old = base_s.get(key)
-        if old and new_s[key] < old * (1.0 - TOLERANCE):
-            failures.append(
-                f"REGRESSION sampling.{key}: {new_s[key]:,} edges/s is "
-                f">{TOLERANCE:.0%} below baseline {old:,}"
-            )
+    for section in ("sampling", "sampling_unfiltered"):
+        base_s = baseline.get(section, {})
+        new_s = fresh[section]
+        for key in ("serial_edges_per_s", "batched_edges_per_s"):
+            old = base_s.get(key)
+            if old and new_s[key] < old * (1.0 - TOLERANCE):
+                failures.append(
+                    f"REGRESSION {section}.{key}: {new_s[key]:,} edges/s is "
+                    f">{TOLERANCE:.0%} below baseline {old:,}"
+                )
     base_i = baseline.get("imm", {})
     for wl, new in fresh["imm"].items():
         old = base_i.get(wl)
@@ -1417,6 +1430,9 @@ def main(argv: list[str] | None = None) -> int:
         "tolerance": TOLERANCE,
         "startup": bench_startup(),
         "sampling": bench_sampling(),
+        "sampling_unfiltered": bench_sampling(
+            SAMPLING_UNFILTERED_DATASET, SAMPLING_UNFILTERED_THETA
+        ),
         "worker_scaling": bench_worker_scaling(),
         "supervised_overhead": bench_supervised_overhead(),
         "memory": bench_memory(),
@@ -1433,13 +1449,13 @@ def main(argv: list[str] | None = None) -> int:
             f"  startup import {module}: {r['import_s']}s, peak RSS "
             f"{r['peak_rss_kb'] // 1024} MB (min of {st['reps']})"
         )
-    s = fresh["sampling"]
-    print(
-        f"  {s['dataset']} {s['model']} theta={s['theta']}: "
-        f"serial {s['serial_s']}s ({s['serial_edges_per_s']:,} e/s), "
-        f"batched {s['batched_s']}s ({s['batched_edges_per_s']:,} e/s), "
-        f"speedup {s['speedup']}x"
-    )
+    for s in (fresh["sampling"], fresh["sampling_unfiltered"]):
+        print(
+            f"  {s['dataset']} {s['model']} theta={s['theta']}: "
+            f"serial {s['serial_s']}s ({s['serial_edges_per_s']:,} e/s), "
+            f"batched {s['batched_s']}s ({s['batched_edges_per_s']:,} e/s), "
+            f"speedup {s['speedup']}x"
+        )
     ws = fresh["worker_scaling"]
     for wl, r in ws.items():
         if not isinstance(r, dict):

@@ -30,13 +30,21 @@ to what the serial sampler produces for the same sample:
   ``j``'s coins *sequentially* from ``sample_stream(seed, j)``.  Because
   SplitMix64 is counter-based, output ``c`` of that stream is the pure
   function ``mix64(seed_j + c·γ)`` — so the cohort sampler reproduces
-  the serial consumption by *bookkeeping* instead of iteration: it
-  tracks each sample's stream counter and computes every coin at its
-  exact serial position.  The only requirement is reproducing the
-  serial coin **order**, which is fixed by two invariants the fused
-  traversal maintains: each sample's frontier is sorted by vertex id at
-  every level (the serial ``np.unique``), and a frontier vertex's
-  in-edges are examined in CSR slot order.
+  the serial consumption by *bookkeeping* instead of iteration: a
+  sample's stream counter is one (its root draw) plus its examined-edge
+  count, and every coin is computed at its exact serial position.  The
+  only requirement is reproducing the serial coin **order**, which is
+  fixed by two invariants the fused traversal maintains: each sample's
+  frontier is sorted by vertex id at every level (the serial
+  ``np.unique``), and a frontier vertex's in-edges are examined in CSR
+  slot order.  The coin test itself is **candidate-first**: mix64's
+  last xorshift leaves the top 31 bits alone, so one compare of the
+  pre-xorshift value against a scalar bound derived from the largest
+  threshold (:func:`candidate_bound`) rejects, exactly, all but about
+  the largest ``p`` of the edges; only the candidates finish the mix
+  and meet their own threshold.  When that share passes
+  ``_FILTER_LIMIT`` (a graph whose largest ``p`` is near or above 3/8)
+  the kernel skips the filter and tests every edge at its slot.
 * **LT**: each step consumes one variate from the sample's stream; the
   batched walker computes it at the same counter position.  Both
   samplers pick the live edge against the *same* precomputed per-vertex
@@ -57,6 +65,8 @@ discipline as the serial sampler, extended to the cohort dimension.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from ..diffusion import DiffusionModel
@@ -70,7 +80,6 @@ __all__ = ["BatchedRRRSampler", "stream_seeds", "stream_coins"]
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _INV_2_53 = 1.0 / float(1 << 53)
-_M64 = (1 << 64) - 1
 
 #: Soft cap on visited-scratch entries (``cohort × n``).  The default
 #: cohort size keeps the int32 epoch array around 2 MiB: the visited
@@ -80,13 +89,22 @@ _M64 = (1 << 64) - 1
 #: more but lose more to mark-probe misses and bigger key sorts).
 _SCRATCH_ENTRY_BUDGET = 1 << 19
 
+#: Loosest candidate bound the IC stream kernel still filters with.  A
+#: bound ``y_max`` admits about ``(y_max + 1) / 2^64`` of the coins, the
+#: graph's largest ``p``.  Past about 3/8, finding each candidate's pair
+#: costs more than testing every edge at its slot (measured on the
+#: com-YouTube, soc-Pokec and soc-LiveJournal1 stand-ins with uniform
+#: weights up to 0.25–0.4), so the kernel does that instead.
+_FILTER_LIMIT = 3 << 61
 
-def _mix64_into(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """:func:`~repro.rng.splitmix.mix64_array` computed in place.
 
-    ``z`` is overwritten with its mix, ``tmp`` is same-shaped scratch;
-    no temporaries are allocated — the allocation-free variant the IC
-    hot loop uses on edge-sized buffers.
+def _mix64_head_into(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """:func:`~repro.rng.splitmix.mix64_array` up to its last xorshift.
+
+    ``z`` is overwritten with ``y``, the value after mix64's second
+    multiply (its output is ``y ^ (y >> 31)``), and ``tmp`` is
+    same-shaped scratch; no temporaries are allocated — the
+    allocation-free variant the IC hot loop uses on edge-sized buffers.
     """
     np.right_shift(z, np.uint64(30), out=tmp)
     np.bitwise_xor(z, tmp, out=z)
@@ -94,9 +112,21 @@ def _mix64_into(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     np.right_shift(z, np.uint64(27), out=tmp)
     np.bitwise_xor(z, tmp, out=z)
     np.multiply(z, np.uint64(0x94D049BB133111EB), out=z)
-    np.right_shift(z, np.uint64(31), out=tmp)
-    np.bitwise_xor(z, tmp, out=z)
     return z
+
+
+def candidate_bound(t: int) -> int:
+    """Largest pre-xorshift mix64 value ``y`` whose coin can pass ``t``.
+
+    A stream coin hits iff ``(raw >> 11) < t`` with ``raw = y ^ (y >>
+    31)``, i.e. iff ``raw <= t·2^11 - 1``.  Since ``y >> 31 < 2^33``,
+    the xorshift leaves ``raw``'s top 31 bits equal to ``y``'s, so a hit
+    forces ``y >> 33 <= (t·2^11 - 1) >> 33``: every hit has ``y`` at most
+    the returned bound.  ``t = 2^53`` (``p = 1``) gives ``2^64 - 1``, so
+    every coin is a candidate; ``t = 0`` gives 0, and the exact compare
+    rejects that lone candidate.
+    """
+    return max(((((t << 11) - 1) >> 33) << 33) | ((1 << 33) - 1), 0)
 
 
 def _key_dtype(B: int, n: int) -> type:
@@ -153,7 +183,6 @@ class BatchedRRRSampler:
         "model",
         "max_cohort",
         "_in_thresh",
-        "_thresh_shifted",
         "_lt_cum",
         "_mark",
         "_epoch",
@@ -179,15 +208,6 @@ class BatchedRRRSampler:
         # Same integer acceptance thresholds as the serial sampler (see
         # RRRSampler.__init__): exact equivalent of the float compare.
         self._in_thresh = np.ceil(graph.in_probs * float(1 << 53)).astype(np.uint64)
-        # Pre-shifted variant: ``(raw >> 11) < t`` equals ``raw < (t << 11)``
-        # exactly (write raw = q·2^11 + r, r < 2^11: q < t iff q·2^11 + r
-        # < t·2^11), saving the per-edge shift pass — unless t = 2^53
-        # (p = 1.0), where the shift overflows; such graphs use the
-        # unshifted compare.
-        if bool((self._in_thresh < np.uint64(1 << 53)).all()):
-            self._thresh_shifted = self._in_thresh << np.uint64(11)
-        else:
-            self._thresh_shifted = None
         self._lt_cum: np.ndarray | None = None
         self._mark: np.ndarray | None = None
         self._epoch = -1
@@ -207,44 +227,47 @@ class BatchedRRRSampler:
     ) -> np.ndarray:
         """Generate the given global sample indices into ``collection``.
 
-        Splits the indices into cohorts of at most ``max_cohort``,
-        appends each cohort with one :meth:`RRRCollection.append_batch`
-        call, and returns the per-sample edge counts (aligned with
-        ``sample_indices``).
+        Appends each of :meth:`cohorts` with one
+        :meth:`RRRCollection.append_batch` call and returns the
+        per-sample edge counts (aligned with ``sample_indices``).
         """
-        sample_indices = np.asarray(sample_indices, dtype=np.int64)
         per_sample = np.empty(len(sample_indices), dtype=np.int64)
-        for lo in range(0, len(sample_indices), self.max_cohort):
-            chunk = sample_indices[lo : lo + self.max_cohort]
-            verts, sizes, edges = self.sample_cohort(chunk, seed, edge_flip=edge_flip)
+        lo = 0
+        for verts, sizes, edges in self.cohorts(sample_indices, seed, edge_flip=edge_flip):
             collection.append_batch(verts, sizes)
-            per_sample[lo : lo + len(chunk)] = edges
+            per_sample[lo : lo + len(edges)] = edges
+            lo += len(edges)
         return per_sample
 
-    def sample_cohort(
+    def cohorts(
         self,
         sample_indices: np.ndarray,
         seed: int,
         *,
         edge_flip: str = "stream",
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Generate one cohort and return ``(verts, sizes, edges)``.
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Yield ``(verts, sizes, edges)`` per cohort, in index order.
 
-        ``verts`` is the concatenation of the cohort's sorted ``int32``
-        vertex lists, ``sizes[i]`` the length of sample ``i``'s list and
-        ``edges[i]`` its examined-edge count — both aligned with
-        ``sample_indices``.
+        The indices are split into cohorts of at most ``max_cohort``,
+        each sampled in one fused traversal.  ``verts`` is the
+        concatenation of the cohort's sorted ``int32`` vertex lists,
+        ``sizes[i]`` the length of its sample ``i``'s list and
+        ``edges[i]`` that sample's examined-edge count.  The arguments
+        are checked, and the IC coin bound derived, once per call.
         """
         self.check_edge_flip(edge_flip)
         sample_indices = np.asarray(sample_indices, dtype=np.int64)
         if len(sample_indices) and int(sample_indices.min()) < 0:
             raise ValueError("sample indices must be non-negative")
-        if len(sample_indices) == 0:
-            empty64 = np.empty(0, dtype=np.int64)
-            return np.empty(0, dtype=np.int32), empty64, empty64.copy()
-        if self.model is DiffusionModel.IC:
-            return self._cohort_ic(sample_indices, seed, edge_flip == "hash")
-        return self._cohort_lt(sample_indices, seed)
+        ic = self.model is DiffusionModel.IC
+        hash_flips = edge_flip == "hash"
+        y_max = self._candidate_limit() if ic and not hash_flips else None
+        for lo in range(0, len(sample_indices), self.max_cohort):
+            chunk = sample_indices[lo : lo + self.max_cohort]
+            if ic:
+                yield self._cohort_ic(chunk, seed, hash_flips, y_max)
+            else:
+                yield self._cohort_lt(chunk, seed)
 
     def check_edge_flip(self, edge_flip: str) -> None:
         """Reject an edge-coin mode this sampler's model cannot draw.
@@ -283,8 +306,9 @@ class BatchedRRRSampler:
     def _level_ramps(self, total: int) -> tuple[np.ndarray, np.ndarray]:
         """Cached ``arange(total)`` and ``arange(total) * γ`` prefixes.
 
-        Every BFS level needs both ramps; reusing one growable pair of
-        buffers removes two O(edges) allocations-and-fills per level.
+        Every BFS level or walk step needs one of the ramps; reusing one
+        growable pair of buffers removes an O(edges) allocation-and-fill
+        per level.
         """
         if len(self._iota) < total:
             size = max(total, 2 * len(self._iota), 1 << 14)
@@ -293,7 +317,7 @@ class BatchedRRRSampler:
         return self._iota[:total], self._gamma_ramp[:total]
 
     def _mix_scratch(self, total: int) -> np.ndarray:
-        """Reusable shift scratch for :func:`_mix64_into`."""
+        """Reusable shift scratch for :func:`_mix64_head_into`."""
         if len(self._mix_tmp) < total:
             size = max(total, 2 * len(self._mix_tmp), 1 << 14)
             self._mix_tmp = np.empty(size, dtype=np.uint64)
@@ -301,8 +325,22 @@ class BatchedRRRSampler:
 
     # -- IC ------------------------------------------------------------------
 
+    def _candidate_limit(self) -> np.uint64 | None:
+        """The stream coins' candidate bound, or None past ``_FILTER_LIMIT``.
+
+        Derived from the thresholds in force, so it always bounds them;
+        it costs one pass over the edges, so :meth:`cohorts` takes it
+        once per call rather than once per cohort.
+        """
+        y_max = candidate_bound(int(self._in_thresh.max(initial=0)))
+        return np.uint64(y_max) if y_max < _FILTER_LIMIT else None
+
     def _cohort_ic(
-        self, sample_indices: np.ndarray, seed: int, hash_flips: bool
+        self,
+        sample_indices: np.ndarray,
+        seed: int,
+        hash_flips: bool,
+        y_max: np.uint64 | None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         g = self.graph
         n = g.n
@@ -311,7 +349,6 @@ class BatchedRRRSampler:
         sd = stream_seeds(seed, sample_indices)
         # Root draw == SplitMix64.randint(0, n): output 1, mod n.
         roots = (mix64_array(sd + _GAMMA) % np.uint64(n)).astype(kd)
-        ctr = np.ones(B, dtype=np.int64)  # the root consumed one output
         mark, cohort_floor = self._fresh_epoch(B)
         mark_live = mark[: B * n]
 
@@ -327,8 +364,8 @@ class BatchedRRRSampler:
         f_vertex = roots
         indptr = g.in_indptr
         while len(f_sample):
-            starts = indptr[f_vertex].astype(np.int64)
-            counts = indptr[f_vertex + 1].astype(np.int64) - starts
+            starts = indptr[f_vertex].astype(np.int64, copy=False)
+            counts = indptr[f_vertex + 1].astype(np.int64, copy=False) - starts
             if int(counts.min()) == 0:
                 # Prune in-degree-0 pairs: they examine no edges (and so
                 # consume no coins), and pruning keeps every pair's edge
@@ -341,9 +378,8 @@ class BatchedRRRSampler:
             pair_end = np.cumsum(counts)
             total = int(pair_end[-1])
             pair_pos = pair_end - counts  # level-array start per pair
+            pair_off = starts - pair_pos  # level index + pair_off = CSR slot
             arange_total, gamma_ramp = self._level_ramps(total)
-            off = np.repeat(starts - pair_pos, counts)
-            off += arange_total
             # Runs: the contiguous stretch of pairs owned by one sample
             # (the frontier is sample-major).  All per-sample bookkeeping
             # happens at run granularity so the per-edge hot path stays
@@ -354,48 +390,69 @@ class BatchedRRRSampler:
             run_pair = np.flatnonzero(is_run_start)
             run_sample = f_sample[run_pair]
             run_edges = np.add.reduceat(counts, run_pair)
+            # Both coin modes yield each hit's pair and CSR slot.  An
+            # edge's pair is recovered by binary-searching its level index
+            # in the (cache-resident) pair partition — cheaper than
+            # materializing a per-edge pair array for all examined edges.
             if hash_flips:
                 # hash_edge_flips with a per-edge sample key (same mix).
+                off = np.repeat(pair_off, counts)
+                off += arange_total
                 sd_edge = np.repeat(sd[f_sample], counts)
                 z = sd_edge ^ mix64_array(off.astype(np.uint64) + _GAMMA)
                 coins = (mix64_array(z) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-                hit = coins < g.in_probs[off]
+                hit_idx = np.flatnonzero(coins < g.in_probs[off])
+                hit_pair = np.searchsorted(pair_end, hit_idx, side="right")
+                hit_slot = off[hit_idx]
             else:
-                # Each edge's coin sits at its serial stream position:
-                # the sample's running counter + the edge's rank within
-                # the sample's level block.  Folding seed and counter
-                # into one per-pair base leaves repeat + add + in-place
-                # mix on the per-edge path: the coin input for
-                # level-edge t of pair p is mix64(sd + (ctr + rank +
-                # 1)·γ) = base[p] + t·γ with base = sd + (ctr -
-                # run_first + 1)·γ (uint64 wrap-around is exactly the
-                # mod-2^64 arithmetic SplitMix64 wants).
-                run_first = pair_pos[run_pair][np.cumsum(is_run_start) - 1]
-                base = sd[f_sample] + (
-                    (ctr[f_sample] - run_first + np.int64(1)).astype(np.uint64) * _GAMMA
+                # Each edge's coin sits at its serial stream position.
+                # Sample s has consumed 1 + per_edges[s] outputs (its
+                # root, then one coin per examined edge), so level-edge
+                # i of its run, which starts at level index r, draws
+                # output per_edges[s] + 2 + i - r: the mix64 input is
+                # base + i·γ with base = sd + (per_edges + 2 - r)·γ per
+                # run (uint64 wrap-around is exactly the mod-2^64
+                # arithmetic SplitMix64 wants).
+                base = sd[run_sample] + (
+                    (per_edges[run_sample] + 2 - pair_pos[run_pair]).astype(np.uint64)
+                    * _GAMMA
                 )
-                z = np.repeat(base, counts)
-                z += gamma_ramp
-                raw = _mix64_into(z, self._mix_scratch(total))
-                if self._thresh_shifted is not None:
-                    hit = raw < self._thresh_shifted[off]
+                y = np.repeat(base, run_edges)
+                y += gamma_ramp
+                tmp = self._mix_scratch(total)
+                _mix64_head_into(y, tmp)
+                if y_max is not None:
+                    # Candidate-first (see candidate_bound): one compare
+                    # with a scalar settles every edge that cannot hit;
+                    # only the candidates finish the mix and meet their
+                    # own threshold.
+                    tested = np.flatnonzero(y <= y_max)
+                    tested_pair = np.searchsorted(pair_end, tested, side="right")
+                    slot = pair_off[tested_pair] + tested
+                    y = y[tested]
                 else:
-                    np.right_shift(raw, np.uint64(11), out=raw)
-                    hit = raw < self._in_thresh[off]
-                ctr[run_sample] += run_edges
+                    # A bound this loose admits too many edges for the
+                    # filter to pay: test every edge at its slot.
+                    tested_pair = None
+                    slot = np.repeat(pair_off, counts)
+                    slot += arange_total
+                # mix64's last xorshift, then the serial sampler's compare.
+                np.right_shift(y, np.uint64(31), out=tmp[: len(y)])
+                y ^= tmp[: len(y)]
+                y >>= np.uint64(11)
+                hit = np.flatnonzero(y < self._in_thresh[slot])
+                hit_slot = slot[hit]
+                if tested_pair is None:
+                    hit_pair = np.searchsorted(pair_end, hit, side="right")
+                else:
+                    hit_pair = tested_pair[hit]
             per_edges[run_sample] += run_edges
-
-            # Owning sample of each hit edge, recovered by binary-searching
-            # the hit's level index in the (cache-resident) pair partition
-            # — cheaper than materializing a per-edge sample array for
-            # all examined edges.
-            hit_idx = np.flatnonzero(hit)
-            if len(hit_idx) == 0:
+            if len(hit_slot) == 0:
                 break
-            hit_pair = np.searchsorted(pair_end, hit_idx, side="right")
-            cand_keys = f_sample[hit_pair] * kd(n) + g.in_indices[
-                off[hit_idx]
-            ].astype(kd, copy=False)
+
+            cand_keys = f_sample[hit_pair] * kd(n) + g.in_indices[hit_slot].astype(
+                kd, copy=False
+            )
             cand_keys = cand_keys[mark_live[cand_keys] < cohort_floor]
             if len(cand_keys) == 0:
                 break

@@ -402,11 +402,7 @@ def _sample_block(
     The block function of both sides: a pool worker runs it behind
     :func:`_worker_block`, and a pool-less engine runs it in the parent.
     """
-    step = sampler.max_cohort
-    cohorts = [
-        sampler.sample_cohort(indices[lo : lo + step], seed, edge_flip=edge_flip)
-        for lo in range(0, len(indices), step)
-    ]
+    cohorts = sampler.cohorts(indices, seed, edge_flip=edge_flip)
     flat, sizes, edges = (np.concatenate(parts) for parts in zip(*cohorts))
     return flat, sizes, edges
 

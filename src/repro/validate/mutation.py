@@ -22,6 +22,7 @@ dropped inverted entry      ``collection.inverted-index`` invariant
 skipped counter decrement   seed-set equivalence comparison
 SPMD decrement not reduced  ``oracle.seed-set`` on ``imm_dist[nodes=2]``
 biased RNG draw             bitwise collection comparison
+candidate bound too tight   bitwise collection comparison
 recovery skips a sample     ``recovery.rebuild-count``
 wrong-stream replay         ``recovery.rebuild-bitwise``
 double-count after shrink   ``recovery.degraded-accounting``
@@ -46,8 +47,9 @@ The corruption is applied *behind* the append-time validation (directly
 to the flat buffers, or to a sampler's acceptance thresholds), modeling
 bugs that slip in after construction — the only kind the runtime
 invariants exist to catch.  The serving, engine and supervisor mutants
-patch a small private seam of their class (:func:`_patched`) for the
-length of their run, so the shipping code carries no mutation flags.
+patch a small private seam of their class, and the candidate-bound
+mutant the cohort kernel's module-level bound (:func:`_patched`), for
+the length of their run, so the shipping code carries no mutation flags.
 The three worker-side engine mutants swap in a module-level pool task
 as ``ParallelSamplingEngine._block_task``: a worker receives the task by
 reference, while a patch made in the parent would never reach a spawned
@@ -70,6 +72,7 @@ from ..sampling import (
     BatchedRRRSampler,
     HypergraphRRRCollection,
     SortedRRRCollection,
+    batched,
     parallel_engine,
     sample_batch,
 )
@@ -333,35 +336,60 @@ def _mutant_spmd_decrement(seed: int) -> MutantResult:
     )
 
 
-def _mutant_biased_rng(seed: int) -> MutantResult:
-    """Bias the IC coin acceptance and demand the bitwise compare sees it."""
-    graph = load(_MUTATION_DATASET, "IC")
+def _serial_divergence(sampler: BatchedRRRSampler, seed: int) -> tuple[bool, str]:
+    """Sample the mutation workload through ``sampler`` and compare the
+    collection bitwise with the serial reference sampler's."""
+    graph = sampler.graph
     reference = SortedRRRCollection(graph.n)
     serial_sample_batch(graph, "IC", reference, _MUTATION_THETA, seed)
-    sampler = BatchedRRRSampler(graph, "IC")
+    mutant = SortedRRRCollection(graph.n)
+    sample_batch(graph, "IC", mutant, _MUTATION_THETA, seed, sampler=sampler)
+    ref_flat, ref_indptr = reference.flattened()
+    mut_flat, mut_indptr = mutant.flattened()
+    if np.array_equal(ref_flat, mut_flat) and np.array_equal(ref_indptr, mut_indptr):
+        return False, "mutant sampler reproduced the reference collection"
+    return True, (
+        f"bitwise collection comparison caught it "
+        f"({reference.total_entries} vs {mutant.total_entries} entries)"
+    )
+
+
+def _mutant_biased_rng(seed: int) -> MutantResult:
+    """Bias the IC coin acceptance and demand the bitwise compare sees it."""
+    sampler = BatchedRRRSampler(load(_MUTATION_DATASET, "IC"), "IC")
     # Double every acceptance threshold: each coin flip now succeeds
     # roughly twice as often — a biased draw, not a different stream.
     sampler._in_thresh = np.minimum(
         sampler._in_thresh * np.uint64(2), np.uint64(1 << 53)
     )
-    sampler._thresh_shifted = None  # force the (valid) unshifted compare
-    mutant = SortedRRRCollection(graph.n)
-    sample_batch(graph, "IC", mutant, _MUTATION_THETA, seed, sampler=sampler)
-    ref_flat, ref_indptr = reference.flattened()
-    mut_flat, mut_indptr = mutant.flattened()
-    diverged = not (
-        np.array_equal(ref_flat, mut_flat) and np.array_equal(ref_indptr, mut_indptr)
-    )
+    detected, evidence = _serial_divergence(sampler, seed)
     return MutantResult(
         "biased-rng",
         "IC edge coins accept at ~2x the configured probability",
-        diverged,
-        (
-            f"bitwise collection comparison caught it "
-            f"({reference.total_entries} vs {mutant.total_entries} entries)"
-            if diverged
-            else "biased sampler reproduced the reference collection"
-        ),
+        detected,
+        evidence,
+    )
+
+
+def _mutant_candidate_bound(seed: int) -> MutantResult:
+    """Candidate bound taken for half the largest acceptance threshold.
+
+    The cohort kernel settles every coin above the bound without its
+    exact compare (the mutation workload's largest ``p``, 0.22, keeps
+    its candidate filter on), so a bound too tight drops edges that
+    should hit; the serial sampler has no bound, and the bitwise compare
+    must see the missing entries.
+    """
+    real = batched.candidate_bound
+    with _patched(batched, "candidate_bound", lambda t: real(t // 2)):
+        detected, evidence = _serial_divergence(
+            BatchedRRRSampler(load(_MUTATION_DATASET, "IC"), "IC"), seed
+        )
+    return MutantResult(
+        "coin-candidate-bound-too-tight",
+        "IC stream coins pre-screened against the bound for half the largest threshold",
+        detected,
+        evidence,
     )
 
 
@@ -1004,6 +1032,7 @@ _MUTANTS = {
     "skipped-decrement": _mutant_skipped_decrement,
     "spmd-decrement-not-reduced": _mutant_spmd_decrement,
     "biased-rng": _mutant_biased_rng,
+    "coin-candidate-bound-too-tight": _mutant_candidate_bound,
     "recovery-skips-sample": _mutant_recovery_skip,
     "wrong-stream-replay": _mutant_wrong_stream,
     "double-count-after-shrink": _mutant_double_count,

@@ -210,9 +210,28 @@ class TestThresholdEquivalence:
         int_cmp = (raw >> np.uint64(11)) < thresh
         assert np.array_equal(float_cmp, int_cmp)
 
+    @given(
+        t=st.integers(0, 2**53),
+        low=st.integers(0, 2**33 - 1),
+        above=st.booleans(),
+        nudge=st.integers(-3, 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_candidate_bound_admits_every_hit(self, t, low, above, nudge):
+        """A coin passing ``t`` has its pre-xorshift mix64 value ``y``
+        within the cohort kernel's candidate bound.  ``y`` is drawn at
+        and around both sides of the bound's 2^33-aligned block edge."""
+        from repro.sampling.batched import candidate_bound
+
+        top = (((t << 11) - 1) >> 33) + above
+        y = min(max((top << 33 | low) + nudge, 0), 2**64 - 1)
+        hit = ((y ^ (y >> 31)) >> 11) < t
+        assert not hit or y <= candidate_bound(t)
+
     def test_extreme_probabilities(self):
         from repro.graph import constant_weights, complete_graph
-        from repro.sampling import RRRSampler
+        from repro.sampling import BatchedRRRSampler
+        from repro.validate.engine import serial_sample_batch
 
         never = constant_weights(complete_graph(5), 0.0)
         verts, _ = RRRSampler(never, "IC").generate(0, SplitMix64(1))
@@ -220,3 +239,17 @@ class TestThresholdEquivalence:
         always = constant_weights(complete_graph(5), 1.0)
         verts, _ = RRRSampler(always, "IC").generate(0, SplitMix64(1))
         assert verts.tolist() == [0, 1, 2, 3, 4]
+        # The cohort kernel's candidate bound at its two ends: no coin can
+        # hit at p = 0 (bound 0, filtered), and at p = 1 the bound admits
+        # every coin, so the kernel tests every edge at its slot.
+        for graph in (never, always):
+            ref = SortedRRRCollection(graph.n)
+            ref_edges = serial_sample_batch(graph, "IC", ref, 40, 3).per_sample_edges
+            for cohort in (1, 7, 40):
+                got = SortedRRRCollection(graph.n)
+                edges = BatchedRRRSampler(graph, "IC", max_cohort=cohort).sample_into(
+                    got, np.arange(40), 3
+                )
+                for a, b in zip(ref.flattened(), got.flattened()):
+                    assert np.array_equal(a, b)
+                assert np.array_equal(edges, ref_edges)

@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 from repro.datasets import load, names
+from repro.graph import from_edges
 from repro.rng import sample_stream
 from repro.sampling import (
     BatchedRRRSampler,
     RRRSampler,
     SortedRRRCollection,
+    batched,
     in_edge_cumweights,
     sample_batch,
 )
@@ -117,6 +119,59 @@ def test_engine_equality_sample_batch(model):
     fb, ib = b.flattened()
     np.testing.assert_array_equal(fa, fb)
     np.testing.assert_array_equal(ia, ib)
+
+
+#: ``_FILTER_LIMIT`` values that force the stream kernel's two coin
+#: paths: every bound filters, or none does.
+COIN_PATHS = {"filtered": 1 << 64, "unfiltered": 0}
+
+
+@pytest.mark.parametrize("path", COIN_PATHS)
+def test_stream_coins_exact_at_their_threshold(path, monkeypatch):
+    """Coins one step either side of their acceptance threshold.
+
+    A star into vertex 0 gives in-edge slot ``k`` the threshold
+    ``(raw_k >> 11) + k % 2``, where ``raw_k`` is the coin the serial
+    sampler draws for that slot: odd slots hit by one, even slots miss
+    by one.  Both samplers must settle every coin exactly, on either of
+    the cohort kernel's coin paths; a slip in its last mix64 step flips
+    about half of them.
+    """
+    monkeypatch.setattr(batched, "_FILTER_LIMIT", COIN_PATHS[path])
+    d = 64
+    src = np.arange(1, d + 1)
+    star = from_edges(d + 1, src, np.zeros(d, dtype=np.int64), 0.5)
+    assert star.in_indices.tolist() == src.tolist()
+    j = next(j for j in range(10_000) if sample_stream(SEED, j).randint(0, d + 1) == 0)
+    rng = sample_stream(SEED, j)
+    rng.randint(0, d + 1)
+    thresh = (rng.next_u64_block(d) >> np.uint64(11)) + np.arange(d, dtype=np.uint64) % 2
+    probs = thresh.astype(np.float64) / float(1 << 53)  # exact: ceil(p·2^53) == thresh
+    star = star.with_probs(probs, probs)
+    want = [0, *range(2, d + 1, 2)]
+    rng = sample_stream(SEED, j)
+    verts, _ = RRRSampler(star, "IC").generate(rng.randint(0, d + 1), rng)
+    assert verts.tolist() == want
+    (cohort,) = BatchedRRRSampler(star, "IC").cohorts(np.array([j]), SEED)
+    verts, sizes, edges = cohort
+    assert verts.tolist() == want and sizes.tolist() == [len(want)] and edges.tolist() == [d]
+
+
+@pytest.mark.parametrize("path", COIN_PATHS)
+@pytest.mark.parametrize("name", ["cit-HepTh", "com-YouTube"])
+def test_stream_coin_paths_match_serial(serial_refs, name, path, monkeypatch):
+    """Each stream coin path reproduces the serial sampler, also where
+    the graph's largest ``p`` picks the other path by default (cit-HepTh's
+    0.22 filters, com-YouTube's 0.55 does not)."""
+    monkeypatch.setattr(batched, "_FILTER_LIMIT", COIN_PATHS[path])
+    graph, ref_sets, ref_edges = serial_refs[(name, "IC", "stream")]
+    for cohort in (1, 7, COUNT):
+        coll = SortedRRRCollection(graph.n)
+        sampler = BatchedRRRSampler(graph, "IC", max_cohort=cohort)
+        per_edges = sampler.sample_into(coll, np.arange(COUNT), SEED)
+        np.testing.assert_array_equal(per_edges, ref_edges)
+        for got, want in zip(coll, ref_sets):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_lt_rejects_hash_mode():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.sampling import ParallelSamplingEngine
+from repro.sampling import ParallelSamplingEngine, batched
 from repro.sampling.supervisor import SupervisedSamplingEngine
 from repro.serving import ClusterRouter, IndexCache, InfluenceQueryEngine, ServingFrontend
 from repro.validate import SMOKE_MUTANTS, MutantResult, run_mutation_suite
@@ -28,6 +28,7 @@ EXPECTED_MUTANTS = {
     "skipped-decrement",
     "spmd-decrement-not-reduced",
     "biased-rng",
+    "coin-candidate-bound-too-tight",
     "recovery-skips-sample",
     "wrong-stream-replay",
     "double-count-after-shrink",
@@ -49,7 +50,7 @@ EXPECTED_MUTANTS = {
 }
 
 
-#: The private seams the mutants patch for the length of a run.
+#: The seams the mutants patch for the length of a run.
 SEAMS = (
     (ServingFrontend, "_degrade"),
     (ServingFrontend, "_breaker_allows"),
@@ -61,6 +62,7 @@ SEAMS = (
     (ParallelSamplingEngine, "_block_task"),
     (SupervisedSamplingEngine, "_land"),
     (SupervisedSamplingEngine, "_open_run"),
+    (batched, "candidate_bound"),
 )
 
 
