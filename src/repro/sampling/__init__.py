@@ -26,6 +26,10 @@ contribution of Section 3.1:
   al.'s implementation: every (sample, vertex) incidence stored twice
   (hyperedge list + per-vertex membership index), faster for seed
   removal but ~2x the memory (the Table 2 comparison).
+
+* :mod:`~repro.sampling.store` — the sorted layout on disk, with one
+  append path committed by one certificate rename: the checkpoint spill
+  (:class:`BlockCheckpointSink`) and the serving layer's frozen index.
 """
 
 from .batched import BatchedRRRSampler

@@ -19,17 +19,15 @@ simultaneously:
 Determinism contract
 --------------------
 The RRR set with global index ``j`` is a pure function of
-``(graph, model, seed, j, edge_flip)`` — independent of cohort size,
-cohort composition, and traversal interleaving — and **bit-identical**
-to what the serial sampler produces for the same sample:
+``(graph, model, seed, j)`` — independent of cohort size, cohort
+composition, and traversal interleaving — and **bit-identical** to what
+the serial sampler's default ``edge_flip="stream"`` mode produces for
+the same sample:
 
-* ``edge_flip="hash"`` (IC only): coins come from
-  :func:`~repro.sampling.rrr.hash_edge_flips`, keyed on
-  ``(sample key, edge slot)``; they are order-free by construction.
-* ``edge_flip="stream"`` (the default): the serial sampler draws sample
-  ``j``'s coins *sequentially* from ``sample_stream(seed, j)``.  Because
-  SplitMix64 is counter-based, output ``c`` of that stream is the pure
-  function ``mix64(seed_j + c·γ)`` — so the cohort sampler reproduces
+* **IC**: the serial sampler draws sample ``j``'s coins *sequentially*
+  from ``sample_stream(seed, j)``.  Because SplitMix64 is counter-based,
+  output ``c`` of that stream is the pure function
+  ``mix64(seed_j + c·γ)`` — so the cohort sampler reproduces
   the serial consumption by *bookkeeping* instead of iteration: a
   sample's stream counter is one (its root draw) plus its examined-edge
   count, and every coin is computed at its exact serial position.  The
@@ -222,8 +220,6 @@ class BatchedRRRSampler:
         collection: RRRCollection,
         sample_indices: np.ndarray,
         seed: int,
-        *,
-        edge_flip: str = "stream",
     ) -> np.ndarray:
         """Generate the given global sample indices into ``collection``.
 
@@ -233,7 +229,7 @@ class BatchedRRRSampler:
         """
         per_sample = np.empty(len(sample_indices), dtype=np.int64)
         lo = 0
-        for verts, sizes, edges in self.cohorts(sample_indices, seed, edge_flip=edge_flip):
+        for verts, sizes, edges in self.cohorts(sample_indices, seed):
             collection.append_batch(verts, sizes)
             per_sample[lo : lo + len(edges)] = edges
             lo += len(edges)
@@ -243,8 +239,6 @@ class BatchedRRRSampler:
         self,
         sample_indices: np.ndarray,
         seed: int,
-        *,
-        edge_flip: str = "stream",
     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Yield ``(verts, sizes, edges)`` per cohort, in index order.
 
@@ -255,30 +249,17 @@ class BatchedRRRSampler:
         ``edges[i]`` that sample's examined-edge count.  The arguments
         are checked, and the IC coin bound derived, once per call.
         """
-        self.check_edge_flip(edge_flip)
         sample_indices = np.asarray(sample_indices, dtype=np.int64)
         if len(sample_indices) and int(sample_indices.min()) < 0:
             raise ValueError("sample indices must be non-negative")
         ic = self.model is DiffusionModel.IC
-        hash_flips = edge_flip == "hash"
-        y_max = self._candidate_limit() if ic and not hash_flips else None
+        y_max = self._candidate_limit() if ic else None
         for lo in range(0, len(sample_indices), self.max_cohort):
             chunk = sample_indices[lo : lo + self.max_cohort]
             if ic:
-                yield self._cohort_ic(chunk, seed, hash_flips, y_max)
+                yield self._cohort_ic(chunk, seed, y_max)
             else:
                 yield self._cohort_lt(chunk, seed)
-
-    def check_edge_flip(self, edge_flip: str) -> None:
-        """Reject an edge-coin mode this sampler's model cannot draw.
-
-        Shared with the process-pool engine, which checks in the parent
-        before it plans a block.
-        """
-        if edge_flip not in ("stream", "hash"):
-            raise ValueError(f"unknown edge_flip mode {edge_flip!r}")
-        if edge_flip == "hash" and self.model is not DiffusionModel.IC:
-            raise ValueError("hash edge flips are only defined for the IC model")
 
     # -- scratch -------------------------------------------------------------
 
@@ -339,7 +320,6 @@ class BatchedRRRSampler:
         self,
         sample_indices: np.ndarray,
         seed: int,
-        hash_flips: bool,
         y_max: np.uint64 | None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         g = self.graph
@@ -390,62 +370,49 @@ class BatchedRRRSampler:
             run_pair = np.flatnonzero(is_run_start)
             run_sample = f_sample[run_pair]
             run_edges = np.add.reduceat(counts, run_pair)
-            # Both coin modes yield each hit's pair and CSR slot.  An
-            # edge's pair is recovered by binary-searching its level index
-            # in the (cache-resident) pair partition — cheaper than
-            # materializing a per-edge pair array for all examined edges.
-            if hash_flips:
-                # hash_edge_flips with a per-edge sample key (same mix).
-                off = np.repeat(pair_off, counts)
-                off += arange_total
-                sd_edge = np.repeat(sd[f_sample], counts)
-                z = sd_edge ^ mix64_array(off.astype(np.uint64) + _GAMMA)
-                coins = (mix64_array(z) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-                hit_idx = np.flatnonzero(coins < g.in_probs[off])
-                hit_pair = np.searchsorted(pair_end, hit_idx, side="right")
-                hit_slot = off[hit_idx]
+            # Each edge's coin sits at its serial stream position.
+            # Sample s has consumed 1 + per_edges[s] outputs (its root,
+            # then one coin per examined edge), so level-edge i of its
+            # run, which starts at level index r, draws output
+            # per_edges[s] + 2 + i - r: the mix64 input is base + i·γ
+            # with base = sd + (per_edges + 2 - r)·γ per run (uint64
+            # wrap-around is exactly the mod-2^64 arithmetic SplitMix64
+            # wants).  A hit's pair is recovered by binary-searching its
+            # level index in the (cache-resident) pair partition —
+            # cheaper than materializing a per-edge pair array.
+            base = sd[run_sample] + (
+                (per_edges[run_sample] + 2 - pair_pos[run_pair]).astype(np.uint64)
+                * _GAMMA
+            )
+            y = np.repeat(base, run_edges)
+            y += gamma_ramp
+            tmp = self._mix_scratch(total)
+            _mix64_head_into(y, tmp)
+            if y_max is not None:
+                # Candidate-first (see candidate_bound): one compare
+                # with a scalar settles every edge that cannot hit;
+                # only the candidates finish the mix and meet their
+                # own threshold.
+                tested = np.flatnonzero(y <= y_max)
+                tested_pair = np.searchsorted(pair_end, tested, side="right")
+                slot = pair_off[tested_pair] + tested
+                y = y[tested]
             else:
-                # Each edge's coin sits at its serial stream position.
-                # Sample s has consumed 1 + per_edges[s] outputs (its
-                # root, then one coin per examined edge), so level-edge
-                # i of its run, which starts at level index r, draws
-                # output per_edges[s] + 2 + i - r: the mix64 input is
-                # base + i·γ with base = sd + (per_edges + 2 - r)·γ per
-                # run (uint64 wrap-around is exactly the mod-2^64
-                # arithmetic SplitMix64 wants).
-                base = sd[run_sample] + (
-                    (per_edges[run_sample] + 2 - pair_pos[run_pair]).astype(np.uint64)
-                    * _GAMMA
-                )
-                y = np.repeat(base, run_edges)
-                y += gamma_ramp
-                tmp = self._mix_scratch(total)
-                _mix64_head_into(y, tmp)
-                if y_max is not None:
-                    # Candidate-first (see candidate_bound): one compare
-                    # with a scalar settles every edge that cannot hit;
-                    # only the candidates finish the mix and meet their
-                    # own threshold.
-                    tested = np.flatnonzero(y <= y_max)
-                    tested_pair = np.searchsorted(pair_end, tested, side="right")
-                    slot = pair_off[tested_pair] + tested
-                    y = y[tested]
-                else:
-                    # A bound this loose admits too many edges for the
-                    # filter to pay: test every edge at its slot.
-                    tested_pair = None
-                    slot = np.repeat(pair_off, counts)
-                    slot += arange_total
-                # mix64's last xorshift, then the serial sampler's compare.
-                np.right_shift(y, np.uint64(31), out=tmp[: len(y)])
-                y ^= tmp[: len(y)]
-                y >>= np.uint64(11)
-                hit = np.flatnonzero(y < self._in_thresh[slot])
-                hit_slot = slot[hit]
-                if tested_pair is None:
-                    hit_pair = np.searchsorted(pair_end, hit, side="right")
-                else:
-                    hit_pair = tested_pair[hit]
+                # A bound this loose admits too many edges for the
+                # filter to pay: test every edge at its slot.
+                tested_pair = None
+                slot = np.repeat(pair_off, counts)
+                slot += arange_total
+            # mix64's last xorshift, then the serial sampler's compare.
+            np.right_shift(y, np.uint64(31), out=tmp[: len(y)])
+            y ^= tmp[: len(y)]
+            y >>= np.uint64(11)
+            hit = np.flatnonzero(y < self._in_thresh[slot])
+            hit_slot = slot[hit]
+            if tested_pair is None:
+                hit_pair = np.searchsorted(pair_end, hit, side="right")
+            else:
+                hit_pair = tested_pair[hit]
             per_edges[run_sample] += run_edges
             if len(hit_slot) == 0:
                 break

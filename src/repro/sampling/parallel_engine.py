@@ -395,14 +395,14 @@ def _attach_arena(name: str) -> _shm.SharedMemory:
 
 
 def _sample_block(
-    sampler: BatchedRRRSampler, indices: np.ndarray, seed: int, edge_flip: str
+    sampler: BatchedRRRSampler, indices: np.ndarray, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample a non-empty block cohort by cohort: ``(flat, sizes, edges)``.
 
     The block function of both sides: a pool worker runs it behind
     :func:`_worker_block`, and a pool-less engine runs it in the parent.
     """
-    cohorts = sampler.cohorts(indices, seed, edge_flip=edge_flip)
+    cohorts = sampler.cohorts(indices, seed)
     flat, sizes, edges = (np.concatenate(parts) for parts in zip(*cohorts))
     return flat, sizes, edges
 
@@ -410,7 +410,6 @@ def _sample_block(
 def _worker_block(
     indices: np.ndarray,
     seed: int,
-    edge_flip: str,
     extent: tuple[str, int, int] | None,
     sleep_s: float = 0.0,
 ) -> tuple:
@@ -427,9 +426,7 @@ def _worker_block(
     assert _WORKER is not None, "worker initializer did not run"
     checksum = stream_checksum(seed, indices)
     t0 = time.perf_counter()
-    flat, size_arr, edge_arr = _sample_block(
-        _WORKER["sampler"], indices, seed, edge_flip
-    )
+    flat, size_arr, edge_arr = _sample_block(_WORKER["sampler"], indices, seed)
     sample_s = time.perf_counter() - t0
     counter_row = _WORKER.get("counter_row")
     fused = counter_row is not None
@@ -877,7 +874,6 @@ class ParallelSamplingEngine:
         self,
         block: np.ndarray,
         seed: int,
-        edge_flip: str = "stream",
         *,
         sleep_s: float = 0.0,
     ) -> Future:
@@ -899,7 +895,7 @@ class ParallelSamplingEngine:
             if sleep_s > 0.0:
                 time.sleep(sleep_s)
             t0 = time.perf_counter()
-            flat, sizes, edges = _sample_block(self._local, block, seed, edge_flip)
+            flat, sizes, edges = _sample_block(self._local, block, seed)
             sample_s = time.perf_counter() - t0
             fut.set_result((flat, sizes, edges, stream_checksum(seed, block), sample_s))
             return fut
@@ -909,7 +905,7 @@ class ParallelSamplingEngine:
             if extent is None
             else (self._arena[extent[0]]["seg"].name, extent[1], extent[2])
         )
-        fut = self._pool.submit(self._block_task, block, seed, edge_flip, wire, sleep_s)
+        fut = self._pool.submit(self._block_task, block, seed, wire, sleep_s)
         fut._arena_extent = extent
         self._inflight.add(fut)
         fut.add_done_callback(self._inflight.discard)
@@ -970,7 +966,6 @@ class ParallelSamplingEngine:
         sample_indices: np.ndarray,
         seed: int,
         *,
-        edge_flip: str = "stream",
         chunk_size: int | None = None,
     ) -> np.ndarray:
         """Generate the given global sample indices into ``collection``.
@@ -982,7 +977,6 @@ class ParallelSamplingEngine:
         module docstring lists the steps a supervisor overrides.
         """
         self._require_open()
-        self._local.check_edge_flip(edge_flip)
         indices = np.asarray(sample_indices, dtype=np.int64)
         total = len(indices)
         per_sample = np.empty(total, dtype=np.int64)
@@ -1038,8 +1032,7 @@ class ParallelSamplingEngine:
                         block.spec = None
                     if block.primary is None or lost:
                         block.primary = self.submit_block(
-                            block.indices, seed, edge_flip,
-                            sleep_s=self._injected_sleep(first + bi),
+                            block.indices, seed, sleep_s=self._injected_sleep(first + bi)
                         )
                         self.stats.blocks_replayed += lost
                 replay = False
@@ -1064,7 +1057,7 @@ class ParallelSamplingEngine:
                     # balance after a duplicate.
                     self._invalidate_fused("speculative duplicate launched")
                     try:
-                        block.spec = self.submit_block(block.indices, seed, edge_flip)
+                        block.spec = self.submit_block(block.indices, seed)
                     except BrokenProcessPool:
                         self._recover("speculative submission hit a broken pool")
                         replay = True

@@ -4,9 +4,10 @@ RRR sampling dominates IMM cost (the paper's premise); a production
 service answering many queries — different ``k``, eps-tightening,
 what-if seed sets — should pay it once.  This subpackage provides:
 
-* :class:`FrozenRRRIndex` — the write-ahead checkpoint spill promoted to
-  a versioned, memory-mappable index format with a stream-fingerprint
-  integrity seal and a graph fingerprint binding it to its instance
+* :class:`FrozenRRRIndex` — the durable RRR store the checkpoint spill
+  also uses (:mod:`repro.sampling.store`), as a versioned,
+  memory-mappable index with a stream-fingerprint integrity seal and a
+  graph fingerprint binding it to its instance
   (:mod:`repro.serving.frozen`).
 * :class:`InfluenceQueryEngine` — ``top_k`` / ``marginal_gain`` /
   ``what_if`` / ``tighten`` served from the mapped bytes, bit-identical

@@ -35,6 +35,7 @@ resume skips the cursor     ``supervised.collection-bitwise``
 speculation lands reordered ``supervised.collection-bitwise``
 stale index after change    ``serving.graph-binding``
 tighten wrong stream offset ``serving.extension-bitwise``
+re-freeze renames in place  ``durability.reopen``
 dishonest degradation       ``frontend.degraded-honesty``
 breaker bypassed            ``frontend.breaker-discipline``
 stale served as fresh       ``cluster.unavailable-honesty``
@@ -59,7 +60,7 @@ worker.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,7 +82,7 @@ from ..sampling.supervisor import SupervisedSamplingEngine
 from .engine import check_engine_sampling, serial_sample_batch
 from .invariants import check_hypergraph_collection, check_sorted_collection
 from .recovery import check_degraded_accounting, check_rebuild_fidelity
-from .serving import check_index_bitwise, check_index_graph_binding
+from .serving import _perturbed, check_index_bitwise, check_index_graph_binding
 from .supervision import check_supervised_sampling
 
 __all__ = ["MutantResult", "run_mutation_suite", "SMOKE_MUTANTS"]
@@ -137,7 +138,7 @@ def _patched(owner, name: str, value):
         setattr(owner, name, real)
 
 
-def _mutant_unsorted(seed: int) -> MutantResult:
+def _mutant_unsorted(seed: int) -> tuple[bool, str]:
     coll = _sample_collection(seed)
     flat, indptr = coll.flattened()
     # Reverse the first sample with >= 2 vertices, behind validation.
@@ -145,43 +146,24 @@ def _mutant_unsorted(seed: int) -> MutantResult:
     target = int(np.argmax(sizes >= 2))
     lo, hi = int(indptr[target]), int(indptr[target + 1])
     coll._flat[lo:hi] = coll._flat[lo:hi][::-1].copy()
-    detected, evidence = _violated(
-        check_sorted_collection(coll, "mutant"), "collection.sortedness"
-    )
-    return MutantResult(
-        "unsorted-sample", f"reversed vertices of sample {target}", detected, evidence
-    )
+    return _violated(check_sorted_collection(coll, "mutant"), "collection.sortedness")
 
 
-def _mutant_duplicate(seed: int) -> MutantResult:
+def _mutant_duplicate(seed: int) -> tuple[bool, str]:
     coll = _sample_collection(seed)
     _, indptr = coll.flattened()
     sizes = np.diff(indptr)
     target = int(np.argmax(sizes >= 2))
     lo = int(indptr[target])
     coll._flat[lo + 1] = coll._flat[lo]  # a within-sample duplicate
-    detected, evidence = _violated(
-        check_sorted_collection(coll, "mutant"), "collection.sortedness"
-    )
-    return MutantResult(
-        "within-sample-duplicate",
-        f"duplicated first vertex of sample {target}",
-        detected,
-        evidence,
-    )
+    return _violated(check_sorted_collection(coll, "mutant"), "collection.sortedness")
 
 
-def _mutant_indptr(seed: int) -> MutantResult:
+def _mutant_indptr(seed: int) -> tuple[bool, str]:
     coll = _sample_collection(seed)
     mid = len(coll) // 2
     coll._indptr[mid] = coll._indptr[mid + 1] + 1  # break monotonicity
-    detected, evidence = _violated(
-        check_sorted_collection(coll, "mutant"), "collection.indptr-monotone"
-    )
-    return MutantResult(
-        "indptr-corruption", f"made indptr[{mid}] exceed its successor",
-        detected, evidence,
-    )
+    return _violated(check_sorted_collection(coll, "mutant"), "collection.indptr-monotone")
 
 
 def _misfolded_vertex_index(ids, indptr, n):
@@ -196,7 +178,7 @@ def _misfolded_vertex_index(ids, indptr, n):
     return (keys % m).astype(np.int32), vptr
 
 
-def _mutant_hit_index_fold(seed: int) -> MutantResult:
+def _mutant_hit_index_fold(seed: int) -> tuple[bool, str]:
     """The kernel's hit index built with the wrong key fold.
 
     The structural invariant compares it with the rows' transpose; the
@@ -219,15 +201,10 @@ def _mutant_hit_index_fold(seed: int) -> MutantResult:
         select.vertex_index = real
     by_invariant, inv_evidence = _violated(structural, "collection.hit-index")
     by_oracle, oracle_evidence = _violated(oracle, "oracle.seed-set")
-    return MutantResult(
-        "hit-index-keys-misfolded",
-        "hit-index keys folded with m-1 samples, unfolded with m",
-        by_invariant and by_oracle,
-        f"{inv_evidence}; {oracle_evidence}",
-    )
+    return by_invariant and by_oracle, f"{inv_evidence}; {oracle_evidence}"
 
 
-def _mutant_byte_model(seed: int) -> MutantResult:
+def _mutant_byte_model(seed: int) -> tuple[bool, str]:
     coll = _sample_collection(seed)
 
     class _Drifted(SortedRRRCollection):
@@ -235,31 +212,17 @@ def _mutant_byte_model(seed: int) -> MutantResult:
             return super().nbytes_model() - len(self) * 24
 
     coll.__class__ = _Drifted
-    detected, evidence = _violated(
-        check_sorted_collection(coll, "mutant"), "collection.byte-model"
-    )
-    return MutantResult(
-        "byte-model-drift", "nbytes_model under-reports one header per sample",
-        detected, evidence,
-    )
+    return _violated(check_sorted_collection(coll, "mutant"), "collection.byte-model")
 
 
-def _mutant_inverted_index(seed: int) -> MutantResult:
+def _mutant_inverted_index(seed: int) -> tuple[bool, str]:
     graph = load(_MUTATION_DATASET, "IC")
     coll = HypergraphRRRCollection(graph.n)
     sample_batch(graph, "IC", coll, 50, seed)
     counts = coll.counters()
     v = int(np.argmax(counts))  # a vertex certain to have entries
     coll._inverted[v].pop()  # drop one incidence from the inverse direction
-    detected, evidence = _violated(
-        check_hypergraph_collection(coll, "mutant"), "collection.inverted-index"
-    )
-    return MutantResult(
-        "inverted-index-drop",
-        f"removed one sample id from vertex {v}'s inverted list",
-        detected,
-        evidence,
-    )
+    return _violated(check_hypergraph_collection(coll, "mutant"), "collection.inverted-index")
 
 
 class _NoDecrementView(FlatView):
@@ -271,7 +234,7 @@ class _NoDecrementView(FlatView):
         return np.zeros(self.n, dtype=np.int64)
 
 
-def _mutant_skipped_decrement(seed: int) -> MutantResult:
+def _mutant_skipped_decrement(seed: int) -> tuple[bool, str]:
     # A collection where skipping decrements provably flips the second
     # pick: vertex 1 covers everything vertex 0 appears in, so after a
     # correct purge vertex 0's count drops to zero and vertex 2 wins.
@@ -280,17 +243,9 @@ def _mutant_skipped_decrement(seed: int) -> MutantResult:
         coll.append(np.asarray(s, dtype=np.int64))
     good = select_seeds(coll, 3, 2).seeds
     bad, _ = drive(greedy_cover(_NoDecrementView(3, *coll.flattened()), 2))
-    diverged = not np.array_equal(good, bad)
-    return MutantResult(
-        "skipped-decrement",
-        "greedy kernel over a view whose killed samples tally no entries",
-        diverged,
-        (
-            f"seed-set comparison caught it: {good.tolist()} vs {bad.tolist()}"
-            if diverged
-            else "mutant selector returned the reference seed set"
-        ),
-    )
+    if np.array_equal(good, bad):
+        return False, "mutant selector returned the reference seed set"
+    return True, f"seed-set comparison caught it: {good.tolist()} vs {bad.tolist()}"
 
 
 def _own_decrements(steps, n: int):
@@ -307,7 +262,7 @@ def _own_decrements(steps, n: int):
         return done.value
 
 
-def _mutant_spmd_decrement(seed: int) -> MutantResult:
+def _mutant_spmd_decrement(seed: int) -> tuple[bool, str]:
     """Distributed greedy whose ranks subtract only their own decrements.
 
     The collective schedule is unchanged, so no rank hangs, and one rank
@@ -327,13 +282,7 @@ def _mutant_spmd_decrement(seed: int) -> MutantResult:
         report = check_dist_equivalence(graph, "IC", ref, cfg, "mutant")
     finally:
         distributed._allreduced = real
-    detected, evidence = _violated(report, "oracle.seed-set")
-    return MutantResult(
-        "spmd-decrement-not-reduced",
-        "imm_dist ranks subtract their local decrement, not the All-Reduced one",
-        detected,
-        evidence,
-    )
+    return _violated(report, "oracle.seed-set")
 
 
 def _serial_divergence(sampler: BatchedRRRSampler, seed: int) -> tuple[bool, str]:
@@ -354,7 +303,7 @@ def _serial_divergence(sampler: BatchedRRRSampler, seed: int) -> tuple[bool, str
     )
 
 
-def _mutant_biased_rng(seed: int) -> MutantResult:
+def _mutant_biased_rng(seed: int) -> tuple[bool, str]:
     """Bias the IC coin acceptance and demand the bitwise compare sees it."""
     sampler = BatchedRRRSampler(load(_MUTATION_DATASET, "IC"), "IC")
     # Double every acceptance threshold: each coin flip now succeeds
@@ -362,16 +311,10 @@ def _mutant_biased_rng(seed: int) -> MutantResult:
     sampler._in_thresh = np.minimum(
         sampler._in_thresh * np.uint64(2), np.uint64(1 << 53)
     )
-    detected, evidence = _serial_divergence(sampler, seed)
-    return MutantResult(
-        "biased-rng",
-        "IC edge coins accept at ~2x the configured probability",
-        detected,
-        evidence,
-    )
+    return _serial_divergence(sampler, seed)
 
 
-def _mutant_candidate_bound(seed: int) -> MutantResult:
+def _mutant_candidate_bound(seed: int) -> tuple[bool, str]:
     """Candidate bound taken for half the largest acceptance threshold.
 
     The cohort kernel settles every coin above the bound without its
@@ -382,18 +325,10 @@ def _mutant_candidate_bound(seed: int) -> MutantResult:
     """
     real = batched.candidate_bound
     with _patched(batched, "candidate_bound", lambda t: real(t // 2)):
-        detected, evidence = _serial_divergence(
-            BatchedRRRSampler(load(_MUTATION_DATASET, "IC"), "IC"), seed
-        )
-    return MutantResult(
-        "coin-candidate-bound-too-tight",
-        "IC stream coins pre-screened against the bound for half the largest threshold",
-        detected,
-        evidence,
-    )
+        return _serial_divergence(BatchedRRRSampler(load(_MUTATION_DATASET, "IC"), "IC"), seed)
 
 
-def _mutant_recovery_skip(seed: int) -> MutantResult:
+def _mutant_recovery_skip(seed: int) -> tuple[bool, str]:
     """Buggy respawn that drops the last sample of the lost rank's slice.
 
     The classic off-by-one in the rebuild bound: the recovered rank
@@ -404,19 +339,13 @@ def _mutant_recovery_skip(seed: int) -> MutantResult:
     upto = 60
     # rank 1 owns the odd indices; stopping 2 short drops exactly index 59
     bad, _, _ = rebuild_partition(graph, "IC", deals, 1, upto - 2, seed)
-    detected, evidence = _violated(
+    return _violated(
         check_rebuild_fidelity(bad, graph, "IC", deals, 1, upto, seed, "mutant"),
         "recovery.rebuild-count",
     )
-    return MutantResult(
-        "recovery-skips-sample",
-        "respawn rebuild stops one stride short of the crash cursor",
-        detected,
-        evidence,
-    )
 
 
-def _mutant_wrong_stream(seed: int) -> MutantResult:
+def _mutant_wrong_stream(seed: int) -> tuple[bool, str]:
     """Buggy respawn that replays the wrong RNG stream (seed off by one).
 
     Sample counts come out right — only the bitwise comparison against
@@ -426,19 +355,13 @@ def _mutant_wrong_stream(seed: int) -> MutantResult:
     deals = ((0, (0, 1)),)
     upto = 60
     bad, _, _ = rebuild_partition(graph, "IC", deals, 1, upto, seed + 1)
-    detected, evidence = _violated(
+    return _violated(
         check_rebuild_fidelity(bad, graph, "IC", deals, 1, upto, seed, "mutant"),
         "recovery.rebuild-bitwise",
     )
-    return MutantResult(
-        "wrong-stream-replay",
-        "respawn rebuild draws from seed+1 instead of the job seed",
-        detected,
-        evidence,
-    )
 
 
-def _mutant_double_count(seed: int) -> MutantResult:
+def _mutant_double_count(seed: int) -> tuple[bool, str]:
     """Shrink accounting that still counts the lost block toward θ_eff.
 
     A real shrunk run is taken and its ``theta_effective`` is inflated
@@ -453,15 +376,7 @@ def _mutant_double_count(seed: int) -> MutantResult:
     )
     assert res.extra["degraded"], "mutant needs a genuinely shrunk run"
     res.extra["theta_effective"] = res.theta  # lost block double-counted
-    detected, evidence = _violated(
-        check_degraded_accounting(res, "mutant"), "recovery.degraded-accounting"
-    )
-    return MutantResult(
-        "double-count-after-shrink",
-        "degraded result reports the lost samples as still present",
-        detected,
-        evidence,
-    )
+    return _violated(check_degraded_accounting(res, "mutant"), "recovery.degraded-accounting")
 
 
 def _engine_mutant(seed: int, name: str, value, check_name: str):
@@ -478,7 +393,7 @@ def _engine_mutant(seed: int, name: str, value, check_name: str):
     return _violated(report, check_name)
 
 
-def _mutant_engine_landing(seed: int) -> MutantResult:
+def _mutant_engine_landing(seed: int) -> tuple[bool, str]:
     """Parent lands worker blocks in the wrong order.
 
     Models a completion-order landing bug (appending blocks as futures
@@ -492,15 +407,7 @@ def _mutant_engine_landing(seed: int) -> MutantResult:
     def reversed_plan(self, *args):
         return reversed(list(plan(self, *args)))
 
-    detected, evidence = _engine_mutant(
-        seed, "_plan", reversed_plan, "engine.collection-bitwise"
-    )
-    return MutantResult(
-        "worker-reorders-cohort-landing",
-        "pool parent appends sample blocks in reverse index order",
-        detected,
-        evidence,
-    )
+    return _engine_mutant(seed, "_plan", reversed_plan, "engine.collection-bitwise")
 
 
 # The three worker-side faults below are pool tasks: module-level, so a
@@ -508,38 +415,36 @@ def _mutant_engine_landing(seed: int) -> MutantResult:
 # reaches a spawned worker), swapped in as ``_block_task``.
 
 
-def _offset_task(indices, seed, edge_flip, extent, sleep_s=0.0):
+def _offset_task(indices, seed, extent, sleep_s=0.0):
     """Samples block-local ``[0, hi-lo)`` but answers the checksum of the
     global indices it was sent."""
-    desc = parallel_engine._worker_block(
-        indices - indices[0], seed, edge_flip, extent, sleep_s
-    )
+    desc = parallel_engine._worker_block(indices - indices[0], seed, extent, sleep_s)
     return desc[:3] + (stream_checksum(seed, indices),) + desc[4:]
 
 
-def _overlap_task(indices, seed, edge_flip, extent, sleep_s=0.0):
+def _overlap_task(indices, seed, extent, sleep_s=0.0):
     """Writes its payload 8 bytes past the start of its arena extent."""
     if extent is not None:
         extent = (extent[0], extent[1] + 8, extent[2])
-    return parallel_engine._worker_block(indices, seed, edge_flip, extent, sleep_s)
+    return parallel_engine._worker_block(indices, seed, extent, sleep_s)
 
 
-def _fused_drop_task(indices, seed, edge_flip, extent, sleep_s=0.0):
+def _fused_drop_task(indices, seed, extent, sleep_s=0.0):
     """Skips accumulating the block holding sample 0 into its counter
     row, yet reports the block as fused."""
     state = parallel_engine._WORKER
     row = state["counter_row"]
     if row is None or indices[0] != 0:
-        return parallel_engine._worker_block(indices, seed, edge_flip, extent, sleep_s)
+        return parallel_engine._worker_block(indices, seed, extent, sleep_s)
     state["counter_row"] = None
     try:
-        desc = parallel_engine._worker_block(indices, seed, edge_flip, extent, sleep_s)
+        desc = parallel_engine._worker_block(indices, seed, extent, sleep_s)
     finally:
         state["counter_row"] = row
     return desc[:6] + (True,) + desc[7:]
 
 
-def _mutant_engine_offset(seed: int) -> MutantResult:
+def _mutant_engine_offset(seed: int) -> tuple[bool, str]:
     """Worker samples block-local indices instead of global ones.
 
     The classic lost-offset bug: a worker handed global indices
@@ -549,18 +454,12 @@ def _mutant_engine_offset(seed: int) -> MutantResult:
     handshake — so the oracle's bitwise comparison is the detector
     under test.
     """
-    detected, evidence = _engine_mutant(
+    return _engine_mutant(
         seed, "_block_task", staticmethod(_offset_task), "engine.collection-bitwise"
     )
-    return MutantResult(
-        "worker-uses-wrong-stream-offset",
-        "pool worker samples local [0, hi-lo) instead of global [lo, hi)",
-        detected,
-        evidence,
-    )
 
 
-def _mutant_arena_overlap(seed: int) -> MutantResult:
+def _mutant_arena_overlap(seed: int) -> tuple[bool, str]:
     """Worker writes its payload past the assigned arena extent start.
 
     The classic extent-stitching off-by-one: every worker writes 8 bytes
@@ -572,18 +471,12 @@ def _mutant_arena_overlap(seed: int) -> MutantResult:
     the hardened oracle reports both as ``engine.collection-bitwise``
     violations.
     """
-    detected, evidence = _engine_mutant(
+    return _engine_mutant(
         seed, "_block_task", staticmethod(_overlap_task), "engine.collection-bitwise"
     )
-    return MutantResult(
-        "worker-writes-overlapping-arena-extent",
-        "pool worker writes its block payload 8 bytes past its extent start",
-        detected,
-        evidence,
-    )
 
 
-def _mutant_fused_drop(seed: int) -> MutantResult:
+def _mutant_fused_drop(seed: int) -> tuple[bool, str]:
     """Fused counter silently drops one block's incidences.
 
     The worker that produces the block containing global sample index 0
@@ -592,18 +485,12 @@ def _mutant_fused_drop(seed: int) -> MutantResult:
     merge of ``count_partitioned`` under-counts, so the oracle's
     ``engine.count-partitioned`` comparison is the detector under test.
     """
-    detected, evidence = _engine_mutant(
+    return _engine_mutant(
         seed, "_block_task", staticmethod(_fused_drop_task), "engine.count-partitioned"
     )
-    return MutantResult(
-        "fused-counter-drops-block",
-        "worker reports a block as fused-counted without accumulating it",
-        detected,
-        evidence,
-    )
 
 
-def _mutant_replay_overlap(seed: int) -> MutantResult:
+def _mutant_replay_overlap(seed: int) -> tuple[bool, str]:
     """Crash recovery that re-lands the last already-landed block.
 
     The classic replay-cursor bug: after a pool rebuild the supervisor
@@ -628,16 +515,10 @@ def _mutant_replay_overlap(seed: int) -> MutantResult:
         report = check_supervised_sampling(
             graph, "IC", _MUTATION_THETA, seed, "mutant", engine=eng
         )
-    detected, evidence = _violated(report, "supervised.collection-bitwise")
-    return MutantResult(
-        "replay-lands-block-twice",
-        "crash recovery re-appends the block that landed before the kill",
-        detected,
-        evidence,
-    )
+    return _violated(report, "supervised.collection-bitwise")
 
 
-def _mutant_resume_skip(seed: int) -> MutantResult:
+def _mutant_resume_skip(seed: int) -> tuple[bool, str]:
     """Resume that skips one sample past the checkpoint cursor.
 
     The off-by-one at the spill boundary: the first fresh sample after
@@ -673,16 +554,10 @@ def _mutant_resume_skip(seed: int) -> MutantResult:
             report = check_supervised_sampling(
                 graph, "IC", _MUTATION_THETA, seed, "mutant", engine=eng
             )
-    detected, evidence = _violated(report, "supervised.collection-bitwise")
-    return MutantResult(
-        "resume-skips-cursor",
-        "resume drops the first sample past the checkpointed prefix",
-        detected,
-        evidence,
-    )
+    return _violated(report, "supervised.collection-bitwise")
 
 
-def _mutant_spec_order(seed: int) -> MutantResult:
+def _mutant_spec_order(seed: int) -> tuple[bool, str]:
     """Speculative win that lands behind its successor block.
 
     The race every speculation implementation risks: the copy of the
@@ -710,16 +585,10 @@ def _mutant_spec_order(seed: int) -> MutantResult:
         report = check_supervised_sampling(
             graph, "IC", _MUTATION_THETA, seed, "mutant", engine=eng
         )
-    detected, evidence = _violated(report, "supervised.collection-bitwise")
-    return MutantResult(
-        "speculative-result-raced-in-wrong-order",
-        "speculative win lands after its successor block (completion order)",
-        detected,
-        evidence,
-    )
+    return _violated(report, "supervised.collection-bitwise")
 
 
-def _mutant_stale_index(seed: int) -> MutantResult:
+def _mutant_stale_index(seed: int) -> tuple[bool, str]:
     """A frozen index kept serving after the graph changed underneath it.
 
     The serving path that forgets to verify the graph fingerprint: the
@@ -731,7 +600,6 @@ def _mutant_stale_index(seed: int) -> MutantResult:
     """
     import tempfile
 
-    from ..graph import CSRGraph
     from ..serving import freeze_index
 
     graph = load(_MUTATION_DATASET, "IC")
@@ -741,35 +609,23 @@ def _mutant_stale_index(seed: int) -> MutantResult:
             out_dir=td + "/index",
         )
         try:
-            changed = CSRGraph(
-                graph.n,
-                graph.out_indptr, graph.out_indices, graph.out_probs * 0.5,
-                graph.in_indptr, graph.in_indices, graph.in_probs * 0.5,
-            )
-            detected, evidence = _violated(
-                check_index_graph_binding(index, changed, "mutant"),
+            return _violated(
+                check_index_graph_binding(index, _perturbed(graph), "mutant"),
                 "serving.graph-binding",
             )
         finally:
             index.close()
-    return MutantResult(
-        "stale-index-served-after-graph-change",
-        "edge probabilities re-weighted after the freeze, old index kept",
-        detected,
-        evidence,
-    )
 
 
 class _RestartingSampler(BatchedRRRSampler):
     """Draws the streams of ``[0, count)`` whatever indices it is asked
     for — an extension that lost its stream offset."""
 
-    def sample_into(self, collection, sample_indices, seed, **kwargs):
-        restarted = sample_indices - sample_indices[0]
-        return super().sample_into(collection, restarted, seed, **kwargs)
+    def sample_into(self, collection, sample_indices, seed):
+        return super().sample_into(collection, sample_indices - sample_indices[0], seed)
 
 
-def _mutant_tighten_offset(seed: int) -> MutantResult:
+def _mutant_tighten_offset(seed: int) -> tuple[bool, str]:
     """Index extension that restarts the sample streams from zero.
 
     The serving twin of the pool worker's lost-offset bug: a tighten (or
@@ -798,18 +654,48 @@ def _mutant_tighten_offset(seed: int) -> MutantResult:
             eng._sampler = _RestartingSampler(graph, "IC")
             res = eng.top_k()  # forces the (mutated) extension past `half`
             assert res.samples_added > 0, "mutant needs a genuine extension"
-            detected, evidence = _violated(
-                check_index_bitwise(index, graph, "IC", "mutant"),
-                "serving.extension-bitwise",
+            return _violated(
+                check_index_bitwise(index, graph, "IC", "mutant"), "serving.extension-bitwise"
             )
         finally:
             index.close()
-    return MutantResult(
-        "tighten-reuses-wrong-stream-offset",
-        f"extension past sample {half} re-draws streams [0, …) from zero",
-        detected,
-        evidence,
-    )
+
+
+def _mutant_refreeze_in_place(seed: int) -> tuple[bool, str]:
+    """A re-freeze that renames each new data file over the old one,
+    then writes the manifest: four commit points instead of one.
+
+    The order the store's generations replaced.  An interruption after
+    the first rename leaves a manifest that still seals the old seed over
+    a new flat file: it opens and serves answers no run produced.  Only
+    the crash-point sweep interrupts a re-freeze there.
+    """
+    from ..sampling import store
+    from .durability import check_crash_points
+    from .oracle import quick_config
+
+    commit = store.RRRStore._commit
+
+    def in_place(self, arrays=None, facts=None, *, fresh=False):
+        if not (fresh and (self.path / self.CERT).exists()):
+            return commit(self, arrays, facts, fresh=fresh)
+        with store._writer_lock(self.path):
+            on_disk = store._read_manifest(self.path / self.CERT, self.error)
+            for name, arr in zip(self._files(on_disk), arrays):
+                np.asarray(arr).tofile(self.path / (name + ".tmp"))
+                store.os.replace(self.path / (name + ".tmp"), self.path / name)
+            num = len(arrays[1])
+            cert = {**self.cert, "num_samples": num, "entries": len(arrays[0]),
+                    "stream_fold": store._fold_range(self.seed, 0, num),
+                    "files": on_disk.get("files")}
+            store._write_manifest(self.path, self.CERT, cert)
+            self.cert = cert
+            self._map()
+
+    graph = load(_MUTATION_DATASET, "IC")
+    with _patched(store.RRRStore, "_commit", in_place):
+        report = check_crash_points(graph, "IC", replace(quick_config(), seed=seed), "mutant")
+    return _violated(report, "durability.reopen")
 
 
 def _frontend_mutant(check_name: str):
@@ -822,7 +708,7 @@ def _frontend_mutant(check_name: str):
     return _violated(report, check_name)
 
 
-def _mutant_dishonest_degrade(seed: int) -> MutantResult:
+def _mutant_dishonest_degrade(seed: int) -> tuple[bool, str]:
     """A front end that degrades but reports the *requested* ε as
     achieved.
 
@@ -841,16 +727,10 @@ def _mutant_dishonest_degrade(seed: int) -> MutantResult:
         return result
 
     with _patched(ServingFrontend, "_degrade", dishonest):
-        detected, evidence = _frontend_mutant("frontend.degraded-honesty")
-    return MutantResult(
-        "degraded-result-reports-full-epsilon",
-        "degraded answer claims epsilon_effective == requested eps",
-        detected,
-        evidence,
-    )
+        return _frontend_mutant("frontend.degraded-honesty")
 
 
-def _mutant_breaker_bypass(seed: int) -> MutantResult:
+def _mutant_breaker_bypass(seed: int) -> tuple[bool, str]:
     """A front end whose extension path ignores the open circuit breaker.
 
     Every individual answer is still correct-or-typed-degraded, so no
@@ -866,16 +746,10 @@ def _mutant_breaker_bypass(seed: int) -> MutantResult:
         return True
 
     with _patched(ServingFrontend, "_breaker_allows", bypass):
-        detected, evidence = _frontend_mutant("frontend.breaker-discipline")
-    return MutantResult(
-        "breaker-open-still-extends",
-        "extension bulkhead entered while the circuit breaker is open",
-        detected,
-        evidence,
-    )
+        return _frontend_mutant("frontend.breaker-discipline")
 
 
-def _mutant_memo_per_path(seed: int) -> MutantResult:
+def _mutant_memo_per_path(seed: int) -> tuple[bool, str]:
     """Greedy answers remembered per index path instead of per engine.
 
     Every engine opened on a path shares one table, so a republish that
@@ -897,16 +771,10 @@ def _mutant_memo_per_path(seed: int) -> MutantResult:
         self._memo = tables.setdefault(Path(index.path).resolve(), self._memo)
 
     with _patched(InfluenceQueryEngine, "__init__", shared_init):
-        detected, evidence = _frontend_mutant("frontend.republish-fresh")
-    return MutantResult(
-        "memo-survives-republish",
-        "greedy memo kept per index path, so a republish reuses old answers",
-        detected,
-        evidence,
-    )
+        return _frontend_mutant("frontend.republish-fresh")
 
 
-def _mutant_identity_memo_per_path(seed: int) -> MutantResult:
+def _mutant_identity_memo_per_path(seed: int) -> tuple[bool, str]:
     """Index identities remembered per path alone.
 
     The cache answers ``identity`` and ``lease`` from what it read the
@@ -931,13 +799,7 @@ def _mutant_identity_memo_per_path(seed: int) -> MutantResult:
         return seen[given]
 
     with _patched(IndexCache, "_lookup", per_path):
-        detected, evidence = _frontend_mutant("frontend.republish-fresh")
-    return MutantResult(
-        "identity-memo-ignores-republish",
-        "identity memo keyed by path alone, so a re-freeze serves the old engine",
-        detected,
-        evidence,
-    )
+        return _frontend_mutant("frontend.republish-fresh")
 
 
 def _cluster_mutant(check_name: str):
@@ -950,7 +812,7 @@ def _cluster_mutant(check_name: str):
     return _violated(report, check_name)
 
 
-def _mutant_stale_as_fresh(seed: int) -> MutantResult:
+def _mutant_stale_as_fresh(seed: int) -> tuple[bool, str]:
     """A router that serves the all-replicas-down fallback untyped.
 
     The seeds are plausible (they really are the best selection over the
@@ -972,16 +834,10 @@ def _mutant_stale_as_fresh(seed: int) -> MutantResult:
         )
 
     with _patched(ClusterRouter, "_degrade_local", untyped):
-        detected, evidence = _cluster_mutant("cluster.unavailable-honesty")
-    return MutantResult(
-        "cluster-unavailable-served-as-fresh",
-        "all-replicas-down fallback answers as a plain (non-degraded) result",
-        detected,
-        evidence,
-    )
+        return _cluster_mutant("cluster.unavailable-honesty")
 
 
-def _mutant_hedge_writes(seed: int) -> MutantResult:
+def _mutant_hedge_writes(seed: int) -> tuple[bool, str]:
     """A router that hedges extension traffic like any other read.
 
     Two replicas race the same index extension: torn manifest renames,
@@ -1013,44 +869,98 @@ def _mutant_hedge_writes(seed: int) -> MutantResult:
         return next(iter(done)).result()
 
     with _patched(ClusterRouter, "_write", hedged):
-        detected, evidence = _cluster_mutant("cluster.single-writer")
-    return MutantResult(
-        "failover-double-dispatches-extension",
-        "router hedges a tighten onto two replicas (two writers, one index)",
-        detected,
-        evidence,
-    )
+        return _cluster_mutant("cluster.single-writer")
 
 
+#: name -> (the mutant, the fault it injects).  A mutant returns
+#: ``(detected, evidence)`` from the checker expected to kill it.
 _MUTANTS = {
-    "unsorted-sample": _mutant_unsorted,
-    "within-sample-duplicate": _mutant_duplicate,
-    "indptr-corruption": _mutant_indptr,
-    "hit-index-keys-misfolded": _mutant_hit_index_fold,
-    "byte-model-drift": _mutant_byte_model,
-    "inverted-index-drop": _mutant_inverted_index,
-    "skipped-decrement": _mutant_skipped_decrement,
-    "spmd-decrement-not-reduced": _mutant_spmd_decrement,
-    "biased-rng": _mutant_biased_rng,
-    "coin-candidate-bound-too-tight": _mutant_candidate_bound,
-    "recovery-skips-sample": _mutant_recovery_skip,
-    "wrong-stream-replay": _mutant_wrong_stream,
-    "double-count-after-shrink": _mutant_double_count,
-    "worker-reorders-cohort-landing": _mutant_engine_landing,
-    "worker-uses-wrong-stream-offset": _mutant_engine_offset,
-    "worker-writes-overlapping-arena-extent": _mutant_arena_overlap,
-    "fused-counter-drops-block": _mutant_fused_drop,
-    "replay-lands-block-twice": _mutant_replay_overlap,
-    "resume-skips-cursor": _mutant_resume_skip,
-    "speculative-result-raced-in-wrong-order": _mutant_spec_order,
-    "stale-index-served-after-graph-change": _mutant_stale_index,
-    "tighten-reuses-wrong-stream-offset": _mutant_tighten_offset,
-    "degraded-result-reports-full-epsilon": _mutant_dishonest_degrade,
-    "breaker-open-still-extends": _mutant_breaker_bypass,
-    "memo-survives-republish": _mutant_memo_per_path,
-    "identity-memo-ignores-republish": _mutant_identity_memo_per_path,
-    "cluster-unavailable-served-as-fresh": _mutant_stale_as_fresh,
-    "failover-double-dispatches-extension": _mutant_hedge_writes,
+    "unsorted-sample": (_mutant_unsorted, "reversed the vertices of the first multi-vertex sample"),
+    "within-sample-duplicate": (
+        _mutant_duplicate, "duplicated the first vertex of the first multi-vertex sample",
+    ),
+    "indptr-corruption": (_mutant_indptr, "made the middle indptr entry exceed its successor"),
+    "hit-index-keys-misfolded": (
+        _mutant_hit_index_fold, "hit-index keys folded with m-1 samples, unfolded with m",
+    ),
+    "byte-model-drift": (_mutant_byte_model, "nbytes_model under-reports one header per sample"),
+    "inverted-index-drop": (
+        _mutant_inverted_index, "removed one sample id from the busiest vertex's inverted list",
+    ),
+    "skipped-decrement": (
+        _mutant_skipped_decrement,
+        "greedy kernel over a view whose killed samples tally no entries",
+    ),
+    "spmd-decrement-not-reduced": (
+        _mutant_spmd_decrement,
+        "imm_dist ranks subtract their local decrement, not the All-Reduced one",
+    ),
+    "biased-rng": (_mutant_biased_rng, "IC edge coins accept at ~2x the configured probability"),
+    "coin-candidate-bound-too-tight": (
+        _mutant_candidate_bound,
+        "IC stream coins pre-screened against the bound for half the largest threshold",
+    ),
+    "recovery-skips-sample": (
+        _mutant_recovery_skip, "respawn rebuild stops one stride short of the crash cursor",
+    ),
+    "wrong-stream-replay": (
+        _mutant_wrong_stream, "respawn rebuild draws from seed+1 instead of the job seed",
+    ),
+    "double-count-after-shrink": (
+        _mutant_double_count, "degraded result reports the lost samples as still present",
+    ),
+    "worker-reorders-cohort-landing": (
+        _mutant_engine_landing, "pool parent appends sample blocks in reverse index order",
+    ),
+    "worker-uses-wrong-stream-offset": (
+        _mutant_engine_offset, "pool worker samples local [0, hi-lo) instead of global [lo, hi)",
+    ),
+    "worker-writes-overlapping-arena-extent": (
+        _mutant_arena_overlap, "pool worker writes its block payload 8 bytes past its extent start",
+    ),
+    "fused-counter-drops-block": (
+        _mutant_fused_drop, "worker reports a block as fused-counted without accumulating it",
+    ),
+    "replay-lands-block-twice": (
+        _mutant_replay_overlap, "crash recovery re-appends the block that landed before the kill",
+    ),
+    "resume-skips-cursor": (
+        _mutant_resume_skip, "resume drops the first sample past the checkpointed prefix",
+    ),
+    "speculative-result-raced-in-wrong-order": (
+        _mutant_spec_order, "speculative win lands after its successor block (completion order)",
+    ),
+    "stale-index-served-after-graph-change": (
+        _mutant_stale_index, "edge probabilities re-weighted after the freeze, old index kept",
+    ),
+    "tighten-reuses-wrong-stream-offset": (
+        _mutant_tighten_offset,
+        "extension past the frozen prefix re-draws streams [0, …) from zero",
+    ),
+    "refreeze-renames-data-before-manifest": (
+        _mutant_refreeze_in_place,
+        "re-freeze renames each data file over the old one, then the manifest",
+    ),
+    "degraded-result-reports-full-epsilon": (
+        _mutant_dishonest_degrade, "degraded answer claims epsilon_effective == requested eps",
+    ),
+    "breaker-open-still-extends": (
+        _mutant_breaker_bypass, "extension bulkhead entered while the circuit breaker is open",
+    ),
+    "memo-survives-republish": (
+        _mutant_memo_per_path, "greedy memo kept per index path, so a republish reuses old answers",
+    ),
+    "identity-memo-ignores-republish": (
+        _mutant_identity_memo_per_path,
+        "identity memo keyed by path alone, so a re-freeze serves the old engine",
+    ),
+    "cluster-unavailable-served-as-fresh": (
+        _mutant_stale_as_fresh,
+        "all-replicas-down fallback answers as a plain (non-degraded) result",
+    ),
+    "failover-double-dispatches-extension": (
+        _mutant_hedge_writes, "router hedges a tighten onto two replicas (two writers, one index)",
+    ),
 }
 
 #: The cheap subset tier-1 CI runs on every commit (sub-second each):
@@ -1083,4 +993,6 @@ def run_mutation_suite(
                 f"unknown mutants {unknown}; known: {sorted(_MUTANTS)}"
             )
         chosen = {n: _MUTANTS[n] for n in names}
-    return [mutant(seed) for mutant in chosen.values()]
+    return [
+        MutantResult(name, fault, *mutant(seed)) for name, (mutant, fault) in chosen.items()
+    ]

@@ -16,7 +16,8 @@ rank / thread count       {1, 2, 5} (or the configured subset)
 pool workers × chunk      {1, 2, 4} × configured chunk sizes
 RNG scheme                per-sample counter streams / leap-frog LCG
 supervised runtime        crash / straggler / deadline / resume axes
-frozen serving index      freeze / serve / tighten / promote / binding
+frozen serving index      freeze / serve / tighten / promote / binding /
+                          every durable write of index and checkpoint
 serving cluster           routing / failover / hedge / partition-heal
 ========================  =============================================
 
@@ -123,7 +124,8 @@ class OracleConfig:
     #: pool size for the supervised axes.
     supervised_workers: int = 2
     #: cover the frozen serving index: freeze / serve / tighten /
-    #: promote / graph-binding / cache axes, bit-identical to fresh runs.
+    #: promote / graph-binding / cache axes, bit-identical to fresh runs,
+    #: and the crash-point sweep of the durable RRR store.
     check_serving: bool = True
     #: cover the async serving front end: admission control, coalescing,
     #: extension bulkhead + circuit breaker, deadline-bounded degradation,

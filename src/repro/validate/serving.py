@@ -32,6 +32,9 @@ Axes, one per checked claim:
   the future, or the retired ``"compressed"`` section) raises
   :class:`~repro.serving.frozen.UnknownLayoutError` at open (typed,
   distinct from stale-graph refusal), never a misread.
+* **durability** — every durable write of the checkpoint and the index,
+  made to raise in turn, leaves the old or the new sealed state
+  (:func:`~repro.validate.durability.check_crash_points`).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import numpy as np
 from ..graph import CSRGraph
 from ..imm import imm
 from ..sampling import BlockCheckpointSink, SortedRRRCollection, sample_batch
+from ..sampling.store import FILES
 from ..serving import (
     FrozenRRRIndex,
     IndexCache,
@@ -54,6 +58,7 @@ from ..serving import (
     freeze_index,
     graph_fingerprint,
 )
+from .durability import check_crash_points
 from .engine import serial_sample_batch
 from .report import ValidationReport
 
@@ -124,15 +129,22 @@ def _perturbed(graph) -> CSRGraph:
     )
 
 
-def _seed_mismatch(a, b) -> str:
-    return f"seed sets diverge: {np.asarray(a).tolist()} vs {np.asarray(b).tolist()}"
+def _same_run(res, ref, history: bool = True) -> tuple[bool, str]:
+    """Whether a served answer is a fresh run's: seeds, θ and (with
+    ``history``) the coverage history; and what differs if not."""
+    same = bool(np.array_equal(res.seeds, ref.seeds)) and res.theta == ref.theta
+    same = same and (not history or res.coverage_history == ref.extra["coverage_history"])
+    return same, (
+        f"seed sets diverge: {np.asarray(res.seeds).tolist()} vs "
+        f"{np.asarray(ref.seeds).tolist()}; theta {res.theta} vs {ref.theta}"
+    )
 
 
 def check_serving_equivalence(
     graph, model: str, cfg, subject: str
 ) -> ValidationReport:
-    """Freeze / serve / tighten / promote / binding / cache / layout on
-    one graph × model."""
+    """Freeze / serve / tighten / promote / binding / cache / layout /
+    durability on one graph × model."""
     rep = ValidationReport()
     k, eps, seed, cap = cfg.k, cfg.eps, cfg.seed, cfg.theta_cap
     fresh = imm(graph, k, eps, model, seed=seed, layout="sorted", theta_cap=cap)
@@ -145,15 +157,8 @@ def check_serving_equivalence(
             graph, k, eps, model, seed, theta_cap=cap, out_dir=td / "index"
         )
         index.close()
-        rep.check(
-            bool(np.array_equal(fres.seeds, fresh.seeds))
-            and fres.theta == fresh.theta
-            and fres.coverage_history == fresh.extra["coverage_history"],
-            "serving.freeze-seed-set",
-            subject,
-            _seed_mismatch(fres.seeds, fresh.seeds)
-            + f"; theta {fres.theta} vs {fresh.theta}",
-        )
+        same, why = _same_run(fres, fresh)
+        rep.check(same, "serving.freeze-seed-set", subject, why)
 
         # -- serve: zero-copy reopen, bit-identical, zero resampling -----
         index = FrozenRRRIndex.open(td / "index", graph=graph)
@@ -161,14 +166,8 @@ def check_serving_equivalence(
         eng = InfluenceQueryEngine(index, graph=graph)
         res = eng.top_k()
         sub = f"{subject} serve[k={k}]"
-        rep.check(
-            bool(np.array_equal(res.seeds, fresh.seeds))
-            and res.theta == fresh.theta,
-            "serving.seed-set",
-            sub,
-            _seed_mismatch(res.seeds, fresh.seeds)
-            + f"; theta {res.theta} vs {fresh.theta}",
-        )
+        same, why = _same_run(res, fresh, history=False)
+        rep.check(same, "serving.seed-set", sub, why)
         rep.check(
             res.coverage_history == fresh.extra["coverage_history"],
             "serving.coverage-history",
@@ -192,15 +191,8 @@ def check_serving_equivalence(
             )
             r2 = eng.top_k(k2)
             sub2 = f"{subject} serve[k={k2}]"
-            rep.check(
-                bool(np.array_equal(r2.seeds, fresh2.seeds))
-                and r2.theta == fresh2.theta
-                and r2.coverage_history == fresh2.extra["coverage_history"],
-                "serving.seed-set",
-                sub2,
-                _seed_mismatch(r2.seeds, fresh2.seeds)
-                + f"; theta {r2.theta} vs {fresh2.theta}",
-            )
+            same, why = _same_run(r2, fresh2)
+            rep.check(same, "serving.seed-set", sub2, why)
             rep.check(
                 r2.samples_added == 0 and r2.edges_examined == 0,
                 "serving.no-resample",
@@ -216,15 +208,8 @@ def check_serving_equivalence(
         fresh3 = imm(graph, k, eps2, model, seed=seed, layout="sorted", theta_cap=cap)
         r3 = eng.tighten(eps2)
         sub3 = f"{subject} tighten[eps={eps2:g}]"
-        rep.check(
-            bool(np.array_equal(r3.seeds, fresh3.seeds))
-            and r3.theta == fresh3.theta
-            and r3.coverage_history == fresh3.extra["coverage_history"],
-            "serving.tighten-seed-set",
-            sub3,
-            _seed_mismatch(r3.seeds, fresh3.seeds)
-            + f"; theta {r3.theta} vs {fresh3.theta}",
-        )
+        same, why = _same_run(r3, fresh3)
+        rep.check(same, "serving.tighten-seed-set", sub3, why)
         rep.check(
             r3.samples_reused == min(before, r3.num_samples_used)
             and index.num_samples >= before,
@@ -236,14 +221,8 @@ def check_serving_equivalence(
         )
         flat_now, _ = index.rows()
         rep.check(
-            bool(
-                np.array_equal(
-                    np.asarray(flat_now[: len(flat_before)]), flat_before
-                )
-            ),
-            "serving.tighten-prefix",
-            sub3,
-            "tighten rewrote bytes inside the sealed prefix",
+            bool(np.array_equal(np.asarray(flat_now[: len(flat_before)]), flat_before)),
+            "serving.tighten-prefix", sub3, "tighten rewrote bytes inside the sealed prefix",
         )
 
         # -- promote: checkpoint run dir (torn tail) → index → extend ----
@@ -257,7 +236,7 @@ def check_serving_equivalence(
                 np.arange(half, dtype=np.int64),
                 pflat, np.diff(pindptr), pbatch.per_sample_edges,
             )
-        with open(ck / "flat.i32.bin", "ab") as fh:
+        with open(ck / FILES[0], "ab") as fh:
             fh.write(b"\x7f" * 7)  # torn tail beyond the cursor
         pidx = FrozenRRRIndex.freeze(
             ck, td / "promoted",
@@ -273,14 +252,8 @@ def check_serving_equivalence(
         peng = InfluenceQueryEngine(pidx, graph=graph)
         pres = peng.top_k()
         subp = f"{subject} promote[{half}/{fresh.num_samples}]"
-        rep.check(
-            bool(np.array_equal(pres.seeds, fresh.seeds))
-            and pres.theta == fresh.theta,
-            "serving.promote-seed-set",
-            subp,
-            _seed_mismatch(pres.seeds, fresh.seeds)
-            + f"; theta {pres.theta} vs {fresh.theta}",
-        )
+        same, why = _same_run(pres, fresh, history=False)
+        rep.check(same, "serving.promote-seed-set", subp, why)
         rep.check(
             pres.samples_added == pres.num_samples_used - half
             and pres.samples_reused == half
@@ -351,4 +324,5 @@ def check_serving_equivalence(
                 f"open() of a {layout!r}-layout index must raise "
                 "UnknownLayoutError (not StaleIndexError, not a misread)",
             )
+    rep.merge(check_crash_points(graph, model, cfg, subject))
     return rep

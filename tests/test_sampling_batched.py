@@ -1,10 +1,10 @@
 """Equivalence tests for the cohort sampling engine (repro.sampling.batched).
 
 The determinism contract: sample ``j`` is a pure function of
-``(graph, model, seed, j, edge_flip)``, so the cohort engine must emit
+``(graph, model, seed, j)``, so the cohort engine must emit
 **bit-identical** vertex arrays and per-sample edge counts to the serial
-:class:`RRRSampler` for every dataset-registry graph, every diffusion
-model / edge-flip mode, and every cohort size — including ``B = 1``
+:class:`RRRSampler`'s stream coins for every dataset-registry graph,
+every diffusion model, and every cohort size — including ``B = 1``
 (degenerate cohorts) and ``B = θ`` (the whole batch as one cohort).
 """
 
@@ -34,8 +34,9 @@ SEED = 11
 #: one cohort (the ISSUE's {1, 7, 64, θ} grid).
 COHORTS = (1, 7, 64, "theta")
 
-#: (model, edge_flip) modes under the contract; LT has no hash mode.
-MODES = (("IC", "stream"), ("IC", "hash"), ("LT", "stream"))
+#: (model, serial edge_flip) modes under the contract: the cohort
+#: engine draws stream coins only.
+MODES = (("IC", "stream"), ("LT", "stream"))
 
 
 def _graph_for(name: str, model: str):
@@ -79,7 +80,7 @@ def test_cohort_matches_serial(serial_refs, name, model, edge_flip, cohort):
     sampler = BatchedRRRSampler(graph, model, max_cohort=max_cohort)
     coll = SortedRRRCollection(graph.n)
     indices = np.arange(COUNT, dtype=np.int64)
-    per_edges = sampler.sample_into(coll, indices, SEED, edge_flip=edge_flip)
+    per_edges = sampler.sample_into(coll, indices, SEED)
     assert len(coll) == COUNT
     np.testing.assert_array_equal(per_edges, ref_edges)
     for got, want in zip(coll, ref_sets):
@@ -98,7 +99,7 @@ def test_sampler_reuse_across_calls(serial_refs, model, edge_flip):
     edges_parts = []
     for lo, hi in ((0, 13), (13, 31), (31, COUNT)):
         idx = np.arange(lo, hi, dtype=np.int64)
-        edges_parts.append(sampler.sample_into(coll, idx, SEED, edge_flip=edge_flip))
+        edges_parts.append(sampler.sample_into(coll, idx, SEED))
     np.testing.assert_array_equal(np.concatenate(edges_parts), ref_edges)
     for got, want in zip(coll, ref_sets):
         np.testing.assert_array_equal(got, want)
@@ -172,14 +173,6 @@ def test_stream_coin_paths_match_serial(serial_refs, name, path, monkeypatch):
         np.testing.assert_array_equal(per_edges, ref_edges)
         for got, want in zip(coll, ref_sets):
             np.testing.assert_array_equal(got, want)
-
-
-def test_lt_rejects_hash_mode():
-    graph = _graph_for("cit-HepTh", "LT")
-    sampler = BatchedRRRSampler(graph, "LT")
-    coll = SortedRRRCollection(graph.n)
-    with pytest.raises(ValueError, match="hash"):
-        sampler.sample_into(coll, np.arange(3), SEED, edge_flip="hash")
 
 
 def test_in_edge_cumweights_bit_exact():

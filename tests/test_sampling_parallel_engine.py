@@ -42,17 +42,16 @@ from repro.sampling.parallel_engine import (
     AdaptiveChunkPolicy,
     _worker_block,
 )
-from repro.sampling.supervisor import SupervisedSamplingEngine
 
 THETA = 400
 
 
-def _dies_on_block_1(indices, seed, edge_flip, extent, sleep_s=0.0):
+def _dies_on_block_1(indices, seed, extent, sleep_s=0.0):
     """Pool task whose worker dies mid-block on block 1 of a
     ``chunk_size=50`` run (the block starting at sample 50)."""
     if indices[0] == 50:
         os._exit(1)
-    return _worker_block(indices, seed, edge_flip, extent, sleep_s)
+    return _worker_block(indices, seed, extent, sleep_s)
 
 
 @pytest.fixture
@@ -315,27 +314,6 @@ class TestFailureModes:
         for name in seg_names:  # unlinked: attaching must fail
             with pytest.raises(FileNotFoundError):
                 _shm.SharedMemory(name=name)
-
-    @pytest.mark.parametrize(
-        "engine_cls", [ParallelSamplingEngine, SupervisedSamplingEngine]
-    )
-    def test_bad_edge_flip_refused_before_any_block(self, ba_graph_lt, engine_cls):
-        """An edge-coin mode the model cannot draw is refused in the
-        parent: no block is submitted and the engine keeps sampling."""
-        ref = _reference(ba_graph_lt, "LT", 120, seed=2)
-        with engine_cls(ba_graph_lt, "LT", workers=2, chunk_size=31) as eng:
-            for bad in ("bogus", "hash"):
-                with pytest.raises(ValueError):
-                    eng.sample_into(
-                        SortedRRRCollection(ba_graph_lt.n),
-                        np.arange(120, dtype=np.int64),
-                        2,
-                        edge_flip=bad,
-                    )
-                assert eng.stats.tasks_submitted == 0
-            got = _drive(eng, ba_graph_lt, 120, seed=2)
-        for a, b in zip(got, ref):
-            assert np.array_equal(a, b)
 
     def test_close_is_idempotent_and_fences(self, ba_graph):
         eng = ParallelSamplingEngine(ba_graph, "IC", workers=2)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import repro.serving.frozen as frozen_mod
+import repro.sampling.store as store_mod
 from repro import imm
 from repro.datasets import load
 from repro.graph import CSRGraph
@@ -171,7 +171,7 @@ class TestLayout:
             "estimation_rounds": None, "coverage_history": [],
             "num_samples": 3, "entries": 5,
             "layout": "compressed", "encoding_version": 1, "coded_bytes": 5,
-            "stream_fold": frozen_mod._fold_range(SEED, 3),
+            "stream_fold": store_mod._fold_range(SEED, 0, 3),
             "graph_fingerprint": None, "created_unix": 0.0,
         }
         (out / "INDEX.json").write_text(json.dumps(manifest))
@@ -212,7 +212,7 @@ class TestGraphBinding:
     def test_unbound_index_accepts_any_graph(self, ba_graph, tmp_path):
         coll, batch = _sampled(ba_graph)
         index = FrozenRRRIndex.freeze(
-            coll, tmp_path / "idx", graph=None, n=ba_graph.n,
+            coll, tmp_path / "idx", graph=None,
             model="IC", seed=SEED, k=5, eps=0.5,
             edges=batch.per_sample_edges,
         )
@@ -318,10 +318,10 @@ class TestExtend:
             full_batch.per_sample_edges[THETA:],
         )
         checked, sealed = threading.Event(), threading.Event()
-        read = frozen_mod._read_manifest
+        read = store_mod._read_manifest
 
-        def stalled_read(path):
-            manifest = read(path)
+        def stalled_read(*args):
+            manifest = read(*args)
             if threading.current_thread().name == "first":
                 checked.set()
                 sealed.wait(timeout=0.3)
@@ -342,7 +342,7 @@ class TestExtend:
 
         with FrozenRRRIndex.open(tmp_path / "idx") as a, \
                 FrozenRRRIndex.open(tmp_path / "idx") as b:
-            monkeypatch.setattr(frozen_mod, "_read_manifest", stalled_read)
+            monkeypatch.setattr(store_mod, "_read_manifest", stalled_read)
             first = threading.Thread(target=extend, args=(a,), name="first")
             second = threading.Thread(target=extend, args=(b,), name="second")
             first.start()
@@ -358,11 +358,11 @@ class TestExtend:
             assert np.array_equal(np.asarray(back.arrays()[0]), f_flat)
 
     def test_extend_waits_for_a_refreeze_then_refuses(self, ba_graph, tmp_path, monkeypatch):
-        # A re-freeze under the next seed stalls after its first data
-        # rename.  An extend through a handle opened before it must wait
-        # for the new manifest and then refuse: extending in that window
-        # would cut the new flat file to the old seal and append the old
-        # seed's samples to it.
+        # A re-freeze under the next seed stalls with its data durable
+        # and its manifest not yet renamed in.  An extend through a
+        # handle opened before it must wait for the new manifest and then
+        # refuse: extending in that window would append the old seed's
+        # samples to the files the new manifest retires.
         out = tmp_path / "idx"
         index, _ = freeze_index(ba_graph, 5, 0.5, "IC", SEED, out_dir=out)
         tail = _tail(ba_graph, index.num_samples)
@@ -370,10 +370,10 @@ class TestExtend:
         replace = os.replace
 
         def stalled_replace(src, dst):
-            replace(src, dst)
-            if threading.current_thread().name == "refreeze" and Path(dst).name == "flat.i32.bin":
+            if threading.current_thread().name == "refreeze" and Path(dst).name == "INDEX.json":
                 renamed.set()
                 release.wait(timeout=30)
+            replace(src, dst)
 
         outcome = {}
 
@@ -384,7 +384,7 @@ class TestExtend:
             except FrozenIndexError:
                 outcome["extend"] = "refused"
 
-        monkeypatch.setattr(frozen_mod.os, "replace", stalled_replace)
+        monkeypatch.setattr(store_mod.os, "replace", stalled_replace)
         refreeze = threading.Thread(
             target=lambda: freeze_index(ba_graph, 5, 0.5, "IC", SEED + 1, out_dir=out)[0].close(),
             name="refreeze",
@@ -464,7 +464,7 @@ class TestAmend:
         index = _freeze(ba_graph, coll, batch, tmp_path / "idx")
         try:
             before = dict(index.manifest)
-            monkeypatch.setattr(frozen_mod, "_write_manifest", _fail_write)
+            monkeypatch.setattr(store_mod, "_write_manifest", _fail_write)
             with pytest.raises(OSError, match="injected"):
                 index.amend(eps=0.3)
             assert index.manifest == before
@@ -472,7 +472,7 @@ class TestAmend:
             index.close()
 
 
-def _fail_write(path, manifest):
+def _fail_write(*args):
     raise OSError("injected manifest-write failure")
 
 
@@ -516,7 +516,7 @@ class TestCrashConsistency:
             before = _answers(engine)
 
             with monkeypatch.context() as mp:
-                mp.setattr(frozen_mod, "_write_manifest", _fail_write)
+                mp.setattr(store_mod, "_write_manifest", _fail_write)
                 with pytest.raises(OSError, match="injected"):
                     engine.tighten(0.3)
             torn = _sizes(out, certified)

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-import repro.serving.frozen as frozen_module
+import repro.sampling.store as store_module
 from repro.datasets import load
 from repro.graph import CSRGraph
 from repro.imm import imm
@@ -561,7 +561,7 @@ class TestGreedyMemo:
                         ))
                     return np.memmap(filename, *args, **kwargs)
 
-            monkeypatch.setattr(frozen_module, "np", _Numpy())
+            monkeypatch.setattr(store_module, "np", _Numpy())
             # Extends without reading the rows first, so the reader's
             # read is this handle's first.
             InfluenceQueryEngine(index, graph=ba_graph)._ensure_samples(

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.sampling import ParallelSamplingEngine, batched
+from repro.sampling.store import RRRStore
 from repro.sampling.supervisor import SupervisedSamplingEngine
 from repro.serving import ClusterRouter, IndexCache, InfluenceQueryEngine, ServingFrontend
 from repro.validate import SMOKE_MUTANTS, MutantResult, run_mutation_suite
@@ -41,6 +42,7 @@ EXPECTED_MUTANTS = {
     "speculative-result-raced-in-wrong-order",
     "stale-index-served-after-graph-change",
     "tighten-reuses-wrong-stream-offset",
+    "refreeze-renames-data-before-manifest",
     "degraded-result-reports-full-epsilon",
     "breaker-open-still-extends",
     "memo-survives-republish",
@@ -63,6 +65,7 @@ SEAMS = (
     (SupervisedSamplingEngine, "_land"),
     (SupervisedSamplingEngine, "_open_run"),
     (batched, "candidate_bound"),
+    (RRRStore, "_commit"),
 )
 
 
