@@ -13,8 +13,8 @@ Runs a fixed micro-suite and writes commit-stamped numbers to
   two largest registry graphs (com-Orkut, soc-LiveJournal1): sampling
   seconds per worker count, the 4-worker speedup, and a per-phase
   breakdown of the fastest pooled rep (worker sampling seconds, arena
-  write seconds, parent landing seconds, fused-count merge seconds,
-  and IPC descriptor bytes per block).  The ``≥1.6×`` speedup gate and
+  write seconds, parent landing seconds, and IPC descriptor bytes per
+  block).  The ``≥1.6×`` speedup gate and
   the descriptor-size budget (each landed block's IPC payload must
   stay under ``DESCRIPTOR_BYTE_BUDGET`` bytes — the zero-copy arena's
   whole point) are enforced only on hosts with at least 4 usable CPUs
@@ -395,13 +395,13 @@ def bench_worker_scaling() -> dict:
 
     For every pooled worker count the fastest rep's per-phase breakdown
     is recorded from ``EngineStats`` deltas: worker sampling and arena
-    write seconds (summed across workers), parent landing and counting
-    merge seconds, and — the zero-copy contract made measurable — the
-    IPC descriptor bytes that actually crossed the pipe per block.
+    write seconds (summed across workers), parent landing seconds, and
+    — the zero-copy contract made measurable — the IPC descriptor bytes
+    that actually crossed the pipe per block.
     """
     phase_keys = (
         "blocks_landed", "sample_seconds", "arena_write_seconds",
-        "landing_seconds", "count_merge_seconds", "ipc_descriptor_bytes",
+        "landing_seconds", "ipc_descriptor_bytes",
         "arena_overflows",
     )
     cpus = _host_cpus()
@@ -443,7 +443,6 @@ def bench_worker_scaling() -> dict:
                     "sample_s": round(d["sample_seconds"], 4),
                     "arena_write_s": round(d["arena_write_seconds"], 4),
                     "landing_s": round(d["landing_seconds"], 4),
-                    "count_merge_s": round(d["count_merge_seconds"], 4),
                     "ipc_descriptor_bytes": d["ipc_descriptor_bytes"],
                     "ipc_bytes_per_block": round(
                         d["ipc_descriptor_bytes"] / blocks, 1
@@ -1470,7 +1469,7 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"    {w}w phases: sample {ph['sample_s']}s, "
                 f"arena-write {ph['arena_write_s']}s, "
-                f"land {ph['landing_s']}s, merge {ph['count_merge_s']}s, "
+                f"land {ph['landing_s']}s, "
                 f"ipc {ph['ipc_bytes_per_block']} B/block "
                 f"({ph['blocks_landed']} blocks, "
                 f"{ph['arena_segments']} segment(s), chunk {ph['chunk']})"

@@ -157,7 +157,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"  {phase:13s} {seconds:.4f}s")
     if result.extra.get("workers", 0) > 1:
         print(
-            f"  (sampling + counting executed on a {result.extra['workers']}"
+            f"  (sampling executed on a {result.extra['workers']}"
             "-worker process pool)"
         )
     eng = result.extra.get("engine")
@@ -166,7 +166,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"  engine: blocks={eng['blocks_landed']}"
             f" arena_segments={eng['arena_segments']}"
             f" overflows={eng['arena_overflows']}"
-            f" fused_merges={eng['fused_count_merges']}"
             f" ipc_bytes={eng['ipc_descriptor_bytes']}"
             f" chunk={eng['chunk_initial']}->{eng['chunk_final']}"
         )
@@ -177,7 +176,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f" rebuilds={sup['rebuilds']} replayed={sup['blocks_replayed']}"
             f" speculative_wins={sup['speculative_wins']}"
             f" resumed={sup['resumed_samples']}"
-            f" count_fallbacks={sup['count_fallbacks']}"
         )
         if sup["checkpoint_bytes"]:
             print(
@@ -617,8 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="process-pool size for real multicore sampling (serial and mt "
         "variants; >1 turns the mt cost model's run into measured parallel "
         "execution, output stays bit-identical). Results land through a "
-        "zero-copy shared-memory output arena with adaptive chunk sizing "
-        "and fused in-worker counting by default",
+        "zero-copy shared-memory output arena with adaptive chunk sizing",
     )
     p_run.add_argument("--nodes", type=int, default=8, help="dist nodes")
     p_run.add_argument("--machine", choices=tuple(_MACHINES), default="puma")

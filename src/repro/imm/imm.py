@@ -91,8 +91,7 @@ def imm(
         reports ``extra["theta_capped"] = True`` and waives the formal
         guarantee.
     workers, start_method:
-        ``workers > 1`` executes sampling and the selection counting
-        pass on a real
+        ``workers > 1`` executes sampling on a real
         :class:`~repro.sampling.parallel_engine.ParallelSamplingEngine`
         process pool (shared-memory CSR, ``start_method`` selects how
         workers are started).  Results are bit-identical to the serial
@@ -286,7 +285,7 @@ class _Algorithm1:
             )
             run.counters.edges_examined += run.batch.edges_examined
             run.counters.samples_generated += run.batch.count
-        self._select(k, self.engine)
+        self._select(k)
         return run
 
     def degrade(self, k: int) -> None:
@@ -294,18 +293,14 @@ class _Algorithm1:
         prefix (nothing, if none landed), so :meth:`result` reports an
         honest :class:`DegradedResult`."""
         self.run.degraded = True
-        self._select(k, None)
+        self._select(k)
 
-    def _select(self, k: int, count_engine) -> None:
+    def _select(self, k: int) -> None:
         run = self.run
         with run.timer.phase("SelectSeeds"):
             if len(self.collection):
                 run.sel = select_seeds(
-                    self.collection,
-                    self.graph.n,
-                    k,
-                    num_ranks=self.num_ranks,
-                    count_engine=count_engine,
+                    self.collection, self.graph.n, k, num_ranks=self.num_ranks
                 )
                 run.counters.entries_scanned += run.sel.entries_scanned
                 run.counters.counter_updates += run.sel.counter_updates
@@ -325,9 +320,9 @@ class _Algorithm1:
         landed = len(self.collection)
         extra = {"n": n, "workers": self.workers, "supervised": self.supervised, **extra}
         if self.engine is not None:
-            # Engine counters (arena writes, landing, fused merges, IPC
-            # descriptor bytes); cumulative over a sweep, whose points
-            # share the engine.
+            # Engine counters (arena writes, landing, IPC descriptor
+            # bytes); cumulative over a sweep, whose points share the
+            # engine.
             extra["engine"] = self.engine.stats.as_dict()
             if self.supervised:
                 extra["supervisor"] = extra["engine"]

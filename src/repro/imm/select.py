@@ -129,10 +129,7 @@ class FlatView:
     flat array (the frozen index's, shared by every query); each
     vertex's hits are cut to the prefix.  ``num_samples`` is clamped to
     the mapped rows, because a concurrent extension commits the manifest
-    count before the remap lands.  ``count_engine`` (a
-    :class:`~repro.sampling.parallel_engine.ParallelSamplingEngine`)
-    computes the initial counts with its partitioned kernel instead of a
-    serial ``np.bincount`` — bit-identical counters.
+    count before the remap lands.
     """
 
     def __init__(
@@ -143,7 +140,6 @@ class FlatView:
         *,
         num_samples: int | None = None,
         by_vertex: tuple[np.ndarray, np.ndarray] | None = None,
-        count_engine=None,
     ) -> None:
         m = len(indptr) - 1
         if num_samples is not None:
@@ -157,14 +153,11 @@ class FlatView:
         if by_vertex is None:
             by_vertex = vertex_index(self._flat, self._indptr, n)
         self._hits, self._vptr = by_vertex
-        self._count_engine = count_engine
         # Gather scratch, grown to the largest run seen so far instead
         # of re-allocating the index temporaries on every kill.
         self._scratch = np.empty(0, dtype=np.intp)
 
     def counts(self) -> np.ndarray:
-        if self._count_engine is not None:
-            return self._count_engine.count_partitioned(self._flat, self.n)
         if len(self._hits) == self.entries:
             # The hit index covers exactly these rows: its group sizes
             # are the counts.
@@ -379,22 +372,18 @@ def select_seeds(
     n: int,
     k: int,
     num_ranks: int = 1,
-    *,
-    count_engine=None,
 ) -> SelectionResult:
     """Greedy selection of ``k`` seeds over any collection layout.
 
     Every layout runs the same kernel (including tie breaking), so the
     chosen seeds depend only on the collection contents — a property the
-    test suite asserts.  ``count_engine`` applies to the sorted layout
-    (the hypergraph layout reads its counters off the inverted index, no
-    counting pass exists), and so does ``num_ranks``: the inverted index
-    is charged to a single rank.
+    test suite asserts.  ``num_ranks`` applies to the sorted layout: the
+    hypergraph layout's inverted index is charged to a single rank.
     """
     if num_ranks < 1:
         raise ValueError("need at least one rank")
     if isinstance(collection, SortedRRRCollection):
-        view = FlatView(n, *collection.flattened(), count_engine=count_engine)
+        view = FlatView(n, *collection.flattened())
     elif isinstance(collection, HypergraphRRRCollection):
         view = HypergraphView(collection, n)
     else:

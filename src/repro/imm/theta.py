@@ -266,7 +266,6 @@ def estimate_theta(
         collection = SortedRRRCollection(n)
     if sampler is None:
         sampler = BatchedRRRSampler(graph, model)
-    count_engine = sampler if isinstance(sampler, ParallelSamplingEngine) else None
 
     def cover(theta_x: int) -> float:
         batch = sample_batch(graph, model, collection, theta_x, seed, sampler=sampler)
@@ -275,9 +274,7 @@ def estimate_theta(
             counters.samples_generated += batch.count
         if trace is not None:
             trace.append(("sample", batch))
-        sel = select_seeds(
-            collection, n, k, num_ranks=num_ranks, count_engine=count_engine
-        )
+        sel = select_seeds(collection, n, k, num_ranks=num_ranks)
         if counters is not None:
             counters.entries_scanned += sel.entries_scanned
             counters.counter_updates += sel.counter_updates

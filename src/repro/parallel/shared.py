@@ -7,8 +7,7 @@ thread count) and charges *modeled* phase time from the per-rank work
 meters through a :class:`~repro.parallel.cost.CostModel`.  See the
 package docstring and DESIGN.md for why this substitution is faithful.
 
-``workers > 1`` runs sampling and the selection counting pass on the
-shared-memory process-pool engine
+``workers > 1`` runs sampling on the shared-memory process-pool engine
 (:class:`~repro.sampling.parallel_engine.ParallelSamplingEngine`), as
 ``imm(..., workers=w)`` does: the result's measured wall-clock
 breakdown is then genuinely parallel, reported next to the cost model's

@@ -3,9 +3,12 @@
 Everything above this module so far *modeled* parallel time; this module
 actually uses the cores.  The design follows the shared-memory scaling
 recipe of Ripples/HBMax (read-only CSR + embarrassingly parallel sample
-blocks + partitioned counting), adapted to a Python substrate where the
-unit of parallelism must be a *process* (the GIL rules out threads for
-NumPy-dispatch-bound kernels):
+blocks), adapted to a Python substrate where the unit of parallelism
+must be a *process* (the GIL rules out threads for NumPy-dispatch-bound
+kernels).  The engine only samples: selection takes its initial counts
+from the hit index it builds over the landed collection
+(:meth:`~repro.imm.select.FlatView.counts`), so no counting pass runs
+in the pool.
 
 * The graph's reverse-CSR arrays (``in_indptr``/``in_indices``/
   ``in_probs``) — plus, for LT, the precomputed per-vertex cumulative
@@ -21,23 +24,11 @@ NumPy-dispatch-bound kernels):
   ``[flat int32 | pad to 8 | sizes int64 | edges int64]`` directly into
   its extent and returns only a tiny descriptor
   ``(wrote_arena, flat_len, num_samples, checksum, sample_s, write_s,
-  fused, inline)``; the parent lands the block by passing zero-copy
-  NumPy views over the extent straight into ``append_batch``.  A block
-  that outgrows its extent rides back inline (counted in
+  inline)``; the parent lands the block by passing zero-copy NumPy
+  views over the extent straight into ``append_batch``.  A block that
+  outgrows its extent rides back inline (counted in
   ``stats.arena_overflows``) and bumps the parent's bytes-per-sample
   estimate so follow-on segments are sized honestly.
-* **Fused counting** — each worker keeps a running per-vertex bincount
-  over the blocks it produced, in its own row of a shared counters
-  matrix (rows are assigned once per worker process via a shared
-  slot counter; rows never alias).  When the books balance —
-  every incidence of the queried flat array was produced by a fused
-  block, and nothing is in flight — ``count_partitioned`` merges the
-  ``w`` partial counters with one column sum instead of re-shipping the
-  flat buffers.  Any event that could desynchronize rows from the
-  landed collection (a crash, a speculative duplicate, a deadline
-  abandonment, a worker without a row) *invalidates* the fused state
-  and the call falls back to the partitioned/serial path — exact either
-  way, by construction.
 * **Adaptive chunking** — with no explicit ``chunk_size`` the engine
   starts with small probe blocks and grows them geometrically toward a
   target block latency (:data:`ADAPTIVE_TARGET_BLOCK_SECONDS`), driven
@@ -66,7 +57,7 @@ index order, and refreshes the ``task_timeout`` watchdog.  At a few
 named private steps it calls methods whose versions here fail fast:
 
 ``_open_run``
-    re-arm the fused counters and the arena; no sample is landed yet;
+    rewind the arena; no sample is landed yet;
 ``_injected_sleep``
     seconds a block's worker stalls first (none);
 ``_before_wait``
@@ -87,8 +78,8 @@ worker runs per block is the class attribute ``_block_task``.
 
 Cleanup discipline
 ------------------
-The parent owns every shared-memory segment — CSR, counters, and all
-arena segments: ``close()`` (idempotent, also invoked by ``__exit__``,
+The parent owns every shared-memory segment — the CSR and all arena
+segments: ``close()`` (idempotent, also invoked by ``__exit__``,
 ``__del__``, and every error path) shuts the pool down and unlinks all
 segments.  Pool workers share the parent's ``resource_tracker`` process
 (its fd rides along under both ``fork`` and ``spawn``), and the
@@ -107,13 +98,11 @@ the per-block ``task_timeout``), and a stream-addressing disagreement as
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 import pickle
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures import wait as _futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -139,14 +128,6 @@ __all__ = [
     "AdaptiveChunkPolicy",
 ]
 
-_log = logging.getLogger(__name__)
-
-#: Below this many incidences, the *partitioned* counting path stays
-#: serial — the pickle+IPC round trip costs more than the bincount it
-#: would save.  The fused merge has no per-element IPC at all, so it
-#: applies regardless of this threshold.
-PARALLEL_COUNT_THRESHOLD = 1 << 15
-
 #: Floor for the first arena segment when no override is given.
 ARENA_MIN_BYTES = 1 << 20
 #: Ceiling for the first arena segment (growth covers anything larger).
@@ -161,10 +142,6 @@ ARENA_MAX_SEGMENTS = 64
 #: only committed when actually written, so an oversized extent tail
 #: costs address space, not memory.
 ARENA_BYTES_PER_SAMPLE_GUESS = 4096
-
-#: Counters matrix budget: above this the fused-counting rows are not
-#: allocated and ``count_partitioned`` always uses the legacy paths.
-FUSED_COUNTER_MAX_BYTES = 64 << 20
 
 #: Adaptive chunking: target per-block sampling latency (seconds) ...
 ADAPTIVE_TARGET_BLOCK_SECONDS = 0.25
@@ -205,32 +182,23 @@ class EngineStats:
     """Operational counters of one engine instance.
 
     The supervisor (:mod:`repro.sampling.supervisor`) extends these with
-    recovery counters; the plain engine tracks the work it routed, the
-    counting-kernel fallbacks it took, and the per-phase cost breakdown
-    the regression harness records (arena writes, landing, counting
-    merges, IPC descriptor bytes).
+    recovery counters; the plain engine tracks the work it routed and
+    the per-phase cost breakdown the regression harness records (arena
+    writes, landing, IPC descriptor bytes).
     """
 
     blocks_landed: int = 0
     tasks_submitted: int = 0
-    #: ``count_partitioned`` calls that degraded to a serial bincount
-    #: because a worker crashed or timed out mid-count.
-    count_fallbacks: int = 0
     #: Arena bookkeeping: segments allocated, bytes reserved across
     #: them, and blocks that outgrew their extent and rode back inline.
     arena_segments: int = 0
     arena_bytes: int = 0
     arena_overflows: int = 0
     #: Per-phase seconds (workers' sampling + arena writes are summed
-    #: across workers; landing/merge are parent wall-clock).
+    #: across workers; landing is parent wall-clock).
     sample_seconds: float = 0.0
     arena_write_seconds: float = 0.0
     landing_seconds: float = 0.0
-    count_merge_seconds: float = 0.0
-    #: Fused-counting life cycle: merges served from the worker rows,
-    #: and events that forced the fallback path.
-    fused_count_merges: int = 0
-    fused_invalidations: int = 0
     #: Total pickled bytes of every result the parent consumed — the
     #: IPC payload the arena exists to keep descriptor-sized.
     ipc_descriptor_bytes: int = 0
@@ -250,22 +218,21 @@ class EngineStats:
         return {
             "blocks_landed": self.blocks_landed,
             "tasks_submitted": self.tasks_submitted,
-            "count_fallbacks": self.count_fallbacks,
             "arena_segments": self.arena_segments,
             "arena_bytes": self.arena_bytes,
             "arena_overflows": self.arena_overflows,
             "sample_seconds": round(self.sample_seconds, 6),
             "arena_write_seconds": round(self.arena_write_seconds, 6),
             "landing_seconds": round(self.landing_seconds, 6),
-            "count_merge_seconds": round(self.count_merge_seconds, 6),
-            "fused_count_merges": self.fused_count_merges,
-            "fused_invalidations": self.fused_invalidations,
             "ipc_descriptor_bytes": self.ipc_descriptor_bytes,
             "chunk_initial": self.chunk_initial,
             "chunk_final": self.chunk_final,
             "blocks_replayed": self.blocks_replayed,
             "speculative_launched": self.speculative_launched,
             "speculative_wins": self.speculative_wins,
+            # Always zero (the pool does not count); perfbench's traced solve reads both keys.
+            "count_fallbacks": 0,
+            "count_merge_seconds": 0.0,
         }
 
 
@@ -327,11 +294,6 @@ def _worker_init(payload: dict) -> None:
     Attaching re-registers each segment with the resource tracker the
     worker shares with the parent — a set-insert no-op.  Ownership stays
     with the parent (create + unlink); workers only hold views.
-
-    When the payload carries a counters matrix, the worker claims one
-    row via the shared slot counter (bounded acquire: a worker that
-    cannot get a slot simply produces unfused blocks — never deadlocks
-    the pool).
     """
     global _WORKER
     views: dict[str, np.ndarray] = {}
@@ -359,29 +321,10 @@ def _worker_init(payload: dict) -> None:
     )
     if "lt_cum" in views:
         sampler._lt_cum = views["lt_cum"]  # shared, bit-equal to a local build
-    counter_row = None
-    counters = payload.get("counters")
-    slot_counter = payload.get("slot_counter")
-    if counters is not None and slot_counter is not None:
-        name, rows, n = counters
-        slot = -1
-        lock = slot_counter.get_lock()
-        if lock.acquire(timeout=5.0):
-            try:
-                slot = slot_counter.value
-                slot_counter.value = slot + 1
-            finally:
-                lock.release()
-        if 0 <= slot < rows:
-            seg = _shm.SharedMemory(name=name)
-            segments.append(seg)
-            matrix = np.ndarray((rows, n), dtype=np.int64, buffer=seg.buf)
-            counter_row = matrix[slot]
     _WORKER = {
         "sampler": sampler,
         "segments": segments,
         "arena": {},  # arena segment name -> attached SharedMemory
-        "counter_row": counter_row,
     }
 
 
@@ -416,10 +359,10 @@ def _worker_block(
     """Sample one block of global indices into its arena extent.
 
     Returns the block *descriptor* ``(wrote_arena, flat_len,
-    num_samples, checksum, sample_s, write_s, fused, inline)`` — a
-    handful of scalars when the payload fit the extent, or the payload
-    itself in ``inline`` when it did not (the parent then grows its
-    sizing estimate).
+    num_samples, checksum, sample_s, write_s, inline)`` — a handful of
+    scalars when the payload fit the extent, or the payload itself in
+    ``inline`` when it did not (the parent then grows its sizing
+    estimate).
     """
     if sleep_s > 0.0:  # injected straggler: the worker stalls, then answers
         time.sleep(sleep_s)
@@ -427,12 +370,8 @@ def _worker_block(
     checksum = stream_checksum(seed, indices)
     t0 = time.perf_counter()
     flat, size_arr, edge_arr = _sample_block(_WORKER["sampler"], indices, seed)
-    sample_s = time.perf_counter() - t0
-    counter_row = _WORKER.get("counter_row")
-    fused = counter_row is not None
-    if fused:
-        counter_row += np.bincount(flat, minlength=len(counter_row))
     t1 = time.perf_counter()
+    sample_s = t1 - t0
     flat_len, ns = len(flat), len(size_arr)
     need = _extent_need(flat_len, ns)
     wrote = False
@@ -448,12 +387,7 @@ def _worker_block(
         wrote = True
     write_s = time.perf_counter() - t1
     inline = None if wrote else (flat, size_arr, edge_arr)
-    return (wrote, flat_len, ns, checksum, sample_s, write_s, fused, inline)
-
-
-def _worker_count(block: np.ndarray, minlength: int) -> np.ndarray:
-    """Private bincount of one contiguous block of the incidence array."""
-    return np.bincount(block, minlength=minlength)
+    return (wrote, flat_len, ns, checksum, sample_s, write_s, inline)
 
 
 def _worker_ping() -> int:
@@ -497,7 +431,7 @@ class ParallelSamplingEngine:
     Drop-in alternative to :class:`BatchedRRRSampler` for the batch
     drivers: it exposes the same ``sample_into`` interface (and
     :func:`~repro.sampling.sampler.sample_batch` accepts it as
-    ``sampler=``), plus the ``count_partitioned`` selection kernel.
+    ``sampler=``).
 
     Parameters
     ----------
@@ -577,11 +511,6 @@ class ParallelSamplingEngine:
         #: resource tracker — so arena cursors must not rewind and
         #: segments must not unlink until these are reaped.
         self._retired_pools: list[ProcessPoolExecutor] = []
-        # -- fused-counting state -------------------------------------------
-        self._counter_matrix: np.ndarray | None = None
-        self._fused_valid = False
-        self._fused_incidences = 0
-        self._fused_parent: np.ndarray | None = None
         # LT: one cumulative-weight table, built once and shared with
         # every worker (bit-equal to what each would build locally).
         self._lt_cum = (
@@ -614,19 +543,6 @@ class ParallelSamplingEngine:
                 "model": self.model.value,
                 "max_cohort": self._local.max_cohort,
             }
-            rows = workers * self._pool_budget()
-            if rows * graph.n * 8 <= FUSED_COUNTER_MAX_BYTES:
-                seg = _shm.SharedMemory(create=True, size=max(1, rows * graph.n * 8))
-                self._segments.append(seg)
-                self._counter_matrix = np.ndarray(
-                    (rows, graph.n), dtype=np.int64, buffer=seg.buf
-                )
-                self._counter_matrix[:] = 0
-                self._payload["counters"] = (seg.name, rows, graph.n)
-                # Workers claim rows through this shared cursor; it is
-                # pickled only through the spawning context's initargs.
-                self._payload["slot_counter"] = self._mp_ctx.Value("i", 0)
-                self._fused_valid = True
             self._pool = self.spawn_pool()
         except BaseException:
             self.close()
@@ -641,9 +557,8 @@ class ParallelSamplingEngine:
     def close(self) -> None:
         """Shut the pool down and unlink every shared segment (idempotent).
 
-        This covers the CSR segments, the fused-counters matrix, and
-        every output-arena segment — on success paths and on every
-        typed-error path alike.
+        This covers the CSR segments and every output-arena segment — on
+        success paths and on every typed-error path alike.
         """
         if self._closed:
             return
@@ -654,7 +569,6 @@ class ParallelSamplingEngine:
         # Retired (replaced) pools' survivors may still touch the arena;
         # join them before any segment goes away.
         self._reap_retired_pools(wait=True)
-        self._counter_matrix = None  # view dies before its segment
         for rec in getattr(self, "_arena", ()):
             self._segments.append(rec["seg"])
         self._arena = []
@@ -714,14 +628,11 @@ class ParallelSamplingEngine:
         ownership of those never moves — and ``pool`` (or a freshly
         spawned one) is installed in its place.  Outstanding futures of
         the old pool are cancelled; the caller re-submits whatever it
-        still needs (deterministic replay makes that safe).  A rebuild
-        always invalidates the fused counters: the dead worker may have
-        accumulated blocks that never landed.
+        still needs (deterministic replay makes that safe).
         """
         self._require_open()
         if self._payload is None:
             raise ParallelEngineError("single-worker engine has no pool to rebuild")
-        self._invalidate_fused("pool rebuild")
         old, self._pool = self._pool, None
         if old is not None:
             # wait=False keeps recovery responsive (a wedged straggler in
@@ -731,12 +642,6 @@ class ParallelSamplingEngine:
             old.shutdown(wait=False, cancel_futures=True)
             self._retired_pools.append(old)
         self._pool = pool if pool is not None else self.spawn_pool()
-
-    def _pool_budget(self) -> int:
-        """Pools this engine may run in its lifetime.  Each pool's workers
-        claim fresh fused-counter rows, so the matrix holds a row for
-        every worker of each; the plain engine runs one pool."""
-        return 1
 
     # -- output arena (parent-assigned extents, no shared locks) -------------
 
@@ -829,45 +734,6 @@ class ParallelSamplingEngine:
             if observed > self._bytes_per_sample:
                 self._bytes_per_sample = observed
 
-    # -- fused-counting bookkeeping ------------------------------------------
-
-    def _invalidate_fused(self, reason: str) -> None:
-        if self._fused_valid:
-            self._fused_valid = False
-            self.stats.fused_invalidations += 1
-            _log.debug("fused counters invalidated: %s", reason)
-
-    def _maybe_reset_fused(self, collection, sample_indices: np.ndarray) -> None:
-        """Re-arm fused counting at a fresh collection epoch.
-
-        Valid only when the books can be balanced from scratch: nothing
-        in flight (so no worker can still accumulate a stale block), an
-        empty target collection, and a run starting at global index 0.
-        The rows are zeroed — including any stale rows of dead workers —
-        and accumulation restarts in lockstep with the landings.
-        """
-        if (
-            self._counter_matrix is None
-            or self._inflight
-            or len(collection) != 0
-            or (len(sample_indices) > 0 and int(sample_indices[0]) != 0)
-        ):
-            return
-        self._counter_matrix[:] = 0
-        self._fused_incidences = 0
-        self._fused_parent = None
-        self._fused_valid = True
-
-    def _note_parent_landing(self, flat: np.ndarray) -> None:
-        """Account a block the *parent* landed (e.g. a resumed prefix):
-        its incidences live in a parent-side row, not a worker row."""
-        if self._counter_matrix is None:
-            return
-        if self._fused_parent is None:
-            self._fused_parent = np.zeros(self.graph.n, dtype=np.int64)
-        self._fused_parent += np.bincount(flat, minlength=self.graph.n)
-        self._fused_incidences += len(flat)
-
     # -- block submission / materialization ----------------------------------
 
     def submit_block(
@@ -920,15 +786,11 @@ class ParallelSamplingEngine:
         if self._pool is None:  # the parent sampled it: no descriptor
             self.stats.sample_seconds += desc[4]
             return desc
-        wrote, flat_len, ns, checksum, sample_s, write_s, fused, inline = desc
+        wrote, flat_len, ns, checksum, sample_s, write_s, inline = desc
         st = self.stats
         st.ipc_descriptor_bytes += len(pickle.dumps(desc, protocol=-1))
         st.sample_seconds += sample_s
         st.arena_write_seconds += write_s
-        if not fused:
-            self._invalidate_fused("worker produced an unfused block")
-        elif flat_len:
-            self._fused_incidences += flat_len
         self._note_block_size(ns, _extent_need(flat_len, ns))
         if wrote:
             seg_idx, off, _cap = fut._arena_extent
@@ -1052,10 +914,6 @@ class ParallelSamplingEngine:
                     self._speculate_at(block.started) if block.spec is None else None
                 )
                 if spec_at is not None and now >= spec_at:
-                    # Whichever copy loses still accumulated its samples
-                    # into a worker counter row — the fused books cannot
-                    # balance after a duplicate.
-                    self._invalidate_fused("speculative duplicate launched")
                     try:
                         block.spec = self.submit_block(block.indices, seed)
                     except BrokenProcessPool:
@@ -1097,7 +955,6 @@ class ParallelSamplingEngine:
                 if checksum != block.expected:
                     # The first checksum-valid result wins: drop this
                     # candidate and keep waiting on the other, if any.
-                    self._invalidate_fused("checksum-invalid candidate dropped")
                     if winner is block.primary:
                         block.primary = block.spec
                     block.spec = None
@@ -1147,10 +1004,9 @@ class ParallelSamplingEngine:
     ) -> int:
         """Prepare a call; return how many leading samples are landed.
 
-        The plain engine lands every sample itself: it re-arms the fused
-        counters and the arena, and returns 0.
+        The plain engine lands every sample itself: it rewinds the arena
+        and returns 0.
         """
-        self._maybe_reset_fused(collection, indices)
         self._maybe_reset_arena(len(indices))
         return 0
 
@@ -1188,75 +1044,3 @@ class ParallelSamplingEngine:
         t0 = time.perf_counter()
         collection.append_batch(flat, sizes, total=len(flat))
         self.stats.landing_seconds += time.perf_counter() - t0
-
-    # -- selection counting kernel -------------------------------------------
-
-    def count_partitioned(self, flat: np.ndarray, minlength: int) -> np.ndarray:
-        """Partitioned replacement for ``np.bincount(flat, minlength)``.
-
-        Three paths, exact and bit-identical by construction:
-
-        1. **Fused merge** — when every incidence of ``flat`` was
-           accumulated block-by-block in the workers' counter rows (the
-           books balance: same incidence total, no crash/speculation/
-           abandonment since the epoch began, nothing in flight), the
-           answer is one column sum of the ``w`` partial counters —
-           no flat bytes cross a process boundary at all.
-        2. **Partitioned ship** — otherwise, ``flat`` is split into
-           ``workers`` contiguous blocks, each bincounted in a worker,
-           summed in the parent (integer addition is exact).
-        3. **Serial** — no pool, small arrays, or a crash mid-count
-           (logged and counted in ``stats.count_fallbacks``; the broken
-           pool is left for the next sampling call — or the supervisor
-           — to deal with).
-        """
-        self._require_open()
-        flat = np.asarray(flat)
-        if (
-            self._pool is not None
-            and self._fused_valid
-            and self._counter_matrix is not None
-            and minlength == self.graph.n
-            and len(flat) == self._fused_incidences
-            and not self._inflight
-        ):
-            t0 = time.perf_counter()
-            total = self._counter_matrix.sum(axis=0)
-            if self._fused_parent is not None:
-                total = total + self._fused_parent
-            self.stats.count_merge_seconds += time.perf_counter() - t0
-            self.stats.fused_count_merges += 1
-            return total
-        if self._pool is None or len(flat) < PARALLEL_COUNT_THRESHOLD:
-            return np.bincount(flat, minlength=minlength)
-        bounds = np.linspace(0, len(flat), self.workers + 1, dtype=np.int64)
-        try:
-            futures = [
-                self._pool.submit(_worker_count, flat[lo:hi], minlength)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            self.stats.tasks_submitted += len(futures)
-            total = np.zeros(minlength, dtype=np.int64)
-            deadline = (
-                time.monotonic() + self.task_timeout
-                if self.task_timeout is not None
-                else None
-            )
-            for fut in futures:
-                remaining = (
-                    None if deadline is None else max(0.0, deadline - time.monotonic())
-                )
-                total += fut.result(timeout=remaining)
-                if deadline is not None:
-                    deadline = time.monotonic() + self.task_timeout
-        except (BrokenProcessPool, _FuturesTimeout) as exc:
-            self.stats.count_fallbacks += 1
-            _log.warning(
-                "partitioned counting degraded to serial bincount after %s "
-                "(fallback #%d); result is exact either way",
-                type(exc).__name__,
-                self.stats.count_fallbacks,
-            )
-            return np.bincount(flat, minlength=minlength)
-        return total

@@ -170,11 +170,10 @@ class SupervisorStats(EngineStats):
 class SupervisedSamplingEngine(ParallelSamplingEngine):
     """A :class:`ParallelSamplingEngine` that survives its own workers.
 
-    Drop-in wherever the plain engine goes (``sample_batch``,
-    ``estimate_theta``, ``select_seeds`` all accept it via the
-    same isinstance dispatch); the output is bit-identical to the serial
-    sampler under any mix of worker crashes, stragglers, and resumes —
-    only wall-clock and ``stats`` change.
+    Drop-in wherever the plain engine goes (``sample_batch`` and
+    ``estimate_theta`` accept it as ``sampler=``); the output is
+    bit-identical to the serial sampler under any mix of worker crashes,
+    stragglers, and resumes — only wall-clock and ``stats`` change.
 
     Supervision parameters
     ----------------------
@@ -242,9 +241,6 @@ class SupervisedSamplingEngine(ParallelSamplingEngine):
             raise ValueError("spares must be >= 0")
         if crash_budget < 0:
             raise ValueError("crash_budget must be >= 0")
-        # The parent constructor sizes the fused counters by _pool_budget().
-        self.spares = spares
-        self.crash_budget = crash_budget
         super().__init__(
             graph,
             model,
@@ -256,6 +252,8 @@ class SupervisedSamplingEngine(ParallelSamplingEngine):
             arena_bytes=arena_bytes,
         )
         self.stats = SupervisorStats()
+        self.spares = spares
+        self.crash_budget = crash_budget
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.deadline = deadline
@@ -439,13 +437,7 @@ class SupervisedSamplingEngine(ParallelSamplingEngine):
     def _degrade(self, landed_total: int) -> None:
         """Deadline expired: surface the typed error (engine stays open —
         the driver owns the close, and the collection's landed prefix is
-        exactly what ``DegradedResult`` will account for).
-
-        Abandoned in-flight blocks may still have been accumulated by
-        their workers without ever landing, so the fused counters are
-        invalidated — the degraded run counts via the fallback paths.
-        """
-        self._invalidate_fused("deadline degradation abandoned in-flight blocks")
+        exactly what ``DegradedResult`` will account for)."""
         self.stats.deadline_expired = True
         _log.warning(
             "run deadline (%ss) expired with %d samples landed; degrading",
@@ -481,13 +473,6 @@ class SupervisedSamplingEngine(ParallelSamplingEngine):
 
     # -- the landing loop's steps --------------------------------------------
 
-    def _pool_budget(self) -> int:
-        # The initial pool, the pre-spawned spares, and per crash the
-        # budget allows a cold rebuild plus a replenished spare, with one
-        # pool of slack: no healthy lifetime runs out of counter rows
-        # (running out just means unfused blocks).
-        return 2 + self.spares + 2 * self.crash_budget
-
     def _open_run(
         self,
         collection: RRRCollection,
@@ -507,9 +492,6 @@ class SupervisedSamplingEngine(ParallelSamplingEngine):
         hi = min(src.landed, first + len(indices))
         flat, sizes, edges = src.load_range(first, hi)
         collection.append_batch(flat, sizes)
-        # The prefix never passed through a worker: account it in the
-        # parent-side fused row so the books can still balance.
-        self._note_parent_landing(np.asarray(flat))
         pos = hi - first
         per_sample[:pos] = edges
         self.stats.resumed_samples += pos

@@ -29,13 +29,13 @@ double-count after shrink   ``recovery.degraded-accounting``
 worker reorders landing     ``engine.collection-bitwise``
 worker wrong stream offset  ``engine.collection-bitwise``
 arena extent overlap        ``engine.collection-bitwise``
-fused counter drops block   ``engine.count-partitioned``
 replay lands block twice    ``supervised.collection-bitwise``
 resume skips the cursor     ``supervised.collection-bitwise``
 speculation lands reordered ``supervised.collection-bitwise``
 stale index after change    ``serving.graph-binding``
 tighten wrong stream offset ``serving.extension-bitwise``
 re-freeze renames in place  ``durability.reopen``
+append commits before data  ``durability.reopen``
 dishonest degradation       ``frontend.degraded-honesty``
 breaker bypassed            ``frontend.breaker-discipline``
 stale served as fresh       ``cluster.unavailable-honesty``
@@ -51,8 +51,8 @@ invariants exist to catch.  The serving, engine and supervisor mutants
 patch a small private seam of their class, and the candidate-bound
 mutant the cohort kernel's module-level bound (:func:`_patched`), for
 the length of their run, so the shipping code carries no mutation flags.
-The three worker-side engine mutants swap in a module-level pool task
-as ``ParallelSamplingEngine._block_task``: a worker receives the task by
+The two worker-side engine mutants swap in a module-level pool task as
+``ParallelSamplingEngine._block_task``: a worker receives the task by
 reference, while a patch made in the parent would never reach a spawned
 worker.
 """
@@ -410,7 +410,7 @@ def _mutant_engine_landing(seed: int) -> tuple[bool, str]:
     return _engine_mutant(seed, "_plan", reversed_plan, "engine.collection-bitwise")
 
 
-# The three worker-side faults below are pool tasks: module-level, so a
+# The two worker-side faults below are pool tasks: module-level, so a
 # worker pickles them by reference (a patch made in the parent never
 # reaches a spawned worker), swapped in as ``_block_task``.
 
@@ -427,21 +427,6 @@ def _overlap_task(indices, seed, extent, sleep_s=0.0):
     if extent is not None:
         extent = (extent[0], extent[1] + 8, extent[2])
     return parallel_engine._worker_block(indices, seed, extent, sleep_s)
-
-
-def _fused_drop_task(indices, seed, extent, sleep_s=0.0):
-    """Skips accumulating the block holding sample 0 into its counter
-    row, yet reports the block as fused."""
-    state = parallel_engine._WORKER
-    row = state["counter_row"]
-    if row is None or indices[0] != 0:
-        return parallel_engine._worker_block(indices, seed, extent, sleep_s)
-    state["counter_row"] = None
-    try:
-        desc = parallel_engine._worker_block(indices, seed, extent, sleep_s)
-    finally:
-        state["counter_row"] = row
-    return desc[:6] + (True,) + desc[7:]
 
 
 def _mutant_engine_offset(seed: int) -> tuple[bool, str]:
@@ -473,20 +458,6 @@ def _mutant_arena_overlap(seed: int) -> tuple[bool, str]:
     """
     return _engine_mutant(
         seed, "_block_task", staticmethod(_overlap_task), "engine.collection-bitwise"
-    )
-
-
-def _mutant_fused_drop(seed: int) -> tuple[bool, str]:
-    """Fused counter silently drops one block's incidences.
-
-    The worker that produces the block containing global sample index 0
-    skips accumulating it into its counter row but still reports the
-    block as fused.  The landed collection is perfect — only the fused
-    merge of ``count_partitioned`` under-counts, so the oracle's
-    ``engine.count-partitioned`` comparison is the detector under test.
-    """
-    return _engine_mutant(
-        seed, "_block_task", staticmethod(_fused_drop_task), "engine.count-partitioned"
     )
 
 
@@ -694,6 +665,50 @@ def _mutant_refreeze_in_place(seed: int) -> tuple[bool, str]:
 
     graph = load(_MUTATION_DATASET, "IC")
     with _patched(store.RRRStore, "_commit", in_place):
+        report = check_crash_points(graph, "IC", replace(quick_config(), seed=seed), "mutant")
+    return _violated(report, "durability.reopen")
+
+
+def _mutant_manifest_before_data(seed: int) -> tuple[bool, str]:
+    """An append (``extend``, a checkpoint block) that installs its
+    certificate first, then writes and fsyncs the data it certifies.
+
+    Every append that completes reopens whole.  One interrupted after
+    the certificate rename leaves a certificate that seals bytes no data
+    file holds, and the old state is gone with it.  Only the crash-point
+    sweep interrupts an append there.
+    """
+    from ..sampling import store
+    from .durability import check_crash_points
+    from .oracle import quick_config
+
+    commit = store.RRRStore._commit
+
+    def manifest_first(self, arrays=None, facts=None, *, fresh=False):
+        if fresh or arrays is None:
+            return commit(self, arrays, facts, fresh=fresh)
+        flat, sizes, _ = arrays
+        count = int(self.cert[self.COUNT])
+        cert = {**self.cert, **(facts or {}), self.COUNT: count + len(sizes),
+                "entries": self.entries + len(flat),
+                "stream_fold": int(self.cert["stream_fold"])
+                ^ store._fold_range(self.seed, count, count + len(sizes))}
+        with store._writer_lock(self.path):
+            store._write_manifest(self.path, self.CERT, cert)
+            for name, keep, arr in zip(self._files(self.cert), self._certified(self.cert), arrays):
+                fd = store.os.open(self.path / name, store.os.O_WRONLY)
+                try:
+                    store.os.ftruncate(fd, keep)
+                    store.os.lseek(fd, keep, store.os.SEEK_SET)
+                    store._write_all(fd, arr)
+                    store.os.fsync(fd)
+                finally:
+                    store.os.close(fd)
+            self.cert = cert
+            self._map()
+
+    graph = load(_MUTATION_DATASET, "IC")
+    with _patched(store.RRRStore, "_commit", manifest_first):
         report = check_crash_points(graph, "IC", replace(quick_config(), seed=seed), "mutant")
     return _violated(report, "durability.reopen")
 
@@ -918,9 +933,6 @@ _MUTANTS = {
     "worker-writes-overlapping-arena-extent": (
         _mutant_arena_overlap, "pool worker writes its block payload 8 bytes past its extent start",
     ),
-    "fused-counter-drops-block": (
-        _mutant_fused_drop, "worker reports a block as fused-counted without accumulating it",
-    ),
     "replay-lands-block-twice": (
         _mutant_replay_overlap, "crash recovery re-appends the block that landed before the kill",
     ),
@@ -940,6 +952,10 @@ _MUTANTS = {
     "refreeze-renames-data-before-manifest": (
         _mutant_refreeze_in_place,
         "re-freeze renames each data file over the old one, then the manifest",
+    ),
+    "extend-commits-manifest-before-data": (
+        _mutant_manifest_before_data,
+        "an append installs its certificate before it writes and fsyncs the data",
     ),
     "degraded-result-reports-full-epsilon": (
         _mutant_dishonest_degrade, "degraded answer claims epsilon_effective == requested eps",

@@ -464,21 +464,21 @@ def run_oracle(
     ``shard=(i, m)`` (1-based) runs only every ``m``-th subject starting
     at the ``i``-th — the CI path for keeping ``--full`` under its time
     budget: the union of the ``m`` shards is exactly the unsharded
-    sweep.  The subject list is ``dataset × model × axis``, where the
-    axis has two buckets per ``dataset × model`` — the core
-    driver/engine sweep (:func:`check_graph_equivalence`) and the
-    replicated-cluster subject (:func:`check_cluster_equivalence`) — so
-    sharding *distributes* those axes across jobs instead of inflating
-    every job with them.  The (cheap, graph-independent) RNG laws run on
-    shard 1 only.
+    sweep.  A subject is a ``dataset × model`` on one of two axes — the
+    core driver/engine sweep (:func:`check_graph_equivalence`) and the
+    replicated-cluster subject (:func:`check_cluster_equivalence`) —
+    listed axis first, then model, then dataset.  So while ``m`` is at
+    most the dataset count, every shard takes core subjects of every
+    model, the expensive axis spread over all jobs.  The (cheap,
+    graph-independent) RNG laws run on shard 1 only.
     """
     rep = ValidationReport()
     axes = ("core",) + (("cluster",) if cfg.check_cluster else ())
     subjects = [
         (name, model, axis)
-        for name in cfg.datasets
-        for model in cfg.models
         for axis in axes
+        for model in cfg.models
+        for name in cfg.datasets
     ]
     if shard is not None:
         i, m = shard

@@ -19,6 +19,7 @@ hung suite.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -38,7 +39,6 @@ from repro.sampling import (
 )
 from repro.sampling.parallel_engine import (
     DESCRIPTOR_BYTE_BUDGET,
-    PARALLEL_COUNT_THRESHOLD,
     AdaptiveChunkPolicy,
     _worker_block,
 )
@@ -92,12 +92,6 @@ class TestDegenerateSingleWorker:
         for a, b in zip(got, ref):
             assert np.array_equal(a, b)
 
-    def test_count_partitioned_serial_fallback(self, ba_graph):
-        flat = np.arange(100, dtype=np.int64) % ba_graph.n
-        with ParallelSamplingEngine(ba_graph, "IC", workers=1) as eng:
-            counts = eng.count_partitioned(flat, ba_graph.n)
-        assert np.array_equal(counts, np.bincount(flat, minlength=ba_graph.n))
-
     def test_constructor_validation(self, ba_graph):
         with pytest.raises(ValueError):
             ParallelSamplingEngine(ba_graph, "IC", workers=0)
@@ -141,15 +135,6 @@ class TestPoolEquivalence:
         coll = SortedRRRCollection(ba_graph.n)
         edges = ic_engine.sample_into(coll, np.empty(0, dtype=np.int64), 3)
         assert len(edges) == 0 and len(coll) == 0
-
-    def test_count_partitioned_equals_bincount(self, ic_engine, ba_graph):
-        rng = np.random.default_rng(11)
-        flat = rng.integers(
-            0, ba_graph.n, size=PARALLEL_COUNT_THRESHOLD + 17, dtype=np.int64
-        )
-        counts = ic_engine.count_partitioned(flat, ba_graph.n)
-        assert np.array_equal(counts, np.bincount(flat, minlength=ba_graph.n))
-        assert counts.dtype == np.int64
 
     def test_lt_shared_cumweights(self, ba_graph_lt):
         """LT shares one cumulative-weight table; output stays bit-equal."""
@@ -222,9 +207,7 @@ class TestAdaptiveChunkPolicy:
 
 @pytest.mark.parallel
 class TestOutputArena:
-    """Shared-memory output arena: growth, lifecycle, descriptor size,
-    and the fused-counter merge that rides in the same worker pass.
-    """
+    """Shared-memory output arena: growth, lifecycle, descriptor size."""
 
     def test_tiny_arena_grows_and_stays_bitwise(self, ba_graph):
         """A 4 KiB first segment cannot hold θ samples: the growable-
@@ -282,22 +265,16 @@ class TestOutputArena:
             assert s.arena_overflows == 0  # nothing rode back inline
             assert s.ipc_descriptor_bytes / s.blocks_landed <= DESCRIPTOR_BYTE_BUDGET
 
-    def test_fused_merge_equals_bincount(self, ba_graph):
-        with ParallelSamplingEngine(ba_graph, "IC", workers=2) as eng:
-            coll = SortedRRRCollection(ba_graph.n)
-            eng.sample_into(coll, np.arange(THETA, dtype=np.int64), 3)
-            flat, _ = coll.flattened()
-            expect = np.bincount(flat, minlength=ba_graph.n)
-            counts = eng.count_partitioned(flat, ba_graph.n)
-            assert np.array_equal(counts, expect)
-            assert eng.stats.fused_count_merges == 1
-            # A pool rebuild wipes the worker counter rows, so the fused
-            # path must refuse and fall back — still the exact answer.
-            eng.rebuild_pool()
-            assert eng.stats.fused_invalidations >= 1
-            counts = eng.count_partitioned(flat, ba_graph.n)
-            assert np.array_equal(counts, expect)
-            assert eng.stats.fused_count_merges == 1  # no second merge
+    @pytest.mark.parametrize("model, graph_segments", [("IC", 3), ("LT", 4)])
+    def test_holds_only_the_graph_segments(self, ba_graph, ba_graph_lt, model, graph_segments):
+        """A pool shares the reverse CSR (and LT's cumulative weights),
+        and nothing else outside its arena, before and after a run."""
+        graph = ba_graph if model == "IC" else ba_graph_lt
+        with ParallelSamplingEngine(graph, model, workers=2) as eng:
+            assert len(eng._segments) == graph_segments
+            eng.sample_into(SortedRRRCollection(graph.n), np.arange(THETA, dtype=np.int64), 3)
+            assert eng._arena  # the run wrote through the arena, kept apart
+            assert len(eng._segments) == graph_segments
 
 
 @pytest.mark.parallel
@@ -324,8 +301,6 @@ class TestFailureModes:
             eng.sample_into(
                 SortedRRRCollection(ba_graph.n), np.arange(4, dtype=np.int64), 0
             )
-        with pytest.raises(ParallelEngineError):
-            eng.count_partitioned(np.zeros(4, dtype=np.int64), ba_graph.n)
 
     def test_no_resource_tracker_warnings(self, tmp_path):
         """End-to-end run in a fresh interpreter leaves stderr clean.
@@ -370,6 +345,8 @@ class TestDriverEquivalence:
         assert np.array_equal(serial.seeds, par.seeds)
         assert serial.theta == par.theta
         assert serial.coverage == par.coverage
+        assert serial.extra["coverage_history"] == par.extra["coverage_history"]
+        assert dataclasses.asdict(serial.counters) == dataclasses.asdict(par.counters)
         assert par.extra["workers"] == 2
 
     def test_imm_mt_real_parallel_bit_identical(self, ba_graph):

@@ -294,28 +294,6 @@ class TestChaosKill:
 
 
 @pytest.mark.parallel
-class TestCountFallback:
-    def test_pool_counting_degrades_to_serial(self, ba_graph):
-        """A broken pool must not fail the counting pass: it falls back
-        to np.bincount and the engine records the degradation."""
-        from repro.sampling.parallel_engine import PARALLEL_COUNT_THRESHOLD
-
-        flat = (
-            np.arange(PARALLEL_COUNT_THRESHOLD + 10, dtype=np.int64)
-            % ba_graph.n
-        )
-        expected = np.bincount(flat, minlength=ba_graph.n)
-        with SupervisedSamplingEngine(
-            ba_graph, "IC", workers=2, backoff_base=0.0
-        ) as eng:
-            for pid in eng.worker_pids():
-                os.kill(pid, signal.SIGKILL)
-            counts = eng.count_partitioned(flat, ba_graph.n)
-            assert eng.stats.count_fallbacks == 1
-        assert np.array_equal(counts, expected)
-
-
-@pytest.mark.parallel
 class TestSupervisedDrivers:
     def test_imm_supervised_bitexact_under_crash(self, ba_graph):
         base = imm(ba_graph, k=5, eps=0.5, seed=2, theta_cap=400)

@@ -36,13 +36,13 @@ EXPECTED_MUTANTS = {
     "worker-reorders-cohort-landing",
     "worker-uses-wrong-stream-offset",
     "worker-writes-overlapping-arena-extent",
-    "fused-counter-drops-block",
     "replay-lands-block-twice",
     "resume-skips-cursor",
     "speculative-result-raced-in-wrong-order",
     "stale-index-served-after-graph-change",
     "tighten-reuses-wrong-stream-offset",
     "refreeze-renames-data-before-manifest",
+    "extend-commits-manifest-before-data",
     "degraded-result-reports-full-epsilon",
     "breaker-open-still-extends",
     "memo-survives-republish",

@@ -58,6 +58,48 @@ class TestSelectionMeters:
         assert rep.ok, rep.summary()
 
 
+class TestShards:
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Run ``run_oracle`` with every checker stubbed, recording the
+        ``(dataset, model, axis)`` subjects each call reaches."""
+        from repro.validate import oracle
+        from repro.validate.report import ValidationReport
+
+        seen = []
+        monkeypatch.setattr(oracle, "load", lambda name, model: name)
+        monkeypatch.setattr(oracle, "check_rng_laws", lambda seed: ValidationReport())
+
+        def checker(axis):
+            def check(graph, model, cfg, subject):
+                seen.append((graph, model, axis))
+                return ValidationReport()
+            return check
+
+        monkeypatch.setattr(oracle, "check_graph_equivalence", checker("core"))
+        monkeypatch.setattr(oracle, "check_cluster_equivalence", checker("cluster"))
+
+        def run(shard=None):
+            seen.clear()
+            run_oracle(full_config(), shard=shard)
+            return list(seen)
+
+        return run
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_shards_partition_the_sweep(self, recorded, m):
+        whole = recorded()
+        shards = [recorded((i, m)) for i in range(1, m + 1)]
+        assert sorted(s for shard in shards for s in shard) == sorted(whole)
+        assert len(whole) == len(set(whole)) == 2 * 2 * len(full_config().datasets)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_every_shard_runs_core_subjects_of_both_models(self, recorded, m):
+        for i in range(1, m + 1):
+            core_models = {model for _, model, axis in recorded((i, m)) if axis == "core"}
+            assert core_models == {"IC", "LT"}, f"shard {i}/{m}"
+
+
 class TestOracle:
     def test_one_graph_equivalence(self):
         """The core acceptance property on the smallest registry graph,
